@@ -4,22 +4,31 @@ A colored Cayley graph is a partition of the group with class 0 = {identity};
 the arc (g, h) carries the color of h*g^-1.  Centrality (classes closed under
 conjugation) makes both right and left translations color automorphisms.
 
+Every seed the pipeline refines (the arc colors, and the equivalences of the
+normal subgroups U and L) is invariant under right translation and constant
+on conjugacy classes, so its coherent closure is a Cayley scheme, fixed by
+its identity row (the Schur-ring view: Wielandt, Finite Permutation Groups,
+ch. IV).  ``closure_rows`` refines that row one conjugacy class at a time;
+n x n matrices are gathered from the row only where a later step indexes
+them.
+
 The principal section of the scheme's automorphism group is computed without
-the group itself: the direct-sum test over coset indicator closures decides
-the symmetric case and yields L = U as the largest such subgroup; otherwise
-L is the socle and U is the smallest normal subgroup over the socle whose
-one-sided partial translations preserve every basis relation.
+the group itself: a direct-sum criterion on the closure row decides the
+symmetric case and yields L = U as the largest subgroup meeting it;
+otherwise L is the socle and U is the smallest normal subgroup over the
+socle whose one-sided partial translations preserve every basis relation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .coherent import CoherentConfiguration, is_boxplus_trivial, wl_closure
+from .coherent import CoherentConfiguration
+from .coherent import wl_closure  # noqa: F401  (bound here only for bench/tracing.py WRAPS)
 from .errors import InternalError, InvalidInputError
 from .group import (
     ClassPartition,
@@ -61,10 +70,7 @@ class ColorCayleyGraph:
     @cached_property
     def arc_colors(self) -> np.ndarray:
         """Color matrix: entry (g, h) is the class index of h * g^-1."""
-        G = self.group
-        n = G.order
-        M = self.class_of[G.table[np.arange(n)[None, :], G.inverse[:, None]]]
-        return np.ascontiguousarray(M)
+        return cayley_matrix(self.group, self.class_of)
 
     def color_relation(self, i: int) -> np.ndarray:
         return (self.arc_colors == i).astype(np.int8)
@@ -83,6 +89,13 @@ class ColorCayleyGraph:
         for h in range(self.group.order):
             classes[int(Mf[0, h])].append(h)
         return ColorCayleyGraph(self.group, ClassPartition(tuple(tuple(c) for c in classes)))
+
+
+def cayley_matrix(G: FiniteGroup, row: np.ndarray) -> np.ndarray:
+    """The n x n color matrix of an identity row: entry (g, h) is row[h * g^-1]."""
+    n = G.order
+    gather = G.table[np.arange(n)[None, :], G.inverse[:, None]]
+    return np.ascontiguousarray(np.asarray(row)[gather])
 
 
 def build_central_cayley(G: FiniteGroup, partition: ClassPartition) -> ColorCayleyGraph:
@@ -110,56 +123,159 @@ def partition_from_class_merge(G: FiniteGroup, merge: Sequence[Sequence[int]]) -
 
 
 class CayleyScheme:
-    """A coherent configuration on a group with right translations as automorphisms."""
+    """A Cayley scheme on a group, stored as its identity row.
 
-    def __init__(self, group: FiniteGroup, base: CoherentConfiguration, verify: bool = True):
-        if base.n != group.order:
-            raise InvalidInputError("configuration domain must be the group")
+    The color of (g, h) is row[h * g^-1], so right translations preserve
+    every color by construction, and left translations do exactly when the
+    row is constant on conjugacy classes (``central``).  ``verify`` checks
+    (C1) and (C2) on the row; (C3) is certified by the fixed point of the
+    refinement that produced it (``closure_rows``).
+    """
+
+    def __init__(self, group: FiniteGroup, row: np.ndarray, verify: bool = True):
+        row = np.ascontiguousarray(row, dtype=np.int32)
+        if row.shape != (group.order,):
+            raise InvalidInputError("the identity row needs one color per group element")
         self.group = group
-        self.base = base
+        self.row = row
+        self.rank = int(row.max()) + 1
+        self.row.setflags(write=False)
         if verify:
-            self._verify_invariance()
+            self._verify_row()
 
-    def _verify_invariance(self):
-        G = self.group
-        C = self.base.colors
-        gens = greedy_generators(G)
-        for g in gens:
-            rho = G.table[:, g]
-            if not np.array_equal(C[rho[:, None], rho[None, :]], C):
-                raise InvalidInputError("a right translation breaks a color")
-        self.central = True
-        for g in gens:
-            lam = G.table[g, :]
-            if not np.array_equal(C[lam[:, None], lam[None, :]], C):
-                self.central = False
-                break
+    def _verify_row(self):
+        G, row = self.group, self.row
+        if np.count_nonzero(row == row[0]) != 1:
+            raise InvalidInputError("(C1) fails: the identity shares its color")
+        inverted = row[G.inverse]
+        pairing = np.empty(self.rank, dtype=np.int32)
+        pairing[row] = inverted
+        if not np.array_equal(pairing[row], inverted):
+            raise InvalidInputError("(C2) fails: the inverses of a color are not a color")
+
+    @cached_property
+    def central(self) -> bool:
+        """Whether the row is constant on conjugacy classes."""
+        G, row = self.group, self.row
+        x = np.arange(G.order)
+        return all(
+            np.array_equal(row[G.table[G.table[G.inverse[g], x], g]], row)
+            for g in greedy_generators(G)
+        )
+
+    @cached_property
+    def base(self) -> CoherentConfiguration:
+        """The n x n color matrix, gathered from the row."""
+        X = CoherentConfiguration(cayley_matrix(self.group, self.row), check=False)
+        X.verify_light()
+        return X
 
     @cached_property
     def point_classes(self) -> list[tuple[int, ...]]:
         """Neighborhoods of the identity per basis relation."""
-        row = self.base.colors[0]
-        return [
-            tuple(int(x) for x in np.nonzero(row == s)[0]) for s in range(self.base.rank)
-        ]
+        return [tuple(int(x) for x in np.nonzero(self.row == s)[0]) for s in range(self.rank)]
 
     def __repr__(self):
-        return f"CayleyScheme(n={self.group.order}, rank={self.base.rank})"
+        return f"CayleyScheme(n={self.group.order}, rank={self.rank})"
 
 
-def coset_indicators(G: FiniteGroup, cosets: Sequence[Sequence[int]]) -> list[np.ndarray]:
-    """Diagonal indicator relations, one per coset."""
-    out = []
-    for coset in cosets:
-        M = np.zeros((G.order, G.order), dtype=np.int8)
-        idx = np.asarray(list(coset), dtype=np.int32)
-        M[idx, idx] = 1
-        out.append(M)
-    return out
+def _classes_by_first_member(G: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
+    """Conjugacy class representatives (smallest members, ascending) and each element's class."""
+    classes = sorted(conjugacy_classes(G).classes)
+    reps = np.array([c[0] for c in classes], dtype=np.int64)
+    class_of = np.empty(G.order, dtype=np.int64)
+    for j, c in enumerate(classes):
+        class_of[list(c)] = j
+    return reps, class_of
 
 
-def equivalence_matrix(n: int, class_of: np.ndarray) -> np.ndarray:
-    return (class_of[:, None] == class_of[None, :]).astype(np.int8)
+def _number_shared(
+    keys: list[list[bytes]], class_ofs: list[np.ndarray]
+) -> Optional[tuple[list[np.ndarray], int]]:
+    """Color rows from per-class keys, numbered on side 0, shared by all sides.
+
+    Side 0's classes come in order of their smallest member, so the numbering
+    is by first occurrence over element index.  None when another side has a
+    key side 0 lacks or the color sizes differ.
+    """
+    table: dict[bytes, int] = {}
+    rows = []
+    for side, (side_keys, class_of) in enumerate(zip(keys, class_ofs)):
+        ids = np.empty(len(side_keys), dtype=np.int32)
+        for j, key in enumerate(side_keys):
+            c = table.get(key)
+            if c is None:
+                if side:
+                    return None
+                c = table[key] = len(table)
+            ids[j] = c
+        rows.append(ids[class_of])
+    rank = len(table)
+    sizes = np.bincount(rows[0], minlength=rank)
+    for other in rows[1:]:
+        if not np.array_equal(sizes, np.bincount(other, minlength=rank)):
+            return None
+    return rows, rank
+
+
+def _round_keys(G: FiniteGroup, reps: np.ndarray, row: np.ndarray, rank: int) -> list[bytes]:
+    """Exact round keys at the class representatives x:
+    (c(x), c(x^-1), sorted (c(y), c(x * y^-1)) over y)."""
+    quotients = G.table[reps[:, None], G.inverse[None, :]]
+    pairs = row.astype(np.int64)[None, :] * rank + row[quotients]
+    pairs.sort(axis=1)
+    keys = np.column_stack([row[reps], row[G.inverse[reps]], pairs])
+    return [k.tobytes() for k in keys]
+
+
+def closure_rows(
+    sides: Sequence[tuple[FiniteGroup, Sequence[np.ndarray]]]
+) -> Optional[tuple[list[np.ndarray], int]]:
+    """Identity rows of the coherent closures of central Cayley seeds.
+
+    Each side is a group with seed rows, positionally paired across sides;
+    the seed row s stands for the relation coloring (g, h) by s[h * g^-1].
+    The identity is split off first.  One round keys each element x by
+
+        (c(x), c(x^-1), sorted multiset of (c(y), c(x * y^-1)) over y in G),
+
+    which is the key the exact n x n round gives the pair (1, x).  On a
+    translation-invariant matrix the pair (g, h) has the key of
+    (1, h * g^-1), so this round *is* the exact n x n round, and its fixed
+    point certifies (C3) just as ``wl_closure``'s does.  Central seeds keep
+    every round constant on conjugacy classes (y -> g^-1 y g carries the
+    multiset of x onto that of g^-1 x g), so keys are computed at one
+    representative per class and copied to the class: O(#classes * n log n)
+    per round instead of O(n^3 log n).
+
+    Colors are numbered by first occurrence over element index on side 0.
+    Row 0 of a Cayley matrix holds every color, so this is the row-major
+    first-occurrence numbering of the n x n closure, and
+    ``cayley_matrix(G, row)`` equals ``wl_closure``'s matrix entry for
+    entry.  All sides share one key table: when they diverge, no algebraic
+    isomorphism extends the seed pairing, and None is returned.
+    """
+    structs = [_classes_by_first_member(G) for G, _ in sides]
+    keys = []
+    for (G, seeds), (reps, class_of) in zip(sides, structs):
+        init = np.column_stack(
+            [np.arange(G.order) == 0] + [np.asarray(s) for s in seeds]
+        ).astype(np.int64)
+        if not np.array_equal(init, init[reps[class_of]]):
+            raise InvalidInputError("a seed row is not constant on conjugacy classes")
+        keys.append([k.tobytes() for k in init[reps]])
+    class_ofs = [class_of for _, class_of in structs]
+    res = _number_shared(keys, class_ofs)
+    while res is not None:
+        rows, rank = res
+        keys = [
+            _round_keys(G, reps, row, rank)
+            for (G, _), (reps, _), row in zip(sides, structs, rows)
+        ]
+        res = _number_shared(keys, class_ofs)
+        if res is not None and res[1] == rank:
+            return rows, rank
+    return None
 
 
 def coset_class_array(G: FiniteGroup, cosets: Sequence[Sequence[int]]) -> np.ndarray:
@@ -171,28 +287,59 @@ def coset_class_array(G: FiniteGroup, cosets: Sequence[Sequence[int]]) -> np.nda
     return out
 
 
-def cayley_wl(gamma: ColorCayleyGraph, extra: Iterable = ()) -> CayleyScheme:
-    """Coherent closure of the graph (plus extra right-invariant relations)."""
-    seeds = [gamma.arc_colors] + list(extra)
-    X = wl_closure(seeds, gamma.group.order)
-    scheme = CayleyScheme(gamma.group, X, verify=True)
+def cayley_wl(gamma: ColorCayleyGraph) -> CayleyScheme:
+    """Coherent closure of the graph, as a central Cayley scheme (see closure_rows)."""
+    res = closure_rows([(gamma.group, [gamma.class_of])])
+    if res is None:
+        raise InternalError("single-sided refinement cannot diverge")
+    scheme = CayleyScheme(gamma.group, res[0][0], verify=True)
     if not scheme.central:
         raise InvalidInputError("closure of a central graph lost left-invariance")
     return scheme
 
 
+def _row_is_direct_sum(G: FiniteGroup, row: np.ndarray, H: Subgroup) -> bool:
+    """Whether row is constant on H minus 1 and on each double coset HxH, x not in H."""
+    h = np.asarray(H.elements, dtype=np.int64)
+    if np.unique(row[h[1:]]).size > 1:
+        return False
+    seen = np.zeros(G.order, dtype=bool)
+    seen[h] = True
+    for x in range(G.order):
+        if not seen[x]:
+            double = G.table[G.table[h, x][:, None], h[None, :]]
+            seen[double] = True
+            if np.unique(row[double]).size > 1:
+                return False
+    return True
+
+
 def compute_H0(scheme: CayleyScheme) -> list[Subgroup]:
     """Subgroups H over the socle whose coset-indicator closure is a direct
-    sum of trivial configurations on the cosets."""
+    sum of trivial configurations on the right cosets of H.
+
+    Decided on the closure row c: H qualifies iff c is constant on H minus 1
+    and on every double coset HxH with x not in H.  Proof sketch: let T be
+    the direct sum of trivial configurations on the cosets (per coset a
+    diagonal and an off-diagonal color, per ordered pair of distinct cosets
+    their product).  T is coherent and refines every coset indicator.  If T
+    refines the scheme X, the closure W of X and the indicators is a
+    coarsening of T (the closure is the coarsest coherent refinement of its
+    seeds), and a coherent coarsening of T that splits the cosets is a
+    direct sum of trivial configurations.  Conversely such a W coarsens T
+    and refines X.  So H qualifies iff T refines X.  With X(a, b) =
+    c(b a^-1): the pairs inside a coset Hg have quotients covering H minus
+    1, and the pairs from Hg to Hg' != Hg have quotients covering the double
+    coset H(g'g^-1)H, every x outside H arising as some g'g^-1.  The n x n
+    test, one coset-indicator closure per subgroup, stays in the tests as
+    the oracle.
+    """
     G = scheme.group
-    out = []
-    for H in subgroups_over_socle(G, require_normal=False):
-        cosets = H.right_cosets()
-        seeds = [scheme.base.colors] + coset_indicators(G, cosets)
-        X = wl_closure(seeds, G.order)
-        if is_boxplus_trivial(X, cosets):
-            out.append(H)
-    return out
+    return [
+        H
+        for H in subgroups_over_socle(G, require_normal=False)
+        if _row_is_direct_sum(G, scheme.row, H)
+    ]
 
 
 def _partial_translation(G: FiniteGroup, H: Subgroup, h: int, side: str) -> np.ndarray:

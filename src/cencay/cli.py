@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success (or isomorphic), 1 non-isomorphic, 2 invalid input,
-3 an internal size cap was exceeded.
+3 an internal size cap was exceeded, 4 a certificate check failed
+(InternalError), 5 any other unexpected error (traceback on stderr).  A
+failure never exits with 0 or 1, so it cannot be read as an answer.
 """
 
 from __future__ import annotations
@@ -10,15 +12,18 @@ import argparse
 import json
 import sys
 import time
+import traceback
 from typing import Optional, Sequence
 
 from . import cayley, files, fixtures, group, iso
-from .errors import CapExceededError, InvalidInputError
+from .errors import CapExceededError, InternalError, InvalidInputError
 
 EXIT_OK = 0
 EXIT_NON_ISOMORPHIC = 1
 EXIT_INVALID = 2
 EXIT_CAP = 3
+EXIT_INTERNAL = 4
+EXIT_UNEXPECTED = 5
 
 
 def _parse_merge(spec: str) -> list[list[int]]:
@@ -74,11 +79,12 @@ def _report(result: iso.IsoResult, gamma, args, elapsed: float, sec=None) -> Non
         section_kind=sec.kind if sec is not None else None,
         elapsed=elapsed,
     )
+    # both outputs come from one report, so the emitted order is recounted once
     if args.output:
-        files.emit_report(result, args.output, **meta)
+        payload = files.emit_report(result, args.output, **meta)
+    elif args.json:
+        payload = files.report_to_dict(result, **meta)
     if args.json:
-        payload = files.result_to_dict(result)
-        payload["n"] = gamma.group.order
         print(json.dumps(payload, sort_keys=True))
     else:
         print(f"verdict: {result.verdict} (step {result.decided_at_step})")
@@ -87,27 +93,27 @@ def _report(result: iso.IsoResult, gamma, args, elapsed: float, sec=None) -> Non
 
 
 def _cmd_aut(args) -> int:
+    t0 = time.perf_counter()
     gamma = files.load_graph(args.graphfile)
     sec = cayley.principal_section(cayley.cayley_wl(gamma))
-    t0 = time.perf_counter()
     result = iso.automorphisms(gamma)
     _report(result, gamma, args, time.perf_counter() - t0, sec)
     return EXIT_OK
 
 
 def _cmd_iso(args) -> int:
+    t0 = time.perf_counter()
     ga = files.load_graph(args.graph_a)
     gb = files.load_graph(args.graph_b)
-    t0 = time.perf_counter()
     result = iso.iso_test(ga, gb)
     _report(result, ga, args, time.perf_counter() - t0)
     return EXIT_OK if result.isomorphic else EXIT_NON_ISOMORPHIC
 
 
 def _cmd_oracle(args) -> int:
+    t0 = time.perf_counter()
     ga = files.load_graph(args.graph_a)
     gb = files.load_graph(args.graph_b)
-    t0 = time.perf_counter()
     result = iso.brute_force_oracle(ga, gb, cap=args.cap or iso.ORACLE_CAP)
     _report(result, ga, args, time.perf_counter() - t0)
     return EXIT_OK if result.isomorphic else EXIT_NON_ISOMORPHIC
@@ -175,6 +181,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except InternalError as exc:
+        print(f"internal error (a certificate check failed): {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception:
+        traceback.print_exc(file=sys.stderr)
+        return EXIT_UNEXPECTED
 
 
 if __name__ == "__main__":

@@ -1,20 +1,22 @@
 """Coherent configurations and the Weisfeiler-Leman coherent closure.
 
 A configuration is stored as an n x n color matrix.  Refinement recolors each
-pair (a, b) by the multiset of color pairs (c(a, g), c(g, b)) over all g; the
-closure is the fixed point, colors canonicalized by first occurrence in
-row-major order.
-
-Routine rounds fingerprint the sorted multiset with a position-weighted
-64-bit sum, which can only under-split (equal multisets always hash equally).
-Stabilization is therefore always confirmed by one exact round on the full
-sorted multisets; that confirmation doubles as the exhaustive check of the
-intersection-number axiom, since a partition is coherent exactly when the
-exact refinement round fixes it.
+pair (a, b) by its own color, the color of (b, a), and the sorted multiset of
+color pairs (c(a, g), c(g, b)) over all g; the closure is the fixed point,
+colors canonicalized by first occurrence in row-major order.  Every round is
+exact (whole multisets are compared, nothing is hashed), so the fixed point
+doubles as the exhaustive check of the intersection-number axiom: a partition
+is coherent exactly when the exact refinement round fixes it.
 
 The two-sided ("lockstep") variant refines two matrices with one shared color
-table and is the decision procedure for extending a prescribed relation
-pairing to an algebraic isomorphism of the closures.
+table and decides whether a prescribed relation pairing extends to an
+algebraic isomorphism of the closures.
+
+The pipeline never refines n x n matrices: every seed it refines is a
+central Cayley coloring, whose closure ``cencay.cayley`` computes on the
+identity row alone.  ``wl_closure``, ``extend_algebraic_iso`` and
+``is_boxplus_trivial`` remain here as the exact n x n oracles that the row
+engine is tested against.
 """
 
 from __future__ import annotations
@@ -26,13 +28,6 @@ import numpy as np
 
 from .errors import InternalError, InvalidInputError
 
-_WEIGHT_RNG_SEED = 0xC0C0_51AB
-_MAX_WEIGHTS = 1024
-_weights = (
-    np.random.default_rng(_WEIGHT_RNG_SEED).integers(1, 2**63 - 1, _MAX_WEIGHTS, dtype=np.uint64)
-    | np.uint64(1)
-)
-
 Relation = Union[np.ndarray, "RelationLike"]
 RelationLike = Sequence
 
@@ -42,40 +37,29 @@ RelationLike = Sequence
 
 def _canonicalize_first_occurrence(codes: np.ndarray) -> tuple[np.ndarray, int]:
     """Renumber arbitrary codes to 0..r-1 by first occurrence in flat order."""
-    flat = codes.ravel()
-    uniq, inverse = np.unique(flat, return_inverse=True)
-    first = np.full(len(uniq), len(flat), dtype=np.int64)
-    np.minimum.at(first, inverse, np.arange(len(flat), dtype=np.int64))
-    rank_of_sorted = np.empty(len(uniq), dtype=np.int64)
+    (out,), rank = _canonicalize_shared([codes])
+    return out, rank
+
+
+def _canonicalize_shared(codes: list[np.ndarray]) -> Optional[tuple[list[np.ndarray], int]]:
+    """First-occurrence numbering of side 0's codes, applied to every side.
+
+    Returns None when another side carries a code that side 0 lacks.
+    """
+    flat0 = codes[0].ravel()
+    uniq, inverse = np.unique(flat0, return_inverse=True)
+    first = np.full(len(uniq), len(flat0), dtype=np.int64)
+    np.minimum.at(first, inverse, np.arange(len(flat0), dtype=np.int64))
+    rank_of_sorted = np.empty(len(uniq), dtype=np.int32)
     rank_of_sorted[np.argsort(first, kind="stable")] = np.arange(len(uniq))
-    return rank_of_sorted[inverse].reshape(codes.shape).astype(np.int32), len(uniq)
-
-
-class _SharedCanon:
-    """First-occurrence canonicalization shared between two refinement sides."""
-
-    def __init__(self):
-        self._sorted = None
-        self._rank = None
-
-    def build(self, codes: np.ndarray) -> tuple[np.ndarray, int]:
-        flat = codes.ravel()
-        uniq, inverse = np.unique(flat, return_inverse=True)
-        first = np.full(len(uniq), len(flat), dtype=np.int64)
-        np.minimum.at(first, inverse, np.arange(len(flat), dtype=np.int64))
-        rank_of_sorted = np.empty(len(uniq), dtype=np.int64)
-        rank_of_sorted[np.argsort(first, kind="stable")] = np.arange(len(uniq))
-        self._sorted = uniq
-        self._rank = rank_of_sorted
-        return rank_of_sorted[inverse].reshape(codes.shape).astype(np.int32), len(uniq)
-
-    def apply(self, codes: np.ndarray) -> Optional[np.ndarray]:
-        flat = codes.ravel()
-        pos = np.searchsorted(self._sorted, flat)
-        pos[pos >= len(self._sorted)] = 0
-        if not np.array_equal(self._sorted[pos], flat):
+    out = [rank_of_sorted[inverse].reshape(codes[0].shape)]
+    for side in codes[1:]:
+        flat = side.ravel()
+        pos = np.minimum(np.searchsorted(uniq, flat), len(uniq) - 1)
+        if not np.array_equal(uniq[pos], flat):
             return None
-        return self._rank[pos].reshape(codes.shape).astype(np.int32)
+        out.append(rank_of_sorted[pos].reshape(side.shape))
+    return out, len(uniq)
 
 
 def _pair_codes_exact(primary: np.ndarray, secondary: np.ndarray) -> np.ndarray:
@@ -87,32 +71,7 @@ def _pair_codes_exact(primary: np.ndarray, secondary: np.ndarray) -> np.ndarray:
     return (a << np.uint64(31)) | b
 
 
-def _mix_codes(exact: np.ndarray, hashed: np.ndarray) -> np.ndarray:
-    """Combine exact codes with hash fingerprints (collisions only under-split)."""
-    a = exact.astype(np.uint64)
-    return (a * np.uint64(0x9E3779B97F4A7C15)) ^ hashed ^ (a << np.uint64(7))
-
-
 # -- refinement engine ---------------------------------------------------------
-
-
-def _hash_round(C: np.ndarray, rank: int) -> np.ndarray:
-    """Fingerprint every pair by (own color, transpose color, multiset hash).
-
-    The multiset of (c(a,g), c(g,b)) over g is sorted and folded with fixed
-    position weights.  Including the transpose color makes the fixed point
-    satisfy the transposition axiom by construction.
-    """
-    n = C.shape[0]
-    w = _weights[:n, None]
-    R = np.int64(rank)
-    H = np.empty((n, n), dtype=np.uint64)
-    C64 = C.astype(np.int64)
-    for a in range(n):
-        M = C64[a][:, None] * R + C64  # [g, b] = (c(a,g), c(g,b)) encoded
-        M.sort(axis=0, kind="stable")
-        H[a] = (M.astype(np.uint64) * w).sum(axis=0, dtype=np.uint64)
-    return _mix_codes(_pair_codes_exact(C, C.T), H)
 
 
 def _exact_keys_round(C: np.ndarray, rank: int):
@@ -170,39 +129,16 @@ def _refine_lockstep(mats: list[np.ndarray], rank: int) -> Optional[tuple[list[n
 
     Returns None (sides diverged) only in the two-sided case.
     """
-    n = mats[0].shape[0]
     while True:
-        # fast rounds until the hash fingerprints stop splitting
-        while True:
-            canon = _SharedCanon()
-            new0, new_rank = canon.build(_hash_round(mats[0], rank))
-            news = [new0]
-            ok = True
-            for side in mats[1:]:
-                mapped = canon.apply(_hash_round(side, rank))
-                if mapped is None:
-                    return None
-                news.append(mapped)
-            if len(news) > 1:
-                base = np.bincount(news[0].ravel(), minlength=new_rank)
-                for other in news[1:]:
-                    if not np.array_equal(
-                        base, np.bincount(other.ravel(), minlength=new_rank)
-                    ):
-                        return None
-            if new_rank == rank:
-                break
-            if new_rank < rank:
-                raise InternalError("refinement coarsened the partition")
-            mats, rank = news, new_rank
-        # exact confirmation; also certifies the intersection-number axiom
         res = _exact_round_apply(mats, rank)
         if res is None:
             return None
-        exact_mats, exact_rank = res
-        if exact_rank == rank:
+        new_mats, new_rank = res
+        if new_rank == rank:
             return mats, rank
-        mats, rank = exact_mats, exact_rank
+        if new_rank < rank:
+            raise InternalError("refinement coarsened the partition")
+        mats, rank = new_mats, new_rank
 
 
 # -- seed handling --------------------------------------------------------------
@@ -243,17 +179,14 @@ def _initial_colors_lockstep(
     if len(counts) != 1:
         return None
     for idx in range(len(seed_sides[0])):
-        canon = _SharedCanon()
-        rel0 = _relation_to_matrix(seed_sides[0][idx], n)
-        new0, rank = canon.build(_pair_codes_exact(mats[0], rel0))
-        news = [new0]
-        for s in range(1, sides):
-            rel = _relation_to_matrix(seed_sides[s][idx], n)
-            mapped = canon.apply(_pair_codes_exact(mats[s], rel))
-            if mapped is None:
-                return None
-            news.append(mapped)
-        mats = news
+        codes = [
+            _pair_codes_exact(mats[s], _relation_to_matrix(seed_sides[s][idx], n))
+            for s in range(sides)
+        ]
+        res = _canonicalize_shared(codes)
+        if res is None:
+            return None
+        mats, rank = res
     if sides > 1:
         base = np.bincount(mats[0].ravel(), minlength=rank)
         for other in mats[1:]:
@@ -396,11 +329,12 @@ class CoherentConfiguration:
 
 
 def wl_closure(seeds: Iterable, n: int, check: bool = True) -> CoherentConfiguration:
-    """Coherent closure of a list of relations on n points.
+    """Coherent closure of a list of relations on n points, by exact n x n rounds.
 
     Seeds may be boolean matrices, pair iterables, integer color matrices, or
     RelationPartition objects; uncovered pairs share a background color and
-    the diagonal is split off before refinement starts.
+    the diagonal is split off before refinement starts.  The pipeline uses
+    ``cencay.cayley.closure_rows`` instead; this is its test oracle.
     """
     init = _initial_colors_lockstep([list(seeds)], n)
     if init is None:
@@ -451,10 +385,12 @@ def extend_algebraic_iso(
     """Extend the positional seed pairing to an algebraic isomorphism of closures.
 
     Both sides are refined in lockstep with one shared color table, seeded by
-    the pairing seeds_src[i] -> seeds_dst[i].  If the refinement fingerprints
+    the pairing seeds_src[i] -> seeds_dst[i].  If the exact refinement keys
     ever diverge there is no extension and None is returned; otherwise the
     closures share canonical color indices and the identity map is returned,
-    verified against the intersection numbers of every triple.
+    verified against the intersection numbers of every triple.  The pipeline
+    refines identity rows instead (``cencay.cayley.closure_rows``); this is
+    their n x n test oracle.
     """
     init = _initial_colors_lockstep([list(seeds_src), list(seeds_dst)], n)
     if init is None:
@@ -617,7 +553,9 @@ def is_boxplus_trivial(X: CoherentConfiguration, parts: Sequence[Sequence[int]])
     """Whether X is the direct sum of trivial configurations on the parts.
 
     Inside each part only the diagonal and its complement may appear, and
-    every color crossing two parts must cover their full product.
+    every color crossing two parts must cover their full product.  The
+    pipeline decides this on the closure row (``cencay.cayley.compute_H0``);
+    this is its n x n test oracle.
     """
     n = X.n
     part_of = np.full(n, -1, dtype=np.int64)

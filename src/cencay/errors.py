@@ -1,6 +1,7 @@
 """Exception types shared across the package.
 
-The CLI maps InvalidInputError to exit code 2 and CapExceededError to 3.
+The CLI maps InvalidInputError to exit code 2, CapExceededError to 3 and
+InternalError to 4; any other exception exits with 5.
 """
 
 

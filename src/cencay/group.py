@@ -8,7 +8,6 @@ computation downstream is reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -139,6 +138,7 @@ class Subgroup:
     elements: tuple[int, ...]
     _is_normal: Optional[bool] = field(default=None, repr=False)
     _is_simple: Optional[bool] = field(default=None, repr=False)
+    _members: Optional[frozenset] = field(default=None, repr=False)
 
     def __post_init__(self):
         self.elements = tuple(sorted(self.elements))
@@ -152,9 +152,12 @@ class Subgroup:
     def __contains__(self, x: int) -> bool:
         return x in self._member_set()
 
-    @lru_cache(maxsize=None)
     def _member_set(self) -> frozenset:
-        return frozenset(self.elements)
+        # cached on the instance: a cache on the class would keep every
+        # subgroup, and through it every parent table, alive for good
+        if self._members is None:
+            self._members = frozenset(self.elements)
+        return self._members
 
     def __hash__(self):
         return hash((id(self.parent), self.elements))

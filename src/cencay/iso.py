@@ -23,19 +23,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cayley import (
-    CayleyScheme,
     ColorCayleyGraph,
     PrincipalSection,
+    cayley_matrix,
     cayley_wl,
-    equivalence_matrix,
+    closure_rows,
     principal_section,
 )
-from .coherent import (
-    AlgebraicIso,
-    CoherentConfiguration,
-    extend_algebraic_iso,
-    restriction,
-)
+from .coherent import AlgebraicIso, CoherentConfiguration, restriction
+from .coherent import extend_algebraic_iso  # noqa: F401  (bound here only for bench/tracing.py WRAPS)
 from .errors import CapExceededError, InternalError, InvalidInputError
 from .group import (
     FiniteGroup,
@@ -115,6 +111,10 @@ def schemes_with_phi(
 ) -> Optional[SchemesWithPhi]:
     """Sections of both sides plus the unique color-matching algebraic iso.
 
+    The closures of the arc colors plus the U- and L-equivalences (seeded by
+    the identity rows: the indicators of U and L) are refined in lockstep
+    with one shared key table (``closure_rows``); their n x n matrices X and
+    Y, needed by the restriction in step 3, are gathered from the rows.
     Returns None when no algebraic isomorphism matches the graph colors and
     the section equivalences (in particular when the section types differ).
     """
@@ -125,21 +125,19 @@ def schemes_with_phi(
     sec_b = principal_section(cayley_wl(gamma_b))
     if sec_a.kind != sec_b.kind:
         return None  # both sides must share the section type
-    n = ga.order
-    seeds_a = [
-        gamma_a.arc_colors,
-        equivalence_matrix(n, sec_a.u_class_of),
-        equivalence_matrix(n, sec_a.l_class_of),
-    ]
-    seeds_b = [
-        gamma_b.arc_colors,
-        equivalence_matrix(n, sec_b.u_class_of),
-        equivalence_matrix(n, sec_b.l_class_of),
-    ]
-    res = extend_algebraic_iso(seeds_a, seeds_b, n)
+    res = closure_rows([
+        (ga, [gamma_a.class_of, sec_a.u_class_of == 0, sec_a.l_class_of == 0]),
+        (gb, [gamma_b.class_of, sec_b.u_class_of == 0, sec_b.l_class_of == 0]),
+    ])
     if res is None:
         return None
-    X, Y, phi = res
+    (row_a, row_b), rank = res
+    X = CoherentConfiguration(cayley_matrix(ga, row_a), check=False)
+    Y = CoherentConfiguration(cayley_matrix(gb, row_b), check=False)
+    X.verify_light()
+    Y.verify_light()
+    phi = AlgebraicIso(X, Y, np.arange(rank, dtype=np.int32))
+    phi.verify()
     return SchemesWithPhi(gamma_a, gamma_b, sec_a, sec_b, X, Y, phi)
 
 
@@ -231,7 +229,7 @@ def c0_search(
             raise InternalError("regular subgroup is not isomorphic to U")
         beta0, auts = res
         for alpha in auts:
-            f0 = beta0[alpha]
+            f0 = alpha[beta0]  # beta0, then alpha in Aut(V_abs): auts act on the target
             if not np.array_equal(colors_b[f0[:, None], f0[None, :]], want):
                 continue
             f0_inv = inverse_perm(f0)

@@ -8,7 +8,6 @@ from cencay.cayley import (
     cayley_wl,
     compute_H0,
     compute_H1,
-    coset_indicators,
     partition_from_class_merge,
     principal_section,
 )

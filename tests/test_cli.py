@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from cencay.cli import main
-from cencay.errors import InvalidInputError
+from cencay import iso
+from cencay.errors import InternalError, InvalidInputError
 from cencay.files import (
     emit_report,
     graph_from_dict,
@@ -164,6 +165,33 @@ def test_cli_json_and_report(sym5_transp_file, tmp_path, capsys):
     assert saved["aut_order"] == "28800"
     assert saved["type"] == "normal"
     assert saved["m"] == 2
+    assert payload == saved
+
+
+def test_cli_json_alone_is_certified(sym5_transp_file, capsys):
+    assert main(["aut", str(sym5_transp_file), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["order_verification"] == "chain"
+    assert payload["type"] == "normal"
+    assert payload["timing_seconds"] > 0
+
+
+def test_cli_internal_error_exit4(sym5_transp_file, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise InternalError("representative fails the color check")
+
+    monkeypatch.setattr(iso, "iso_test", broken)
+    assert main(["iso", str(sym5_transp_file), str(sym5_transp_file)]) == 4
+    assert "representative fails" in capsys.readouterr().err
+
+
+def test_cli_unexpected_error_exit5(sym5_transp_file, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(iso, "iso_test", broken)
+    assert main(["iso", str(sym5_transp_file), str(sym5_transp_file)]) == 5
+    assert "Traceback" in capsys.readouterr().err
 
 
 def test_cli_oracle_small(tmp_path, capsys):

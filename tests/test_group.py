@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -232,3 +234,13 @@ def test_random_group_self_isomorphisms(data):
     res = group_isomorphisms(G, G)
     assert res is not None
     assert len(res[1]) == len(automorphism_group(G))
+
+
+def test_subgroup_does_not_keep_its_parent_alive():
+    G = group_from_generators([(1, 2, 3, 4, 0), (1, 2, 0, 3, 4)])
+    H = socle(G)
+    assert 0 in H and H.is_normal  # fills the membership cache
+    parent = weakref.ref(G)
+    del G, H
+    gc.collect()
+    assert parent() is None

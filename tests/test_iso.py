@@ -5,7 +5,7 @@ import pytest
 
 from cencay.cayley import build_central_cayley, partition_from_class_merge
 from cencay.errors import InvalidInputError
-from cencay.group import ClassPartition, conjugacy_classes, socle
+from cencay.group import ClassPartition, FiniteGroup, conjugacy_classes, socle
 from cencay.iso import (
     IsoResult,
     QuotientGraph,
@@ -303,3 +303,29 @@ def test_oracle_relabelled_pair():
     for res, src, dst in ((r1, gam, gam2), (r2, gam, gam2)):
         r = res.representative
         assert np.array_equal(dst.arc_colors[r[:, None], r[None, :]], src.arc_colors)
+
+
+def relabelled_copy(G, seed):
+    """G on a randomly relabelled table with the identity fixed, and the relabelling."""
+    rng = np.random.default_rng(seed)
+    pi = np.concatenate([[0], 1 + rng.permutation(G.order - 1)]).astype(np.int32)
+    table = np.empty_like(G.table)
+    table[pi[:, None], pi[None, :]] = pi[G.table]
+    return FiniteGroup(table), pi
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_relabelled_tables_agree_with_oracle(seed):
+    # C0 composes Aut of the target after the base isomorphism; composing it
+    # on the source side answered non_isomorphic on some relabellings
+    G = alt5()
+    H, pi = relabelled_copy(G, seed)
+    for merge in ([[0], [1], [2], [3], [4]], [[0], [1], [2], [3, 4]], [[0], [1], [2, 3, 4]]):
+        a = build_central_cayley(G, partition_from_class_merge(G, merge))
+        b = build_central_cayley(
+            H, ClassPartition(tuple(tuple(sorted(pi[list(c)].tolist())) for c in a.partition.classes))
+        )
+        res = iso_test(a, b)
+        oracle = brute_force_oracle(a, b)
+        assert res.verdict == oracle.verdict == "isomorphic"
+        assert res.aut_order == oracle.aut_order
