@@ -30,19 +30,14 @@ from .perm import (
     orbitals,
     regular_representations,
     regular_subgroups,
-    stabilizer_chain,
     symmetric_group_on,
     wreath_group_on_blocks,
 )
 from .coherent import (
     AlgebraicIso,
     CoherentConfiguration,
-    EquivalenceInClosure,
     extend_algebraic_iso,
-    induced_iso_on_restriction_and_quotient,
     is_boxplus_trivial,
-    is_wreath_wrt,
-    quotient_cc,
     restriction,
     wl_closure,
 )
@@ -58,10 +53,12 @@ from .cayley import (
     principal_section,
 )
 from .iso import (
+    Analysis,
     IsoCoset,
     IsoResult,
     Majorant,
     QuotientGraph,
+    analyze,
     automorphisms,
     brute_force_oracle,
     c0_search,

@@ -35,8 +35,8 @@ from .group import (
     FiniteGroup,
     Subgroup,
     conjugacy_classes,
-    greedy_generators,
     is_almost_simple,
+    is_central,
     socle,
     subgroups_over_socle,
 )
@@ -56,12 +56,8 @@ class ColorCayleyGraph:
         if part.k < 2:
             raise InvalidInputError("a Cayley partition needs at least 2 classes")
         self.class_of = part.class_of_array(G.order)
-        for cls in part.classes:
-            mem = set(cls)
-            for x in cls:
-                for g in range(G.order):
-                    if G.conj(x, g) not in mem:
-                        raise InvalidInputError("not central: a class is not normal")
+        if not is_central(G, self.class_of):
+            raise InvalidInputError("not central: a class is not normal")
 
     @property
     def k(self) -> int:
@@ -71,9 +67,6 @@ class ColorCayleyGraph:
     def arc_colors(self) -> np.ndarray:
         """Color matrix: entry (g, h) is the class index of h * g^-1."""
         return cayley_matrix(self.group, self.class_of)
-
-    def color_relation(self, i: int) -> np.ndarray:
-        return (self.arc_colors == i).astype(np.int8)
 
     def relabelled(self, f: Sequence[int]) -> "ColorCayleyGraph":
         """Transport the arc coloring along a bijection and re-read the classes.
@@ -156,17 +149,12 @@ class CayleyScheme:
     @cached_property
     def central(self) -> bool:
         """Whether the row is constant on conjugacy classes."""
-        G, row = self.group, self.row
-        x = np.arange(G.order)
-        return all(
-            np.array_equal(row[G.table[G.table[G.inverse[g], x], g]], row)
-            for g in greedy_generators(G)
-        )
+        return is_central(self.group, self.row)
 
     @cached_property
     def base(self) -> CoherentConfiguration:
         """The n x n color matrix, gathered from the row."""
-        X = CoherentConfiguration(cayley_matrix(self.group, self.row), check=False)
+        X = CoherentConfiguration(cayley_matrix(self.group, self.row))
         X.verify_light()
         return X
 

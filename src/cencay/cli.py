@@ -65,9 +65,7 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_section(args) -> int:
-    gamma = files.load_graph(args.graphfile)
-    scheme = cayley.cayley_wl(gamma)
-    sec = cayley.principal_section(scheme)
+    sec = iso.analyze(files.load_graph(args.graphfile)).sec
     print(f"{sec.kind}, L={sec.L.order}, U={sec.U.order}, m={sec.m}")
     return EXIT_OK
 
@@ -95,9 +93,8 @@ def _report(result: iso.IsoResult, gamma, args, elapsed: float, sec=None) -> Non
 def _cmd_aut(args) -> int:
     t0 = time.perf_counter()
     gamma = files.load_graph(args.graphfile)
-    sec = cayley.principal_section(cayley.cayley_wl(gamma))
-    result = iso.automorphisms(gamma)
-    _report(result, gamma, args, time.perf_counter() - t0, sec)
+    analysis = iso.analyze(gamma)
+    _report(analysis.aut, gamma, args, time.perf_counter() - t0, analysis.sec)
     return EXIT_OK
 
 
@@ -114,7 +111,7 @@ def _cmd_oracle(args) -> int:
     t0 = time.perf_counter()
     ga = files.load_graph(args.graph_a)
     gb = files.load_graph(args.graph_b)
-    result = iso.brute_force_oracle(ga, gb, cap=args.cap or iso.ORACLE_CAP)
+    result = iso.brute_force_oracle(ga, gb)
     _report(result, ga, args, time.perf_counter() - t0)
     return EXIT_OK if result.isomorphic else EXIT_NON_ISOMORPHIC
 
@@ -122,8 +119,6 @@ def _cmd_oracle(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--cap", type=int, default=None, help="raise internal order caps")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized harnesses")
 
     p = argparse.ArgumentParser(
         prog="cencay",

@@ -21,7 +21,7 @@ engine is tested against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -201,7 +201,7 @@ def _initial_colors_lockstep(
 class CoherentConfiguration:
     """A coherent configuration as a canonical color matrix."""
 
-    def __init__(self, colors: np.ndarray, check: bool = True):
+    def __init__(self, colors: np.ndarray):
         C = np.ascontiguousarray(colors, dtype=np.int32)
         if C.ndim != 2 or C.shape[0] != C.shape[1] or C.shape[0] == 0:
             raise InvalidInputError("color matrix must be square and nonempty")
@@ -210,11 +210,8 @@ class CoherentConfiguration:
         self.rank = int(C.max()) + 1
         self.colors.setflags(write=False)
         self._pairing: Optional[np.ndarray] = None
-        self._fibers: Optional[list[np.ndarray]] = None
         self._reps: Optional[np.ndarray] = None
         self._inums: dict[int, dict[tuple[int, int], int]] = {}
-        if check:
-            self.verify_axioms(exhaustive=self.n <= 200)
 
     def verify_light(self) -> None:
         """(C1) and (C2) only; for closures whose fixed point certified (C3)."""
@@ -248,13 +245,6 @@ class CoherentConfiguration:
         return len(self.diagonal_colors) == 1
 
     @property
-    def fibers(self) -> list[np.ndarray]:
-        if self._fibers is None:
-            d = np.diagonal(self.colors)
-            self._fibers = [np.nonzero(d == c)[0] for c in self.diagonal_colors]
-        return self._fibers
-
-    @property
     def pairing(self) -> np.ndarray:
         """The transpose pairing s -> s*."""
         if self._pairing is None:
@@ -277,44 +267,18 @@ class CoherentConfiguration:
             }
         return self._inums[t]
 
-    def verify_axioms(self, exhaustive: bool = True, samples: int = 100_000, rng_seed: int = 7):
+    def verify_axioms(self, exhaustive: bool = True):
         """Check (C1) reflexivity, (C2) transposition, (C3) intersection numbers.
 
-        Exhaustive (C3) runs one exact refinement round and demands a fixed
-        point; sampled mode compares intersection-number dictionaries from
-        random pairs against the representative pair.
+        (C3) runs one exact refinement round and demands a fixed point; it is
+        always exhaustive, and ``exhaustive=False`` is refused.
         """
-        d = np.diagonal(self.colors)
-        off_mask = ~np.eye(self.n, dtype=bool)
-        off = np.unique(self.colors[off_mask]) if self.n > 1 else np.array([], dtype=np.int32)
-        if np.intersect1d(np.unique(d), off).size:
-            raise InvalidInputError("(C1) fails: diagonal mixes with off-diagonal colors")
-        _ = self.pairing  # raises if (C2) fails
-        if exhaustive:
-            res = _exact_round_apply([self.colors], self.rank)
-            if res is None or res[1] != self.rank:
-                raise InvalidInputError("(C3) fails: refinement splits a color")
-        else:
-            rng = np.random.default_rng(rng_seed)
-            per = max(1, samples // max(self.rank, 1))
-            flat = self.colors.ravel()
-            for t in range(self.rank):
-                base = self.intersection_numbers(t)
-                locs = np.nonzero(flat == t)[0]
-                picks = rng.choice(locs, size=min(per, len(locs)), replace=False)
-                for loc in picks:
-                    a, b = divmod(int(loc), self.n)
-                    codes = (
-                        self.colors[a].astype(np.int64) * self.rank + self.colors[:, b]
-                    )
-                    counts = np.bincount(codes, minlength=self.rank * self.rank)
-                    nz = np.nonzero(counts)[0]
-                    d2 = {
-                        (int(c // self.rank), int(c % self.rank)): int(counts[c])
-                        for c in nz
-                    }
-                    if d2 != base:
-                        raise InvalidInputError("(C3) fails on a sampled pair")
+        if not exhaustive:
+            raise InvalidInputError("(C3) is only checked exhaustively")
+        self.verify_light()
+        res = _exact_round_apply([self.colors], self.rank)
+        if res is None or res[1] != self.rank:
+            raise InvalidInputError("(C3) fails: refinement splits a color")
 
     def __eq__(self, other):
         return isinstance(other, CoherentConfiguration) and np.array_equal(
@@ -343,7 +307,7 @@ def wl_closure(seeds: Iterable, n: int, check: bool = True) -> CoherentConfigura
     res = _refine_lockstep(mats, rank)
     if res is None:
         raise InternalError("single-sided refinement cannot diverge")
-    out = CoherentConfiguration(res[0][0], check=False)
+    out = CoherentConfiguration(res[0][0])
     if check:
         out.verify_light()  # the exact fixed-point round already certified (C3)
     return out
@@ -375,9 +339,6 @@ class AlgebraicIso:
             if mapped != dst:
                 raise InvalidInputError("intersection numbers differ under the map")
 
-    def map_union(self, color_set: frozenset[int]) -> frozenset[int]:
-        return frozenset(int(self.color_map[c]) for c in color_set)
-
 
 def extend_algebraic_iso(
     seeds_src: Sequence, seeds_dst: Sequence, n: int
@@ -399,78 +360,13 @@ def extend_algebraic_iso(
     if res is None:
         return None
     mats, rank = res
-    X = CoherentConfiguration(mats[0], check=False)
-    Y = CoherentConfiguration(mats[1], check=False)
+    X = CoherentConfiguration(mats[0])
+    Y = CoherentConfiguration(mats[1])
     X.verify_light()
     Y.verify_light()
     phi = AlgebraicIso(X, Y, np.arange(rank, dtype=np.int32))
     phi.verify()
     return X, Y, phi
-
-
-@dataclass
-class EquivalenceInClosure:
-    """An equivalence relation that is a union of colors of a configuration."""
-
-    config: CoherentConfiguration
-    class_of: np.ndarray
-    classes: list[np.ndarray] = field(default_factory=list)
-    color_set: frozenset = frozenset()
-
-    @staticmethod
-    def from_class_array(X: CoherentConfiguration, class_of: Sequence[int]) -> "EquivalenceInClosure":
-        cls = np.asarray(class_of, dtype=np.int32)
-        if len(cls) != X.n:
-            raise InvalidInputError("class array length mismatch")
-        same = cls[:, None] == cls[None, :]
-        inside = np.unique(X.colors[same])
-        outside = np.unique(X.colors[~same]) if X.n > 1 else np.array([], dtype=np.int32)
-        if np.intersect1d(inside, outside).size:
-            raise InvalidInputError("equivalence is not a union of colors")
-        ids = np.unique(cls)
-        classes = [np.nonzero(cls == i)[0] for i in ids]
-        remap = {int(v): i for i, v in enumerate(ids)}
-        cls = np.array([remap[int(v)] for v in cls], dtype=np.int32)
-        return EquivalenceInClosure(X, cls, classes, frozenset(int(c) for c in inside))
-
-    @staticmethod
-    def from_color_set(X: CoherentConfiguration, colors: Iterable[int]) -> "EquivalenceInClosure":
-        colorset = frozenset(int(c) for c in colors)
-        mask = np.isin(X.colors, list(colorset))
-        if not np.array_equal(mask, mask.T):
-            raise InvalidInputError("color union is not symmetric")
-        if not np.all(np.diagonal(mask)):
-            raise InvalidInputError("color union is not reflexive")
-        # connected components; then verify transitivity as block-completeness
-        cls = _components(mask)
-        m = int(cls.max()) + 1
-        sizes = np.bincount(cls, minlength=m)
-        if int((sizes.astype(np.int64) ** 2).sum()) != int(mask.sum()):
-            raise InvalidInputError("color union is not transitive")
-        return EquivalenceInClosure.from_class_array(X, cls)
-
-    @property
-    def m(self) -> int:
-        return len(self.classes)
-
-
-def _components(adj: np.ndarray) -> np.ndarray:
-    n = adj.shape[0]
-    cls = np.full(n, -1, dtype=np.int32)
-    nxt = 0
-    for s in range(n):
-        if cls[s] >= 0:
-            continue
-        stack = [s]
-        cls[s] = nxt
-        while stack:
-            v = stack.pop()
-            for w in np.nonzero(adj[v])[0]:
-                if cls[w] < 0:
-                    cls[int(w)] = nxt
-                    stack.append(int(w))
-        nxt += 1
-    return cls
 
 
 def restriction(
@@ -500,53 +396,9 @@ def restriction(
     new, rank = _canonicalize_first_occurrence(sub)
     parent_of = np.empty(rank, dtype=np.int32)
     parent_of[new.ravel()] = sub.ravel()
-    out = CoherentConfiguration(new, check=False)
+    out = CoherentConfiguration(new)
     out.verify_light()
     return out, parent_of
-
-
-def quotient_cc(
-    X: CoherentConfiguration, e: EquivalenceInClosure
-) -> tuple[CoherentConfiguration, np.ndarray]:
-    """Quotient modulo an equivalence; colors with one incidence pattern merge.
-
-    Returns the quotient configuration and the map from parent colors to
-    quotient colors.
-    """
-    cls = e.class_of.astype(np.int64)
-    m = e.m
-    cell = cls[:, None] * m + cls[None, :]
-    combined = X.colors.astype(np.int64) * (m * m) + cell
-    pairs = np.unique(combined)
-    inc_color = (pairs // (m * m)).astype(np.int32)
-    inc_cell = (pairs % (m * m)).astype(np.int64)
-    patterns: dict[int, frozenset] = {}
-    for c in range(X.rank):
-        cells = inc_cell[inc_color == c]
-        patterns[c] = frozenset(int(v) for v in cells)
-    # merge colors with identical class-incidence patterns
-    pat_ids: dict[frozenset, int] = {}
-    q_of_color = np.empty(X.rank, dtype=np.int32)
-    for c in range(X.rank):
-        pid = pat_ids.setdefault(patterns[c], len(pat_ids))
-        q_of_color[c] = pid
-    Q = np.full((m, m), -1, dtype=np.int32)
-    for pat, pid in pat_ids.items():
-        for cellv in pat:
-            i, j = divmod(cellv, m)
-            if Q[i, j] >= 0 and Q[i, j] != pid:
-                raise InvalidInputError("incidence patterns overlap; not a quotient")
-            Q[i, j] = pid
-    if np.any(Q < 0):
-        raise InternalError("quotient cells left uncolored")
-    canon, rank = _canonicalize_first_occurrence(Q)
-    relabel = np.empty(rank, dtype=np.int32)
-    relabel[canon.ravel()] = Q.ravel()
-    inv_relabel = np.empty(rank, dtype=np.int32)
-    inv_relabel[relabel] = np.arange(rank)
-    out = CoherentConfiguration(canon, check=False)
-    out.verify_axioms(exhaustive=m <= 200)
-    return out, inv_relabel[q_of_color]
 
 
 def is_boxplus_trivial(X: CoherentConfiguration, parts: Sequence[Sequence[int]]) -> bool:
@@ -590,88 +442,3 @@ def is_boxplus_trivial(X: CoherentConfiguration, parts: Sequence[Sequence[int]])
                 elif cnt != b * b - b:
                     return False
     return True
-
-
-def is_wreath_wrt(X: CoherentConfiguration, e: EquivalenceInClosure) -> bool:
-    """Whether X is the wreath product with respect to e.
-
-    Every color outside e must be a union of full products of e-classes.
-    """
-    if not X.homogeneous:
-        raise InvalidInputError("wreath test requires a homogeneous configuration")
-    cls = e.class_of.astype(np.int64)
-    m = e.m
-    sizes = np.bincount(cls, minlength=m).astype(np.int64)
-    cell = cls[:, None] * m + cls[None, :]
-    combined = X.colors.astype(np.int64) * (m * m) + cell
-    counts = np.bincount(combined.ravel(), minlength=X.rank * (m * m))
-    for c in range(X.rank):
-        if c in e.color_set:
-            continue
-        for cellv in range(m * m):
-            cnt = int(counts[c * m * m + cellv])
-            if cnt == 0:
-                continue
-            i, j = divmod(cellv, m)
-            if cnt != int(sizes[i] * sizes[j]):
-                return False
-    return True
-
-
-@dataclass
-class InducedIsos:
-    """Class pairing plus the induced restriction and quotient isomorphisms."""
-
-    class_pairs: list[tuple[int, int]]
-    restriction_isos: list[AlgebraicIso]
-    quotient_iso: AlgebraicIso
-
-
-def induced_iso_on_restriction_and_quotient(
-    phi: AlgebraicIso,
-    e: EquivalenceInClosure,
-    class_pairing: Optional[list[tuple[int, int]]] = None,
-) -> InducedIsos:
-    """Induce phi on the restrictions to e-classes and on the quotient.
-
-    phi(e) is the equivalence with the mapped color set; it has the same
-    number of classes (asserted).  Classes are paired canonically (by
-    smallest point) unless an explicit pairing is given, which suits Cayley
-    schemes where translations identify all classes of one equivalence.
-    """
-    X, Y = phi.source, phi.target
-    e2 = EquivalenceInClosure.from_color_set(Y, phi.map_union(e.color_set))
-    if e2.m != e.m:
-        raise InternalError("mapped equivalence has a different class count")
-    if class_pairing is None:
-        class_pairing = list(zip(range(e.m), range(e2.m)))
-    rest_isos = []
-    for i, j in class_pairing:
-        XA, pa = restriction(X, e.classes[i])
-        YB, pb = restriction(Y, e2.classes[j])
-        if XA.rank != YB.rank:
-            raise InvalidInputError("restrictions have different ranks; bad class pairing")
-        lookup = {int(p): idx for idx, p in enumerate(pb)}
-        cmap = np.empty(XA.rank, dtype=np.int32)
-        for idx, p in enumerate(pa):
-            tgt = lookup.get(int(phi.color_map[int(p)]))
-            if tgt is None:
-                raise InvalidInputError("restricted color missing on the target side")
-            cmap[idx] = tgt
-        iso = AlgebraicIso(XA, YB, cmap)
-        iso.verify()
-        rest_isos.append(iso)
-    QX, qa = quotient_cc(X, e)
-    QY, qb = quotient_cc(Y, e2)
-    if QX.rank != QY.rank:
-        raise InvalidInputError("quotients have different ranks")
-    qmap = np.full(QX.rank, -1, dtype=np.int32)
-    for c in range(X.rank):
-        src_q = int(qa[c])
-        dst_q = int(qb[int(phi.color_map[c])])
-        if qmap[src_q] >= 0 and qmap[src_q] != dst_q:
-            raise InvalidInputError("quotient color map is inconsistent")
-        qmap[src_q] = dst_q
-    qiso = AlgebraicIso(QX, QY, qmap)
-    qiso.verify()
-    return InducedIsos(class_pairing, rest_isos, qiso)

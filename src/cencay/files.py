@@ -68,7 +68,7 @@ def load_group(path: PathLike) -> FiniteGroup:
 # -- graphs -----------------------------------------------------------------
 
 
-def graph_to_dict(gamma: ColorCayleyGraph, inline_group: bool = True) -> dict:
+def graph_to_dict(gamma: ColorCayleyGraph) -> dict:
     return {
         "group": group_to_dict(gamma.group),
         "colors": [list(c) for c in gamma.partition.classes],

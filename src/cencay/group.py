@@ -50,7 +50,6 @@ class FiniteGroup:
         self.table.setflags(write=False)
         self.inverse.setflags(write=False)
         self._aut_cache: Optional[list[np.ndarray]] = None
-        self._classes_cache = None
 
     # -- validation ------------------------------------------------------
 
@@ -171,11 +170,11 @@ class Subgroup:
 
     @property
     def is_normal(self) -> bool:
+        """Whether H is a union of conjugacy classes (``is_central``)."""
         if self._is_normal is None:
-            G, mem = self.parent, self._member_set()
-            self._is_normal = all(
-                G.conj(x, g) in mem for x in self.elements for g in range(G.order)
-            )
+            member = np.zeros(self.parent.order, dtype=bool)
+            member[list(self.elements)] = True
+            self._is_normal = is_central(self.parent, member)
         return self._is_normal
 
     @property
@@ -312,6 +311,20 @@ def conjugacy_classes(G: FiniteGroup) -> ClassPartition:
         classes.append(tuple(int(v) for v in orbit))
     classes.sort(key=lambda c: (len(c), c[0]))
     return ClassPartition(tuple(classes))
+
+
+def is_central(G: FiniteGroup, row: np.ndarray) -> bool:
+    """Whether an identity row (one value per element) is constant on
+    conjugacy classes.
+
+    Invariance under conjugation by each generator of G is invariance under
+    conjugation by all of G, so only ``greedy_generators(G)`` are tried.
+    """
+    x = np.arange(G.order)
+    return all(
+        np.array_equal(row[G.table[G.table[G.inverse[g], x], g]], row)
+        for g in greedy_generators(G)
+    )
 
 
 def closure(G: FiniteGroup, seed: Iterable[int]) -> tuple[int, ...]:

@@ -1,12 +1,16 @@
 """The central Cayley graph isomorphism test and its certificate machinery.
 
-Pipeline: principal sections of both schemes; one algebraic isomorphism
-matching colors and section equivalences (or a proof none exists); the
-majorant coset, a wreath product over the U-cosets whose block group is
-either the full symmetric group or the translation-inversion group cut down
-to the restricted scheme; quotient-graph isomorphisms on the L-cosets; and
-the final lift, which intersects the induced coset with the quotient
-isomorphisms and pulls the answer back up.
+Each graph is analysed once (``analyze``): its closure scheme, principal
+section and, on first use, the group part C_id of its majorant, a wreath
+product over the U-cosets whose block group is either the full symmetric
+group or the translation-inversion group cut down to the restricted scheme.
+Aut(Gamma) is cut out of C_id by the quotient-graph automorphisms on the
+L-cosets.  ``iso_test`` combines two analyses: one algebraic isomorphism
+matching colors and section equivalences (or a proof none exists), the seed
+coset C_0 and with it the majorant's representative, the quotient-graph
+isomorphisms, and the final lift, which pulls the answer back through the
+source's action of C_id on its L-cosets.  The answer is the coset
+Aut(Gamma) * f.
 
 Every positive answer is re-verified unconditionally against the arc colors,
 so the theory is never trusted blindly.  A brute-force backtracking oracle,
@@ -18,11 +22,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .cayley import (
+    CayleyScheme,
     ColorCayleyGraph,
     PrincipalSection,
     cayley_matrix,
@@ -45,6 +51,7 @@ from .perm import (
     PermutationGroup,
     block_action_with_kernel,
     compose,
+    conj_into_block,
     identity_perm,
     inverse_perm,
     is_identity,
@@ -80,65 +87,10 @@ class IsoResult:
 
 @dataclass
 class IsoCoset:
-    """A coset of bijections: group part times one representative."""
+    """The seed coset C_0, given by one representative (its group part is D_U)."""
 
-    group_part: Optional[object]
     representative: Optional[np.ndarray]
     empty: bool = False
-
-
-# -- step 1 and 2: schemes and the prescribed algebraic isomorphism ----------------
-
-
-@dataclass
-class SchemesWithPhi:
-    gamma_a: ColorCayleyGraph
-    gamma_b: ColorCayleyGraph
-    sec_a: PrincipalSection
-    sec_b: PrincipalSection
-    X: CoherentConfiguration
-    Y: CoherentConfiguration
-    phi: AlgebraicIso
-
-
-def validate_input(gamma: ColorCayleyGraph) -> None:
-    if not is_almost_simple(gamma.group):
-        raise InvalidInputError("base group is not almost simple")
-
-
-def schemes_with_phi(
-    gamma_a: ColorCayleyGraph, gamma_b: ColorCayleyGraph
-) -> Optional[SchemesWithPhi]:
-    """Sections of both sides plus the unique color-matching algebraic iso.
-
-    The closures of the arc colors plus the U- and L-equivalences (seeded by
-    the identity rows: the indicators of U and L) are refined in lockstep
-    with one shared key table (``closure_rows``); their n x n matrices X and
-    Y, needed by the restriction in step 3, are gathered from the rows.
-    Returns None when no algebraic isomorphism matches the graph colors and
-    the section equivalences (in particular when the section types differ).
-    """
-    ga, gb = gamma_a.group, gamma_b.group
-    if ga.order != gb.order or gamma_a.k != gamma_b.k:
-        return None
-    sec_a = principal_section(cayley_wl(gamma_a))
-    sec_b = principal_section(cayley_wl(gamma_b))
-    if sec_a.kind != sec_b.kind:
-        return None  # both sides must share the section type
-    res = closure_rows([
-        (ga, [gamma_a.class_of, sec_a.u_class_of == 0, sec_a.l_class_of == 0]),
-        (gb, [gamma_b.class_of, sec_b.u_class_of == 0, sec_b.l_class_of == 0]),
-    ])
-    if res is None:
-        return None
-    (row_a, row_b), rank = res
-    X = CoherentConfiguration(cayley_matrix(ga, row_a), check=False)
-    Y = CoherentConfiguration(cayley_matrix(gb, row_b), check=False)
-    X.verify_light()
-    Y.verify_light()
-    phi = AlgebraicIso(X, Y, np.arange(rank, dtype=np.int32))
-    phi.verify()
-    return SchemesWithPhi(gamma_a, gamma_b, sec_a, sec_b, X, Y, phi)
 
 
 # -- the block group D_U -----------------------------------------------------------
@@ -175,169 +127,7 @@ def d_u_subgroup(XU: CoherentConfiguration, U: FiniteGroup) -> D2Subgroup:
     return D2Subgroup(U, plain, invs)
 
 
-# -- step 3: C_0 and the majorant ----------------------------------------------------
-
-
-def _abstract_group_of_regular(V: PermutationGroup) -> FiniteGroup:
-    """Multiplication table of a regular permutation group via base-point images."""
-    rows = getattr(V, "element_rows_cache", None)
-    if rows is None:
-        rows = V.element_rows()
-    order = rows[:, 0].argsort(kind="stable")
-    M = rows[order]
-    if not np.array_equal(M[:, 0], np.arange(len(M))):
-        raise InternalError("group is not regular on its domain")
-    return FiniteGroup(np.ascontiguousarray(M.T), check=False)
-
-
-def c0_search(
-    XU_a: CoherentConfiguration,
-    XU_b: CoherentConfiguration,
-    psi_map: np.ndarray,
-    kind: str,
-    U_a: FiniteGroup,
-    U_b: FiniteGroup,
-) -> tuple[IsoCoset, object]:
-    """The seed coset C_0 on the U-domains, together with its group part D_U.
-
-    Symmetric type: D_U is the full symmetric group and any size-matched
-    bijection works.  Normal type: candidates f_0 are enumerated from the
-    regular subgroups of D_{U'} isomorphic to U, composed with Aut(U); the
-    first candidate mapping every basis relation along psi and conjugating
-    D_U onto D_{U'} wins (deterministic order).
-    """
-    b = U_a.order
-    if kind == "symmetric":
-        if XU_a.rank > 2 or XU_b.rank > 2:
-            raise InternalError("symmetric type restricted scheme must be trivial")
-        if U_b.order != b:
-            return IsoCoset(None, None, empty=True), None
-        group = symmetric_group_on(range(b), b)
-        return IsoCoset(group, np.arange(b, dtype=np.int32), empty=False), group
-
-    d_u = d_u_subgroup(XU_a, U_a)
-    d_u2 = d_u_subgroup(XU_b, U_b)
-    if U_b.order != b or d_u.order != d_u2.order:
-        return IsoCoset(None, None, empty=True), d_u
-    d_u_gens = d_u.generators()
-    colors_b = XU_b.colors
-    want = psi_map[XU_a.colors]
-    for V in regular_subgroups(d_u2, U_a):
-        V_abs = _abstract_group_of_regular(V)
-        res = group_isomorphisms(U_a, V_abs)
-        if res is None:
-            raise InternalError("regular subgroup is not isomorphic to U")
-        beta0, auts = res
-        for alpha in auts:
-            f0 = alpha[beta0]  # beta0, then alpha in Aut(V_abs): auts act on the target
-            if not np.array_equal(colors_b[f0[:, None], f0[None, :]], want):
-                continue
-            f0_inv = inverse_perm(f0)
-            ok = True
-            for d in d_u_gens:
-                if f0[d[f0_inv]] not in d_u2:
-                    ok = False
-                    break
-            if ok:
-                return IsoCoset(d_u, f0, empty=False), d_u
-    return IsoCoset(None, None, empty=True), d_u
-
-
-@dataclass
-class Majorant:
-    """C_phi as an explicit wreath-structured coset on the full domain."""
-
-    cid: Optional[PermutationGroup]
-    representative: Optional[np.ndarray]
-    blocks_a: list[list[int]]
-    blocks_b: list[list[int]]
-    inner_chain: Optional[PermutationGroup]
-    inner_kind: str
-    empty: bool = False
-
-    @property
-    def order(self) -> int:
-        return self.cid.order if self.cid is not None else 0
-
-    def contains(self, f: Sequence[int]) -> bool:
-        return not self.empty and (np.asarray(f, dtype=np.int32) in self.cid)
-
-
-def _conj_into_block(p: Perm, block: list[int], degree: int) -> Perm:
-    out = identity_perm(degree)
-    arr = np.asarray(block, dtype=np.int32)
-    out[arr] = arr[p]
-    return out
-
-
-def majorant(swp: SchemesWithPhi) -> Majorant:
-    """C_phi: group part D_U wr Sym(U-cosets), representative built blockwise.
-
-    Blocks are identified along right translations by the coset
-    representatives, and the coset pairing sends the identity coset to the
-    identity coset with the rest zipped in canonical order (any choice yields
-    the same coset).
-    """
-    G_a, G_b = swp.gamma_a.group, swp.gamma_b.group
-    n = G_a.order
-    sec_a, sec_b = swp.sec_a, swp.sec_b
-    U_a, _ = sec_a.U.as_group()
-    U_b, _ = sec_b.U.as_group()
-    XU_a, parent_a = restriction(swp.X, sec_a.U.elements)
-    XU_b, parent_b = restriction(swp.Y, sec_b.U.elements)
-    lookup_b = {int(p): i for i, p in enumerate(parent_b)}
-    psi_map = np.empty(XU_a.rank, dtype=np.int32)
-    for i, p in enumerate(parent_a):
-        tgt = lookup_b.get(int(swp.phi.color_map[int(p)]))
-        if tgt is None:
-            return Majorant(None, None, [], [], None, swp.sec_a.kind, empty=True)
-        psi_map[i] = tgt
-
-    c0, d_u = c0_search(XU_a, XU_b, psi_map, sec_a.kind, U_a, U_b)
-    if c0.empty:
-        return Majorant(None, None, [], [], None, sec_a.kind, empty=True)
-
-    u_sorted_a = list(sec_a.U.elements)
-    u_sorted_b = list(sec_b.U.elements)
-    blocks_a = [[int(G_a.table[u, int(c[0])]) for u in u_sorted_a] for c in sec_a.u_cosets]
-    blocks_b = [[int(G_b.table[u, int(c[0])]) for u in u_sorted_b] for c in sec_b.u_cosets]
-    m = len(blocks_a)
-    if len(blocks_b) != m:
-        return Majorant(None, None, [], [], None, sec_a.kind, empty=True)
-
-    b = U_a.order
-    if sec_a.kind == "symmetric":
-        inner = symmetric_group_on(range(b), b)
-        inner_gens = inner.generators
-    else:
-        inner = d_u.to_chain()
-        inner_gens = d_u.generators()
-
-    gens: list[Perm] = []
-    for blk in blocks_a:
-        for g in inner_gens:
-            gens.append(_conj_into_block(g, blk, n))
-    top = symmetric_group_on(range(m), m)
-    for t in top.generators:
-        lifted = identity_perm(n)
-        for i, blk in enumerate(blocks_a):
-            tgt = blocks_a[int(t[i])]
-            for pos, pt in enumerate(blk):
-                lifted[pt] = tgt[pos]
-        gens.append(lifted)
-
-    cid = wreath_group_on_blocks(inner, blocks_a, top, n, generators=gens)
-
-    rep = np.empty(n, dtype=np.int32)
-    f0 = c0.representative
-    for i in range(m):
-        src = np.asarray(blocks_a[i], dtype=np.int32)
-        dst = np.asarray(blocks_b[i], dtype=np.int32)
-        rep[src] = dst[f0]
-    return Majorant(cid, rep, blocks_a, blocks_b, inner, sec_a.kind)
-
-
-# -- step 4: quotient graphs -----------------------------------------------------------
+# -- the quotient graph on the L-cosets -----------------------------------------------
 
 
 @dataclass
@@ -382,9 +172,6 @@ def quotient_isos(qa: QuotientGraph, qb: QuotientGraph) -> list[np.ndarray]:
         if ok:
             out.append(np.array(perm, dtype=np.int32))
     return out
-
-
-# -- step 5: the lift ---------------------------------------------------------------------
 
 
 def _action_closure(
@@ -435,155 +222,343 @@ def _induced_block_map(f: Perm, cls_a: np.ndarray, cls_b: np.ndarray, m: int) ->
     return out
 
 
+# -- one graph: the analysis record ------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class Analysis:
+    """What the test needs from one graph, each part computed once.
+
+    ``analyze`` validates the graph and computes its closure scheme and
+    principal section; every other part is built on first use and cached
+    on the record.  C_id depends on the graph alone, so the automorphism
+    group is cut out of it directly: the self-majorant is C_id with the
+    identity as its representative.
+    """
+
+    gamma: ColorCayleyGraph
+    scheme: CayleyScheme
+    sec: PrincipalSection
+
+    @property
+    def seeds(self) -> tuple[FiniteGroup, list[np.ndarray]]:
+        """The seed rows of the closure: arc colors, U- and L-indicators."""
+        sec = self.sec
+        return self.gamma.group, [self.gamma.class_of, sec.u_class_of == 0, sec.l_class_of == 0]
+
+    @cached_property
+    def X(self) -> CoherentConfiguration:
+        """The coherent closure of the seeds, as an n x n matrix."""
+        (row,), _ = closure_rows([self.seeds])
+        X = CoherentConfiguration(cayley_matrix(self.gamma.group, row))
+        X.verify_light()
+        return X
+
+    @cached_property
+    def XU(self) -> CoherentConfiguration:
+        """X restricted to U."""
+        return restriction(self.X, self.sec.U.elements)[0]
+
+    @cached_property
+    def U(self) -> FiniteGroup:
+        return self.sec.U.as_group()[0]
+
+    @cached_property
+    def d_u(self):
+        """D_U: Sym(U) for the symmetric type, else D(2,U) cut down to XU."""
+        if self.sec.kind == "symmetric":
+            if self.XU.rank > 2:
+                raise InternalError("symmetric type restricted scheme must be trivial")
+            return symmetric_group_on(range(self.U.order), self.U.order)
+        return d_u_subgroup(self.XU, self.U)
+
+    @cached_property
+    def inner_chain(self) -> PermutationGroup:
+        return self.d_u.to_chain() if isinstance(self.d_u, D2Subgroup) else self.d_u
+
+    @cached_property
+    def blocks(self) -> list[list[int]]:
+        """The U-cosets, identified positionwise along right translations by
+        their smallest members."""
+        G, sec = self.gamma.group, self.sec
+        return [[int(G.table[u, c[0]]) for u in sec.U.elements] for c in sec.u_cosets]
+
+    @cached_property
+    def cid(self) -> PermutationGroup:
+        """C_id: D_U wr Sym(U-cosets) on the full domain."""
+        m = len(self.blocks)
+        top = symmetric_group_on(range(m), m)
+        return wreath_group_on_blocks(self.inner_chain, self.blocks, top, self.gamma.group.order)
+
+    @cached_property
+    def quotient(self) -> QuotientGraph:
+        return QuotientGraph.build(self.gamma, self.sec.l_class_of, self.sec.m)
+
+    @cached_property
+    def action(self) -> dict[bytes, Perm]:
+        """The induced action of C_id on the L-cosets, each map with one preimage."""
+        return _action_closure(self.cid.generators, self.sec.l_class_of, self.sec.m)
+
+    @cached_property
+    def aut(self) -> IsoResult:
+        """Aut(gamma), verified by ``_self_verify``.
+
+        Kernel generators per block plus one preimage per generator of the
+        quotient stabilizer; the order is |kernel| * |quotient stabilizer|
+        exactly.
+        """
+        n, m, cls = self.gamma.group.order, self.sec.m, self.sec.l_class_of
+        cid, blocks, reach = self.cid, self.blocks, self.action
+
+        # kernel of the inner block group on the L-cosets inside U
+        inner_cls = np.unique(cls[blocks[0]], return_inverse=True)[1]
+        inner_cosets = [np.nonzero(inner_cls == i)[0].tolist() for i in range(inner_cls.max() + 1)]
+        kernel = block_action_with_kernel(self.inner_chain, inner_cosets).kernel
+        n0_gens = [conj_into_block(g, blk, n) for blk in blocks for g in kernel.generators]
+        n0_order = kernel.order ** len(blocks)
+        if cid.order % len(reach) or cid.order // len(reach) != n0_order:
+            raise InternalError("kernel order mismatch in the lift")
+
+        # the part of the action that fixes the quotient graph
+        b_self = {b.tobytes() for b in quotient_isos(self.quotient, self.quotient)}
+        d0_rows = [np.frombuffer(k, dtype=np.int32) for k in sorted(reach) if k in b_self]
+        if not d0_rows:
+            raise InternalError("quotient stabilizer lost the identity")
+        aut_gens = n0_gens + [reach[r.tobytes()] for r in reduce_generators(d0_rows, m)]
+        d0_set = {r.tobytes() for r in d0_rows}
+
+        def aut_membership(f: Sequence[int]) -> bool:
+            f = np.asarray(f, dtype=np.int32)
+            return f in cid and _induced_block_map(f, cls, cls, m).tobytes() in d0_set
+
+        result = IsoResult(
+            "isomorphic", identity_perm(n), aut_gens, n0_order * len(d0_rows), 5, aut_membership
+        )
+        _self_verify(result, self.gamma, cid)
+        return result
+
+    def negative(self, step: int) -> IsoResult:
+        """A non-isomorphic verdict decided at a step, with this graph's Aut."""
+        aut = self.aut
+        return IsoResult(
+            "non_isomorphic", None, aut.aut_generators, aut.aut_order, step, aut.aut_membership
+        )
+
+
+def analyze(gamma: ColorCayleyGraph) -> Analysis:
+    """Validate one graph and compute its closure scheme and principal section."""
+    if not is_almost_simple(gamma.group):
+        raise InvalidInputError("base group is not almost simple")
+    scheme = cayley_wl(gamma)
+    return Analysis(gamma, scheme, principal_section(scheme))
+
+
+def _self_verify(result: IsoResult, gamma: ColorCayleyGraph, cid: PermutationGroup) -> None:
+    """Unconditional checks on an automorphism group: every generator keeps
+    the arc colors and lies in C_id, and a stabilizer chain recounts the order."""
+    M = gamma.arc_colors
+    for g in result.aut_generators:
+        if not np.array_equal(M[g[:, None], g[None, :]], M):
+            raise InternalError("an automorphism generator fails the color check")
+        if g not in cid:
+            raise InternalError("an automorphism generator escapes the majorant")
+    if 1 < result.aut_order <= CHAIN_RECOUNT_LIMIT and result.aut_generators:
+        recount = PermutationGroup(result.aut_generators, gamma.group.order).order
+        if recount != result.aut_order:
+            raise InternalError("stabilizer chain recount disagrees with the order")
+
+
+def automorphisms(gamma: ColorCayleyGraph) -> IsoResult:
+    """Aut(gamma) from its own analysis; the representative is the identity."""
+    return analyze(gamma).aut
+
+
+# -- two graphs, steps 1 and 2: the prescribed algebraic isomorphism -----------------
+
+
+@dataclass
+class SchemesWithPhi:
+    src: Analysis
+    dst: Analysis
+    X: CoherentConfiguration
+    Y: CoherentConfiguration
+    phi: AlgebraicIso
+
+
+def _schemes_with_phi(src: Analysis, dst: Analysis) -> Optional[SchemesWithPhi]:
+    ga, gb = src.gamma, dst.gamma
+    if ga.group.order != gb.group.order or ga.k != gb.k or src.sec.kind != dst.sec.kind:
+        return None
+    res = closure_rows([src.seeds, dst.seeds])
+    if res is None:
+        return None
+    (row_a, row_b), rank = res
+    X = CoherentConfiguration(cayley_matrix(ga.group, row_a))
+    Y = CoherentConfiguration(cayley_matrix(gb.group, row_b))
+    X.verify_light()
+    Y.verify_light()
+    phi = AlgebraicIso(X, Y, np.arange(rank, dtype=np.int32))
+    phi.verify()
+    return SchemesWithPhi(src, dst, X, Y, phi)
+
+
+def schemes_with_phi(
+    gamma_a: ColorCayleyGraph, gamma_b: ColorCayleyGraph
+) -> Optional[SchemesWithPhi]:
+    """Analyses of both sides plus the unique color-matching algebraic iso.
+
+    The closures of the arc colors plus the U- and L-equivalences (seeded by
+    the identity rows: the indicators of U and L) are refined in lockstep
+    with one shared key table (``closure_rows``); their n x n matrices X and
+    Y, needed by the restriction in step 3, are gathered from the rows.
+    Returns None when no algebraic isomorphism matches the graph colors and
+    the section equivalences (in particular when the section types differ).
+    """
+    return _schemes_with_phi(analyze(gamma_a), analyze(gamma_b))
+
+
+# -- step 3: C_0 and the majorant ----------------------------------------------------
+
+
+def _abstract_group_of_regular(V: PermutationGroup) -> FiniteGroup:
+    """Multiplication table of a regular permutation group via base-point images."""
+    rows = getattr(V, "element_rows_cache", None)
+    if rows is None:
+        rows = V.element_rows()
+    order = rows[:, 0].argsort(kind="stable")
+    M = rows[order]
+    if not np.array_equal(M[:, 0], np.arange(len(M))):
+        raise InternalError("group is not regular on its domain")
+    return FiniteGroup(np.ascontiguousarray(M.T), check=False)
+
+
+def c0_search(src: Analysis, dst: Analysis, psi_map: np.ndarray) -> tuple[IsoCoset, object]:
+    """The seed coset C_0 from src's U onto dst's, together with its group part D_U.
+
+    Symmetric type: D_U is the full symmetric group and any size-matched
+    bijection works.  Normal type: candidates f_0 are enumerated from the
+    regular subgroups of D_{U'} isomorphic to U, composed with Aut(U); the
+    first candidate mapping every basis relation along psi and conjugating
+    D_U onto D_{U'} wins (deterministic order).  Both D_U come from the
+    analyses.
+    """
+    U_a, d_u, d_u2 = src.U, src.d_u, dst.d_u
+    b = U_a.order
+    if dst.U.order != b or d_u.order != d_u2.order:
+        return IsoCoset(None, empty=True), d_u
+    if src.sec.kind == "symmetric":
+        return IsoCoset(np.arange(b, dtype=np.int32)), d_u
+    d_u_gens = d_u.generators()
+    colors_b = dst.XU.colors
+    want = psi_map[src.XU.colors]
+    for V in regular_subgroups(d_u2, U_a):
+        V_abs = _abstract_group_of_regular(V)
+        res = group_isomorphisms(U_a, V_abs)
+        if res is None:
+            raise InternalError("regular subgroup is not isomorphic to U")
+        beta0, auts = res
+        for alpha in auts:
+            f0 = alpha[beta0]  # beta0, then alpha in Aut(V_abs): auts act on the target
+            if not np.array_equal(colors_b[f0[:, None], f0[None, :]], want):
+                continue
+            f0_inv = inverse_perm(f0)
+            if all(f0[d[f0_inv]] in d_u2 for d in d_u_gens):
+                return IsoCoset(f0), d_u
+    return IsoCoset(None, empty=True), d_u
+
+
+@dataclass
+class Majorant:
+    """C_phi = C_id * representative on the full domain."""
+
+    cid: Optional[PermutationGroup]
+    representative: Optional[np.ndarray]
+    empty: bool = False
+
+    @property
+    def order(self) -> int:
+        return self.cid.order if self.cid is not None else 0
+
+    def contains(self, f: Sequence[int]) -> bool:
+        return not self.empty and (np.asarray(f, dtype=np.int32) in self.cid)
+
+
+def majorant(swp: SchemesWithPhi) -> Majorant:
+    """C_phi: C_id from the source analysis, representative built blockwise.
+
+    The restrictions of X and Y to U carry phi down to psi on the restricted
+    colors (``restriction`` numbers colors by first occurrence, so they equal
+    the analyses' XU).  Blocks are paired in order, identity coset to
+    identity coset (any pairing yields the same coset), and C_0's
+    representative is copied into each.
+    """
+    src, dst = swp.src, swp.dst
+    XU_a, parent_a = restriction(swp.X, src.sec.U.elements)
+    _, parent_b = restriction(swp.Y, dst.sec.U.elements)
+    lookup_b = {int(p): i for i, p in enumerate(parent_b)}
+    psi_map = np.empty(XU_a.rank, dtype=np.int32)
+    for i, p in enumerate(parent_a):
+        tgt = lookup_b.get(int(swp.phi.color_map[int(p)]))
+        if tgt is None:
+            return Majorant(None, None, empty=True)
+        psi_map[i] = tgt
+
+    c0, _ = c0_search(src, dst, psi_map)
+    if c0.empty or len(src.blocks) != len(dst.blocks):
+        return Majorant(None, None, empty=True)
+    rep = np.empty(src.gamma.group.order, dtype=np.int32)
+    for blk_a, blk_b in zip(src.blocks, dst.blocks):
+        rep[blk_a] = np.asarray(blk_b, dtype=np.int32)[c0.representative]
+    return Majorant(src.cid, rep)
+
+
+# -- steps 4 and 5: quotient isomorphisms and the lift ------------------------------------
+
+
 def lift_and_intersect(
-    maj: Majorant,
-    B: list[np.ndarray],
-    B_self: list[np.ndarray],
-    sec_a: PrincipalSection,
-    sec_b: PrincipalSection,
-    same_graph: bool,
+    maj: Majorant, B: list[np.ndarray], src: Analysis, dst: Analysis
 ) -> IsoResult:
     """Intersect the induced quotient coset with B and pull back (final step).
 
-    The automorphism group of the source graph is always assembled: kernel
-    generators per block plus one preimage per generator of the quotient
-    stabilizer; its order is |kernel| * |quotient stabilizer| exactly.
+    The majorant's representative induces fbar from src's L-cosets onto
+    dst's; the first b in B with fbar^-1 * b in the action of C_id is pulled
+    back through the preimages of src's action closure.
     """
-    if maj.empty:
-        return IsoResult("non_isomorphic", None, [], 0, 3)
-    n = maj.cid.degree
-    m_l = sec_a.m
-    cls_a = sec_a.l_class_of
-    cls_b = sec_b.l_class_of
-
-    # kernel of the inner block group on the L-cosets inside U
-    inner_positions_class = cls_a[np.asarray(maj.blocks_a[0], dtype=np.int32)]
-    inner_ids = np.unique(inner_positions_class)
-    remap = {int(v): i for i, v in enumerate(inner_ids)}
-    inner_cls = np.array([remap[int(v)] for v in inner_positions_class], dtype=np.int32)
-    inner_cosets = [np.nonzero(inner_cls == i)[0].tolist() for i in range(len(inner_ids))]
-    ba_inner = block_action_with_kernel(maj.inner_chain, inner_cosets)
-    ker_gens_positions = ba_inner.kernel.generators
-
-    n0_gens = []
-    for blk in maj.blocks_a:
-        for g in ker_gens_positions:
-            n0_gens.append(_conj_into_block(g, blk, n))
-    n0_order = ba_inner.kernel.order ** len(maj.blocks_a)
-
-    # the induced action of C_id on the L-cosets, with preimages
-    reach = _action_closure(maj.cid.generators, cls_a, m_l)
-    cbar_order = len(reach)
-    if maj.cid.order % cbar_order:
-        raise InternalError("action order does not divide the majorant order")
-    if maj.cid.order // cbar_order != n0_order:
-        raise InternalError("kernel order mismatch in the lift")
-
-    # subgroup of the action that fixes the source quotient graph
-    d0_rows = [np.frombuffer(k, dtype=np.int32) for k in sorted(reach.keys())]
-    bself_set = {b.tobytes() for b in B_self}
-    d0_rows = [r for r in d0_rows if r.tobytes() in bself_set]
-    d0_order = len(d0_rows)
-    if d0_order == 0:
-        raise InternalError("quotient stabilizer lost the identity")
-    aut_gens = list(n0_gens)
-    for r in reduce_generators(d0_rows, m_l):
-        aut_gens.append(reach[r.astype(np.int32).tobytes()])
-    aut_order = n0_order * d0_order
-
-    d0_set = {r.tobytes() for r in d0_rows}
-    cid = maj.cid
-
-    def aut_membership(f: Sequence[int]) -> bool:
-        f = np.asarray(f, dtype=np.int32)
-        if f not in cid:
-            return False
-        fbar = _induced_block_map(f, cls_a, cls_a, m_l)
-        return fbar.tobytes() in d0_set
-
-    fbar = _induced_block_map(maj.representative, cls_a, cls_b, m_l)
+    m = src.sec.m
+    fbar = _induced_block_map(maj.representative, src.sec.l_class_of, dst.sec.l_class_of, m)
     fbar_inv = inverse_perm(fbar)
-    rep = None
     for b in B:
-        cbar = fbar_inv[b]  # the action element with cbar-then-fbar equal to b
-        key = cbar.tobytes()
-        if key in reach:
-            rep = compose(reach[key], maj.representative)
-            break
-    if rep is None:
-        if same_graph:
-            raise InternalError("self test failed to find a representative")
-        return IsoResult("non_isomorphic", None, aut_gens, aut_order, 4, aut_membership)
-    return IsoResult("isomorphic", rep, aut_gens, aut_order, 5, aut_membership)
+        pre = src.action.get(fbar_inv[b].tobytes())  # cbar with cbar-then-fbar equal to b
+        if pre is not None:
+            aut = src.aut
+            rep = compose(pre, maj.representative)
+            return IsoResult(
+                "isomorphic", rep, aut.aut_generators, aut.aut_order, 5, aut.aut_membership
+            )
+    return src.negative(4)
 
 
 # -- the full test -----------------------------------------------------------------------
 
 
-def iso_test(
-    gamma_a: ColorCayleyGraph,
-    gamma_b: ColorCayleyGraph,
-    chain_recount_limit: int = CHAIN_RECOUNT_LIMIT,
-) -> IsoResult:
-    """Steps 1-5; the positive answer is verified against every arc color."""
-    validate_input(gamma_a)
-    validate_input(gamma_b)
-    same = gamma_a is gamma_b or (
-        gamma_a.group == gamma_b.group
-        and np.array_equal(gamma_a.arc_colors, gamma_b.arc_colors)
-    )
+def iso_test(gamma_a: ColorCayleyGraph, gamma_b: ColorCayleyGraph) -> IsoResult:
+    """Steps 1-5 on the analyses of both graphs; Aut is the source's.
 
-    def negative(step: int) -> IsoResult:
-        # the automorphism group of the source is part of the output contract
-        aut = iso_test(gamma_a, gamma_a, chain_recount_limit)
-        return IsoResult(
-            "non_isomorphic", None, aut.aut_generators, aut.aut_order, step,
-            aut.aut_membership,
-        )
-
-    swp = schemes_with_phi(gamma_a, gamma_b)
+    The positive answer is verified against every arc color.
+    """
+    src, dst = analyze(gamma_a), analyze(gamma_b)
+    swp = _schemes_with_phi(src, dst)
     if swp is None:
-        return negative(2)
+        return src.negative(2)
     maj = majorant(swp)
     if maj.empty:
-        return negative(3)
-    qa = QuotientGraph.build(gamma_a, swp.sec_a.l_class_of, swp.sec_a.m)
-    qb = QuotientGraph.build(gamma_b, swp.sec_b.l_class_of, swp.sec_b.m)
-    B_self = quotient_isos(qa, qa)
-    B = B_self if same else quotient_isos(qa, qb)
-    result = lift_and_intersect(maj, B, B_self, swp.sec_a, swp.sec_b, same)
-    _self_verify(result, gamma_a, gamma_b, maj, chain_recount_limit)
-    return result
-
-
-def _self_verify(
-    result: IsoResult,
-    gamma_a: ColorCayleyGraph,
-    gamma_b: ColorCayleyGraph,
-    maj: Optional[Majorant],
-    chain_recount_limit: int,
-) -> None:
-    """Unconditional certificate checks on a finished result."""
-    MA, MB = gamma_a.arc_colors, gamma_b.arc_colors
+        return src.negative(3)
+    result = lift_and_intersect(maj, quotient_isos(src.quotient, dst.quotient), src, dst)
     if result.isomorphic:
-        f = result.representative
+        f, MA, MB = result.representative, gamma_a.arc_colors, gamma_b.arc_colors
         if not np.array_equal(MB[f[:, None], f[None, :]], MA):
             raise InternalError("representative fails the color check")
-    for g in result.aut_generators:
-        if not np.array_equal(MA[g[:, None], g[None, :]], MA):
-            raise InternalError("an automorphism generator fails the color check")
-    if maj is not None and not maj.empty:
-        for g in result.aut_generators:
-            if g not in maj.cid:
-                raise InternalError("an automorphism generator escapes the majorant")
-    if 1 < result.aut_order <= chain_recount_limit and result.aut_generators:
-        recount = PermutationGroup(result.aut_generators, gamma_a.group.order).order
-        if recount != result.aut_order:
-            raise InternalError("stabilizer chain recount disagrees with the order")
-
-
-def automorphisms(gamma: ColorCayleyGraph, **kw) -> IsoResult:
-    return iso_test(gamma, gamma, **kw)
+    return result
 
 
 # -- the independent oracle -----------------------------------------------------------------

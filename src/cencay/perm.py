@@ -15,7 +15,6 @@ building would be hopeless.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -53,23 +52,6 @@ def inverse_perm(p: Perm) -> Perm:
 
 def is_identity(p: Perm) -> bool:
     return bool(np.array_equal(p, np.arange(len(p), dtype=p.dtype)))
-
-
-def perm_order(p: Perm) -> int:
-    n = len(p)
-    seen = np.zeros(n, dtype=bool)
-    out = 1
-    for i in range(n):
-        if seen[i]:
-            continue
-        ln, j = 1, int(p[i])
-        seen[i] = True
-        while j != i:
-            seen[j] = True
-            j = int(p[j])
-            ln += 1
-        out = math.lcm(out, ln)
-    return out
 
 
 def uniform_cycle_length(p: Perm) -> Optional[int]:
@@ -339,13 +321,6 @@ class PermutationGroup:
         return f"PermutationGroup(degree={self.degree}, gens={len(self.generators)})"
 
 
-def stabilizer_chain(
-    generators: Iterable[Sequence[int]], degree: int, known_order: Optional[int] = None
-) -> PermutationGroup:
-    """Build a permutation group with its stabilizer chain."""
-    return PermutationGroup(generators, degree, known_order=known_order)
-
-
 def reduce_generators(gens: Iterable[Sequence[int]], degree: int) -> list[Perm]:
     """Drop generators already generated by the kept ones (membership sifts)."""
     kept: list[Perm] = []
@@ -393,6 +368,14 @@ def symmetric_group_on(points: Sequence[int], degree: int) -> PermutationGroup:
     return PermutationGroup(gens, degree, _levels=levels)
 
 
+def conj_into_block(d: Perm, blk: Sequence[int], degree: int) -> Perm:
+    """A permutation of block positions 0..b-1, acting on the block's points."""
+    out = identity_perm(degree)
+    arr = np.asarray(blk, dtype=np.int32)
+    out[arr] = arr[d]
+    return out
+
+
 def _lift_block_map(tau: Perm, blocks: list[list[int]], degree: int) -> Perm:
     """Lift a block permutation to points, positionwise along the block lists."""
     out = identity_perm(degree)
@@ -408,7 +391,6 @@ def wreath_group_on_blocks(
     blocks: list[list[int]],
     top: PermutationGroup,
     degree: int,
-    generators: Optional[list[Perm]] = None,
 ) -> PermutationGroup:
     """The wreath product inner wr top on a block system, as an explicit chain.
 
@@ -430,17 +412,10 @@ def wreath_group_on_blocks(
         raise InvalidInputError("blocks must have equal size")
     if inner.degree != b:
         raise InvalidInputError("inner group must act on block positions 0..b-1")
-    ident = identity_perm(degree)
     inner_levels = inner.levels
     if not inner_levels and m > 1 and top.order > 1:
         raise InvalidInputError("trivial inner group needs a plain top action instead")
     levels: list[_Level] = []
-
-    def conj_into_block(d: Perm, blk: list[int]) -> Perm:
-        out = ident.copy()
-        arr = np.asarray(blk, dtype=np.int32)
-        out[arr] = arr[d]
-        return out
 
     def add_inner_stage(beta: int, top_level: Optional[_Level]) -> None:
         blk = blocks[beta]
@@ -452,14 +427,14 @@ def wreath_group_on_blocks(
                     lift = _lift_block_map(tau, blocks, degree)
                     gblk = blocks[int(tau[beta])]
                     for q in ilv.points:
-                        w = compose(lift, conj_into_block(ilv.trans[q], gblk))
+                        w = compose(lift, conj_into_block(ilv.trans[q], gblk, degree))
                         pt = int(w[lv.base])
                         lv.trans[pt] = w
                         lv.trans_inv[pt] = inverse_perm(w)
                         lv.points.append(pt)
             else:
                 for q in ilv.points:
-                    w = conj_into_block(ilv.trans[q], blk)
+                    w = conj_into_block(ilv.trans[q], blk, degree)
                     pt = blk[q]
                     lv.trans[pt] = w
                     lv.trans_inv[pt] = inverse_perm(w)
@@ -473,12 +448,8 @@ def wreath_group_on_blocks(
     for beta in range(m):
         if beta not in pinned:
             add_inner_stage(beta, None)
-    if generators is None:
-        generators = []
-        for g in inner.generators:
-            generators.append(conj_into_block(g, blocks[0]))
-        for t in top.generators:
-            generators.append(_lift_block_map(t, blocks, degree))
+    generators = [conj_into_block(g, blocks[0], degree) for g in inner.generators]
+    generators += [_lift_block_map(t, blocks, degree) for t in top.generators]
     return PermutationGroup(generators, degree, _levels=levels)
 
 
@@ -581,19 +552,6 @@ class D2Subgroup:
         alpha = self.group.table[r2, int(inv[t])]
         return alpha.tobytes() in self._inv_set
 
-    def iter_rows(self) -> Iterator[Perm]:
-        """All elements, batched per (alpha, kind); deterministic order."""
-        T = self.group.table
-        inv = self.group.inverse
-        for alpha in self.auts_plain:
-            M = T[alpha]  # M[x, t] = alpha(x) * t
-            for t in range(self.degree):
-                yield np.ascontiguousarray(M[:, t])
-        for alpha in self.auts_inv:
-            M = inv[T[alpha]]
-            for t in range(self.degree):
-                yield np.ascontiguousarray(M[:, t])
-
     def generators(self) -> list[Perm]:
         G = self.group
         gens = [np.ascontiguousarray(G.table[:, g]) for g in greedy_generators(G)]
@@ -675,9 +633,6 @@ class BlockAction:
             return self._preimages[key]
         except KeyError:
             raise InvalidInputError("block map is not in the action image") from None
-
-    def action_rows(self) -> list[Perm]:
-        return [np.frombuffer(k, dtype=np.int32).copy() for k in sorted(self._preimages)]
 
 
 def induced_block_perm(g: Perm, blocks: Sequence[Sequence[int]], block_of: np.ndarray) -> Perm:

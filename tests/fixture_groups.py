@@ -50,3 +50,15 @@ def c2_x_alt5() -> FiniteGroup:
         (0, 1, 3, 4, 2, 5, 6),
     ]
     return group_from_generators(gens)
+
+
+def set_partitions(items):
+    """Every partition of a list into nonempty blocks, as lists of lists."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in set_partitions(rest):
+        yield [[first]] + part
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1:]

@@ -11,11 +11,10 @@ from cencay.cayley import (
     partition_from_class_merge,
     principal_section,
 )
-from cencay.coherent import is_wreath_wrt, EquivalenceInClosure, wl_closure
 from cencay.errors import InvalidInputError
-from cencay.group import ClassPartition, conjugacy_classes, socle
+from cencay.group import ClassPartition, conjugacy_classes, is_central, socle
 from cencay.perm import PermutationGroup, orbitals, regular_representations
-from .fixture_groups import alt5, sym5
+from .fixture_groups import alt5, psl27, set_partitions, sym5
 
 
 def merge_partition(G, groups):
@@ -154,13 +153,35 @@ def test_principal_section_alt5_full_classes():
     assert sec.m == 1
 
 
+def is_wreath_wrt(X, class_of):
+    """Whether the equivalence class_of is a union of colors of X and every
+    color outside it is a union of full products of its classes."""
+    cls = np.asarray(class_of, dtype=np.int64)
+    m = int(cls.max()) + 1
+    same = cls[:, None] == cls[None, :]
+    inside = np.unique(X.colors[same])
+    assert not np.intersect1d(inside, np.unique(X.colors[~same])).size
+    cell = cls[:, None] * m + cls[None, :]
+    counts = np.bincount(
+        (X.colors.astype(np.int64) * (m * m) + cell).ravel(), minlength=X.rank * m * m
+    ).reshape(X.rank, m, m)
+    full = np.outer(np.bincount(cls, minlength=m), np.bincount(cls, minlength=m))
+    return all(
+        np.array_equal(counts[c][counts[c] > 0], full[counts[c] > 0])
+        for c in range(X.rank)
+        if c not in inside
+    )
+
+
 def test_symmetric_type_is_wreath_wrt_l():
     G = sym5()
     gamma = coset_graph(G)
     scheme = cayley_wl(gamma)
     sec = principal_section(scheme)
-    e = EquivalenceInClosure.from_class_array(scheme.base, sec.l_class_of)
-    assert is_wreath_wrt(scheme.base, e)
+    assert is_wreath_wrt(scheme.base, sec.l_class_of)
+    # the normal-type transposition graph is not a wreath product over its L
+    scheme_t = cayley_wl(transposition_graph(G))
+    assert not is_wreath_wrt(scheme_t.base, principal_section(scheme_t).l_class_of)
 
 
 def test_index_bound_reported():
@@ -181,3 +202,32 @@ def test_relabelled_roundtrip():
     # relabel along inversion: still a valid central coloring
     gamma3 = gamma.relabelled(G.inverse)
     assert gamma3.k == 3
+
+
+def central_by_definition(G, class_of):
+    return all(
+        class_of[G.conj(x, g)] == class_of[x] for x in range(G.order) for g in range(G.order)
+    )
+
+
+def test_is_central_matches_definition():
+    A5 = alt5()
+    merges = list(set_partitions([1, 2, 3, 4]))
+    assert len(merges) == 15
+    for merge in merges:
+        class_of = merge_partition(A5, [[0]] + merge).class_of_array(A5.order)
+        assert is_central(A5, class_of) and central_by_definition(A5, class_of)
+    rng = np.random.default_rng(7)
+    for G in (alt5(), sym5(), psl27()):
+        cc = conjugacy_classes(G)
+        for _ in range(4):
+            # a random partition, and a class merge with one element moved
+            noisy = np.concatenate([[0], rng.integers(1, 4, G.order - 1)])
+            moved = cc.class_of_array(G.order).copy()
+            moved[int(rng.integers(1, G.order))] = cc.k
+            for class_of in (noisy, moved):
+                assert not is_central(G, class_of)
+                assert not central_by_definition(G, class_of)
+                classes = [tuple(np.nonzero(class_of == i)[0].tolist()) for i in range(class_of.max() + 1)]
+                with pytest.raises(InvalidInputError):
+                    ColorCayleyGraph(G, ClassPartition(tuple(c for c in classes if c)))

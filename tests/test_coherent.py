@@ -4,13 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cencay.coherent import (
-    CoherentConfiguration,
-    EquivalenceInClosure,
     extend_algebraic_iso,
-    induced_iso_on_restriction_and_quotient,
     is_boxplus_trivial,
-    is_wreath_wrt,
-    quotient_cc,
     restriction,
     wl_closure,
 )
@@ -115,40 +110,6 @@ def test_restriction_rejects_bad_set():
         restriction(X, range(7))  # not a coset of anything in the closure
 
 
-def test_quotient_cases():
-    G = sym5()
-    M, _ = arc_color_matrix(G)
-    X = wl_closure([M], 120)
-    soc = socle(G)
-    cls = np.zeros(120, dtype=np.int32)
-    for i, coset in enumerate(soc.right_cosets()):
-        cls[list(coset)] = i
-    e = EquivalenceInClosure.from_class_array(X, cls)
-    Q, qmap = quotient_cc(X, e)
-    assert Q.n == 2
-    # quotient by the full relation
-    efull = EquivalenceInClosure.from_class_array(X, np.zeros(120, dtype=np.int32))
-    Q1, _ = quotient_cc(X, efull)
-    assert Q1.n == 1 and Q1.rank == 1
-    # quotient by the diagonal is X itself
-    ediag = EquivalenceInClosure.from_class_array(X, np.arange(120, dtype=np.int32))
-    Q2, _ = quotient_cc(X, ediag)
-    assert np.array_equal(Q2.colors, X.colors)
-
-
-def test_equivalence_from_color_set_roundtrip():
-    G = sym5()
-    M, _ = arc_color_matrix(G)
-    X = wl_closure([M], 120)
-    soc = socle(G)
-    cls = np.zeros(120, dtype=np.int32)
-    for i, coset in enumerate(soc.right_cosets()):
-        cls[list(coset)] = i
-    e = EquivalenceInClosure.from_class_array(X, cls)
-    e2 = EquivalenceInClosure.from_color_set(X, e.color_set)
-    assert [set(c.tolist()) for c in e2.classes] == [set(c.tolist()) for c in e.classes]
-
-
 def test_boxplus_trivial():
     T = wl_closure([], 6)
     assert is_boxplus_trivial(T, [list(range(6))])
@@ -163,13 +124,6 @@ def test_boxplus_trivial():
     arcs = [(i, (i + 1) % 6) for i in range(6)]
     Y = wl_closure([arcs], 6)
     assert not is_boxplus_trivial(Y, diag_parts)
-
-
-def test_wreath_examples():
-    # wreath with respect to the full relation holds vacuously
-    T = wl_closure([], 6)
-    e = EquivalenceInClosure.from_class_array(T, np.zeros(6, dtype=np.int32))
-    assert is_wreath_wrt(T, e)
 
 
 def test_extend_identity():
@@ -215,23 +169,6 @@ def test_extend_relabelled_domain():
     assert res is not None
     X, Y, phi = res
     phi.verify()
-
-
-def test_induced_isos():
-    G = sym5()
-    M, _ = arc_color_matrix(G)
-    res = extend_algebraic_iso([M], [M], 120)
-    X, Y, phi = res
-    soc = socle(G)
-    cls = np.zeros(120, dtype=np.int32)
-    for i, coset in enumerate(soc.right_cosets()):
-        cls[list(coset)] = i
-    e = EquivalenceInClosure.from_class_array(X, cls)
-    ind = induced_iso_on_restriction_and_quotient(phi, e)
-    assert len(ind.class_pairs) == 2
-    for iso in ind.restriction_isos:
-        iso.verify()
-    ind.quotient_iso.verify()
 
 
 @settings(max_examples=25, deadline=None)

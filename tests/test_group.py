@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cencay.errors import CapExceededError, InvalidInputError
+from cencay.fixtures import BUILTIN_NAMES, builtin_group
 from cencay.group import (
     FiniteGroup,
     Subgroup,
@@ -244,3 +245,23 @@ def test_subgroup_does_not_keep_its_parent_alive():
     del G, H
     gc.collect()
     assert parent() is None
+
+
+def normal_by_definition(H):
+    G, members = H.parent, set(H.elements)
+    return all(G.conj(x, g) in members for x in H.elements for g in range(G.order))
+
+
+def test_is_normal_by_generators_matches_definition():
+    checked = 0
+    for name in BUILTIN_NAMES:
+        G = builtin_group(name)
+        if not 1 < G.order <= 360:
+            continue
+        for H in subgroups_over_socle(G, require_normal=False):
+            assert H.is_normal == normal_by_definition(H), (name, H.order)
+            checked += 1
+    assert checked == 7  # alt5, alt6, psl27: the socle; sym5, pgl27: the socle and G
+    S5 = builtin_group("sym5")
+    H = Subgroup(S5, (0, S5.names.index("(0 1)")))
+    assert not H.is_normal and not normal_by_definition(H)

@@ -23,7 +23,7 @@ from cencay.perm import (
     full_d2_subgroup,
     regular_representations,
 )
-from .fixture_groups import alt5, cyclic, sym5
+from .fixture_groups import alt5, cyclic, set_partitions, sym5
 
 
 def class_id(G, size, order):
@@ -73,7 +73,7 @@ def test_schemes_with_phi_identity():
     swp = schemes_with_phi(gam, gam)
     assert swp is not None
     assert np.array_equal(swp.phi.color_map, np.arange(swp.X.rank))
-    assert swp.sec_a.kind == "normal"
+    assert swp.src.sec.kind == "normal"
 
 
 def test_schemes_with_phi_swap_none():
@@ -115,7 +115,7 @@ def test_majorant_symmetric_type_order():
 def test_quotient_graph_labels_m2():
     gam = transposition_graph()
     swp = schemes_with_phi(gam, gam)
-    q = QuotientGraph.build(gam, swp.sec_a.l_class_of, swp.sec_a.m)
+    q = QuotientGraph.build(gam, swp.src.sec.l_class_of, swp.src.sec.m)
     assert q.m == 2
     assert q.label_sets[0][0] == frozenset({0, 2})
     assert q.label_sets[0][1] == frozenset({1, 2})
@@ -135,11 +135,10 @@ def test_lift_rejects_empty_B():
     gam = transposition_graph()
     swp = schemes_with_phi(gam, gam)
     maj = majorant(swp)
-    qa = QuotientGraph.build(gam, swp.sec_a.l_class_of, swp.sec_a.m)
-    B_self = quotient_isos(qa, qa)
-    res = lift_and_intersect(maj, [], B_self, swp.sec_a, swp.sec_b, False)
+    res = lift_and_intersect(maj, [], swp.src, swp.dst)
     assert res.verdict == "non_isomorphic"
     assert res.decided_at_step == 4
+    assert res.aut_order == 28_800
 
 
 def test_c0_search_symmetric_and_normal():
@@ -149,22 +148,22 @@ def test_c0_search_symmetric_and_normal():
     # symmetric type: group part is the full symmetric group on U
     gam = coset_graph()
     swp = schemes_with_phi(gam, gam)
-    XU, _ = restriction(swp.X, swp.sec_a.U.elements)
-    U, _ = swp.sec_a.U.as_group()
-    c0, d_u = iso_mod.c0_search(XU, XU, np.arange(XU.rank), "symmetric", U, U)
+    rec = swp.src
+    c0, d_u = iso_mod.c0_search(rec, rec, np.arange(rec.XU.rank))
     assert not c0.empty
-    assert c0.group_part.order == math.factorial(60)
+    assert d_u.order == math.factorial(60)
 
     # normal type: group part contains U* and sits inside D(2,U)
     gam = transposition_graph()
     swp = schemes_with_phi(gam, gam)
-    XU, _ = restriction(swp.X, swp.sec_a.U.elements)
-    U, _ = swp.sec_a.U.as_group()
-    c0, d_u = iso_mod.c0_search(XU, XU, np.arange(XU.rank), "normal", U, U)
+    rec = swp.src
+    # the pair's restriction, which carries phi down to U, is the analysis' XU
+    assert restriction(swp.X, rec.sec.U.elements)[0] == rec.XU
+    c0, d_u = iso_mod.c0_search(rec, rec, np.arange(rec.XU.rank))
     assert not c0.empty
     assert 14_400 <= d_u.order <= 28_800
-    assert d_u.order % (2 * U.order) == 0
-    reps = regular_representations(U)
+    assert d_u.order % (2 * rec.U.order) == 0
+    reps = regular_representations(rec.U)
     for g in reps.star_gens:
         assert g in d_u
     # the representative composed with group elements stays inside the coset:
@@ -329,3 +328,73 @@ def test_relabelled_tables_agree_with_oracle(seed):
         oracle = brute_force_oracle(a, b)
         assert res.verdict == oracle.verdict == "isomorphic"
         assert res.aut_order == oracle.aut_order
+
+
+def same_group(gens_a, order_a, gens_b, order_b, degree):
+    """<gens_a> == <gens_b>: equal orders and membership in both directions."""
+    chain_a = PermutationGroup(gens_a, degree, known_order=order_a)
+    chain_b = PermutationGroup(gens_b, degree, known_order=order_b)
+    return (
+        order_a == order_b
+        and all(g in chain_b for g in gens_a)
+        and all(g in chain_a for g in gens_b)
+    )
+
+
+def full_graph(G):
+    k = conjugacy_classes(G).k
+    return build_central_cayley(G, partition_from_class_merge(G, [[i] for i in range(k)]))
+
+
+def test_record_path_agrees_with_pair_path_and_oracle():
+    A5 = alt5()
+    graphs = [
+        build_central_cayley(A5, partition_from_class_merge(A5, [[0]] + merge))
+        for merge in set_partitions([1, 2, 3, 4])
+    ]
+    assert len(graphs) == 15
+    graphs += [transposition_graph(), coset_graph(), full_graph(sym5())]
+    for gam in graphs:
+        n = gam.group.order
+        record = automorphisms(gam)
+        pair = iso_test(gam, gam)
+        oracle = brute_force_oracle(gam, gam)
+        assert record.verdict == pair.verdict == oracle.verdict == "isomorphic"
+        assert record.aut_order == pair.aut_order == oracle.aut_order
+        assert np.array_equal(record.representative, np.arange(n))
+        # the pair path returns the source's Aut, so its generators are the record's
+        assert len(pair.aut_generators) == len(record.aut_generators)
+        assert all(np.array_equal(g, h) for g, h in zip(pair.aut_generators, record.aut_generators))
+        assert same_group(record.aut_generators, record.aut_order,
+                          oracle.aut_generators, oracle.aut_order, n)
+
+
+def test_each_graph_is_analysed_once(monkeypatch):
+    import cencay.iso as iso_mod
+
+    calls = {"cayley_wl": [], "principal_section": 0, "c0_search": 0, "iso_test": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            if name == "cayley_wl":
+                calls[name].append(args[0])
+            else:
+                calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(iso_mod, name, counted(name, getattr(iso_mod, name)))
+    a, b = swap_pair()
+    res = iso_mod.iso_test(a, b)
+    assert res.verdict == "non_isomorphic"
+    assert len(calls["cayley_wl"]) == 2
+    assert calls["cayley_wl"][0] is a and calls["cayley_wl"][1] is b
+    assert calls["principal_section"] == 2
+    for gam in (transposition_graph(), coset_graph()):
+        for name in calls:
+            calls[name] = [] if name == "cayley_wl" else 0
+        automorphisms(gam)
+        assert len(calls["cayley_wl"]) == 1 and calls["cayley_wl"][0] is gam
+        assert (calls["principal_section"], calls["c0_search"], calls["iso_test"]) == (1, 0, 0)
+    assert res.aut_order == automorphisms(a).aut_order == 28_800
