@@ -50,6 +50,10 @@ class FiniteGroup:
         self.table.setflags(write=False)
         self.inverse.setflags(write=False)
         self._aut_cache: Optional[list[np.ndarray]] = None
+        # the socle's elements, not a Subgroup: that would point back here
+        # and leave the table to the cycle collector
+        self._socle_cache: Optional[tuple[int, ...]] = None
+        self._almost_simple_cache: Optional[bool] = None
 
     # -- validation ------------------------------------------------------
 
@@ -118,11 +122,20 @@ class ClassPartition:
         return len(self.classes)
 
     def class_of_array(self, n: int) -> np.ndarray:
-        out = np.full(n, -1, dtype=np.int32)
-        for i, cls in enumerate(self.classes):
-            out[list(cls)] = i
-        if np.any(out < 0):
+        """Class index per element; the classes must be nonempty and list
+        every element of 0..n-1 exactly once."""
+        if any(not cls for cls in self.classes):
+            raise InvalidInputError("a class is empty")
+        listed = np.fromiter((x for cls in self.classes for x in cls), dtype=np.int64)
+        if listed.min() < 0 or listed.max() >= n:
+            raise InvalidInputError("a class lists an element outside the group")
+        counts = np.bincount(listed, minlength=n)
+        if np.any(counts > 1):
+            raise InvalidInputError("classes overlap: an element is listed more than once")
+        if np.any(counts == 0):
             raise InvalidInputError("classes do not cover the group")
+        out = np.empty(n, dtype=np.int32)
+        out[listed] = np.repeat(np.arange(self.k, dtype=np.int32), [len(c) for c in self.classes])
         return out
 
     def size_multiset(self) -> tuple[int, ...]:
@@ -367,10 +380,13 @@ def socle(G: FiniteGroup) -> Subgroup:
 
     Every normal closure of a single element contains a minimal normal
     subgroup, so the minimal elements among those closures are exactly the
-    minimal normal subgroups.  Closures are memoized per conjugacy class.
+    minimal normal subgroups.  Closures are memoized per conjugacy class,
+    and the socle on the instance, like ``_aut_cache``.
     """
     if G.order == 1:
         raise InvalidInputError("socle undefined for the trivial group")
+    if G._socle_cache is not None:
+        return Subgroup(G, G._socle_cache)
     part = conjugacy_classes(G)
     closures = {}
     for cls in part.classes[1:]:
@@ -382,18 +398,18 @@ def socle(G: FiniteGroup) -> Subgroup:
     seed: set[int] = set()
     for c in minimal:
         seed.update(c)
-    return Subgroup(G, closure(G, sorted(seed)))
+    G._socle_cache = closure(G, sorted(seed))
+    return Subgroup(G, G._socle_cache)
 
 
 def is_almost_simple(G: FiniteGroup) -> bool:
-    """True iff soc(G) is a nonabelian simple group."""
+    """True iff soc(G) is a nonabelian simple group (memoized on the instance)."""
     if G.order == 1:
         return False
-    soc = socle(G)
-    H, _ = soc.as_group()
-    if H.is_abelian:
-        return False
-    return _is_simple_group(H)
+    if G._almost_simple_cache is None:
+        H, _ = socle(G).as_group()
+        G._almost_simple_cache = not H.is_abelian and _is_simple_group(H)
+    return G._almost_simple_cache
 
 
 # -- subgroups over the socle ------------------------------------------------

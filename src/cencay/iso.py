@@ -23,7 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -432,15 +432,45 @@ def _abstract_group_of_regular(V: PermutationGroup) -> FiniteGroup:
     return FiniteGroup(np.ascontiguousarray(M.T), check=False)
 
 
+def _c0_candidates(U_a: FiniteGroup, U_b: FiniteGroup, d_u2) -> Iterator[Perm]:
+    """Candidate bijections f_0: U -> U' for a normal-type C_0, cheapest first.
+
+    The group isomorphisms U -> U' conjugate U_right onto U'_right, and the
+    same maps after inversion on U reach U'_left; Aut(U') is the one D_{U'}
+    was built from, so these cost no search beyond one isomorphism.  Only
+    then come the isomorphisms onto every regular subgroup of D_{U'}
+    isomorphic to U, which reach C_0 whenever it is nonempty: a valid f_0
+    conjugates U_right onto such a subgroup.  Nothing is built before the
+    caller asks for it.
+    """
+    res = group_isomorphisms(U_a, U_b)
+    if res is not None:
+        beta0, auts = res
+        for alpha in auts:
+            yield alpha[beta0]  # beta0, then alpha in Aut(U'): auts act on the target
+        for alpha in auts:
+            yield alpha[beta0][U_a.inverse]
+    for V in regular_subgroups(d_u2, U_a):
+        V_abs = _abstract_group_of_regular(V)
+        res = group_isomorphisms(U_a, V_abs)
+        if res is None:
+            raise InternalError("regular subgroup is not isomorphic to U")
+        beta0, auts = res
+        for alpha in auts:
+            yield alpha[beta0]
+
+
 def c0_search(src: Analysis, dst: Analysis, psi_map: np.ndarray) -> tuple[IsoCoset, object]:
     """The seed coset C_0 from src's U onto dst's, together with its group part D_U.
 
     Symmetric type: D_U is the full symmetric group and any size-matched
-    bijection works.  Normal type: candidates f_0 are enumerated from the
-    regular subgroups of D_{U'} isomorphic to U, composed with Aut(U); the
-    first candidate mapping every basis relation along psi and conjugating
-    D_U onto D_{U'} wins (deterministic order).  Both D_U come from the
-    analyses.
+    bijection works.  Normal type: the first of ``_c0_candidates`` (the
+    group isomorphisms U -> U', then the same after inversion on U, then,
+    as the fallback, the full regular-subgroup enumeration) that maps
+    every basis relation along psi and conjugates D_U onto D_{U'} (checked
+    on generators) wins.  Any f_0 of C_0 gives the same coset, and an
+    empty answer has exhausted the full enumeration.  Both D_U come from
+    the analyses.
     """
     U_a, d_u, d_u2 = src.U, src.d_u, dst.d_u
     b = U_a.order
@@ -451,19 +481,12 @@ def c0_search(src: Analysis, dst: Analysis, psi_map: np.ndarray) -> tuple[IsoCos
     d_u_gens = d_u.generators()
     colors_b = dst.XU.colors
     want = psi_map[src.XU.colors]
-    for V in regular_subgroups(d_u2, U_a):
-        V_abs = _abstract_group_of_regular(V)
-        res = group_isomorphisms(U_a, V_abs)
-        if res is None:
-            raise InternalError("regular subgroup is not isomorphic to U")
-        beta0, auts = res
-        for alpha in auts:
-            f0 = alpha[beta0]  # beta0, then alpha in Aut(V_abs): auts act on the target
-            if not np.array_equal(colors_b[f0[:, None], f0[None, :]], want):
-                continue
-            f0_inv = inverse_perm(f0)
-            if all(f0[d[f0_inv]] in d_u2 for d in d_u_gens):
-                return IsoCoset(f0), d_u
+    for f0 in _c0_candidates(U_a, dst.U, d_u2):
+        if not np.array_equal(colors_b[f0[:, None], f0[None, :]], want):
+            continue
+        f0_inv = inverse_perm(f0)
+        if all(f0[d[f0_inv]] in d_u2 for d in d_u_gens):
+            return IsoCoset(f0), d_u
     return IsoCoset(None, empty=True), d_u
 
 

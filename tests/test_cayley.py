@@ -231,3 +231,26 @@ def test_is_central_matches_definition():
                 classes = [tuple(np.nonzero(class_of == i)[0].tolist()) for i in range(class_of.max() + 1)]
                 with pytest.raises(InvalidInputError):
                     ColorCayleyGraph(G, ClassPartition(tuple(c for c in classes if c)))
+
+
+def test_overlapping_duplicated_or_empty_classes_are_rejected():
+    A5 = alt5()
+    cc = conjugacy_classes(A5).classes
+    n = A5.order
+    # (1 | C1 | C1+C2 | C3+C4): 72 elements listed for n = 60
+    overlap = (cc[0], cc[1], cc[1] + cc[2], cc[3] + cc[4])
+    assert sum(len(c) for c in overlap) == 72
+    duplicated = (cc[0], cc[1] + cc[1][:1], cc[2], cc[3] + cc[4])
+    empty = (cc[0], cc[1], (), cc[2] + cc[3] + cc[4])
+    outside = (cc[0], cc[1], cc[2], cc[3] + cc[4][1:] + (n,))
+    negative = (cc[0], cc[1], cc[2], cc[3] + cc[4][1:] + (-1,))
+    for classes in (overlap, duplicated, empty, outside, negative):
+        part = ClassPartition(classes)
+        with pytest.raises(InvalidInputError):
+            part.class_of_array(n)
+        with pytest.raises(InvalidInputError):
+            ColorCayleyGraph(A5, part)
+    # a true partition still reads back class by class
+    class_of = ClassPartition(cc).class_of_array(n)
+    for i, cls in enumerate(cc):
+        assert np.all(class_of[list(cls)] == i)

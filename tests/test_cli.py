@@ -214,6 +214,23 @@ def test_cli_invalid_graph_exit2(tmp_path):
                  str(tmp_path / "g.json")]) == 2
 
 
+def test_cli_overlapping_or_empty_classes_exit2(tmp_path):
+    from cencay.group import conjugacy_classes
+
+    G = builtin_group("alt5")
+    gpath = tmp_path / "a5.json"
+    save_group(G, gpath)
+    cc = [list(c) for c in conjugacy_classes(G).classes]
+    for name, colors in (
+        ("overlap", [cc[0], cc[1], cc[1] + cc[2], cc[3] + cc[4]]),
+        ("empty", [cc[0], cc[1], [], cc[2] + cc[3] + cc[4]]),
+    ):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"group": "a5.json", "colors": colors}))
+        assert main(["aut", str(path)]) == 2
+        assert main(["iso", str(path), str(path)]) == 2
+
+
 def test_cli_byte_stable(sym5_transp_file, capsys):
     main(["section", str(sym5_transp_file)])
     first = capsys.readouterr().out

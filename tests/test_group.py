@@ -265,3 +265,28 @@ def test_is_normal_by_generators_matches_definition():
     S5 = builtin_group("sym5")
     H = Subgroup(S5, (0, S5.names.index("(0 1)")))
     assert not H.is_normal and not normal_by_definition(H)
+
+
+def test_socle_and_almost_simplicity_are_memoised(monkeypatch):
+    import cencay.group as group_mod
+
+    calls = {"normal_closure": 0}
+    original = group_mod.normal_closure
+
+    def counted(*args):
+        calls["normal_closure"] += 1
+        return original(*args)
+
+    monkeypatch.setattr(group_mod, "normal_closure", counted)
+    for gens, simple in (
+        ([(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)], True),  # S5
+        ([(1, 0, 2, 3, 4, 5, 6), (0, 1, 3, 4, 5, 6, 2), (0, 1, 3, 4, 2, 5, 6)], False),  # C2 x A5
+    ):
+        G = group_from_generators(gens)  # a fresh instance: nothing cached yet
+        first_soc, first = socle(G), is_almost_simple(G)
+        assert calls["normal_closure"] > 0
+        calls["normal_closure"] = 0
+        assert socle(G).elements == first_soc.elements
+        assert is_almost_simple(G) == first == simple
+        assert subgroups_over_socle(G, require_normal=True)
+        assert calls["normal_closure"] == 0

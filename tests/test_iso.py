@@ -398,3 +398,157 @@ def test_each_graph_is_analysed_once(monkeypatch):
         assert len(calls["cayley_wl"]) == 1 and calls["cayley_wl"][0] is gam
         assert (calls["principal_section"], calls["c0_search"], calls["iso_test"]) == (1, 0, 0)
     assert res.aut_order == automorphisms(a).aut_order == 28_800
+
+
+# -- C0: the cheap candidates against the full enumeration ----------------------------
+
+
+def c0_by_enumeration(src, dst, psi_map):
+    """The regular-subgroup enumeration alone, as C0 ran before the cheap
+    candidates: the first f0 over every regular subgroup of D_{U'}
+    isomorphic to U that passes the colour check and conjugates D_U onto
+    D_{U'}."""
+    from cencay.group import group_isomorphisms
+    from cencay.iso import _abstract_group_of_regular
+    from cencay.perm import inverse_perm, regular_subgroups
+
+    d_u, d_u2 = src.d_u, dst.d_u
+    want = psi_map[src.XU.colors]
+    for V in regular_subgroups(d_u2, src.U):
+        beta0, auts = group_isomorphisms(src.U, _abstract_group_of_regular(V))
+        for alpha in auts:
+            f0 = alpha[beta0]
+            if not np.array_equal(dst.XU.colors[f0[:, None], f0[None, :]], want):
+                continue
+            f0_inv = inverse_perm(f0)
+            if all(f0[d[f0_inv]] in d_u2 for d in d_u.generators()):
+                return f0
+    return None
+
+
+def count_calls(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper that counts its calls."""
+    calls = [0]
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def recorded_c0_calls(monkeypatch, pairs):
+    """Run ``iso_test`` on each pair, recording every c0_search call."""
+    import cencay.iso as iso_mod
+
+    calls = []
+    original = iso_mod.c0_search
+
+    def recording(src, dst, psi_map):
+        out = original(src, dst, psi_map)
+        calls.append((src, dst, psi_map, out[0]))
+        return out
+
+    monkeypatch.setattr(iso_mod, "c0_search", recording)
+    for a, b in pairs:
+        assert iso_test(a, b).isomorphic
+    return calls
+
+
+def relabelled_graph(gam, seed):
+    """The same colouring on a randomly relabelled copy of the group's table."""
+    H, pi = relabelled_copy(gam.group, seed)
+    classes = tuple(tuple(sorted(pi[list(c)].tolist())) for c in gam.partition.classes)
+    return build_central_cayley(H, ClassPartition(classes))
+
+
+def test_cheap_c0_lies_in_the_enumerated_coset(monkeypatch):
+    from cencay.perm import inverse_perm
+
+    from .fixture_groups import psl27
+
+    A5 = alt5()
+    a5_graphs = [
+        build_central_cayley(A5, partition_from_class_merge(A5, merge))
+        for merge in ([[0], [1], [2], [3], [4]], [[0], [1], [2], [3, 4]])
+    ]
+    s5_graphs = [transposition_graph(), four_cycle_graph(), full_graph(sym5())]
+    # on tables relabelled by seeds 3 and 4 the first isomorphism A5 -> A5'
+    # fails the colour check, so a later candidate has to be found
+    pairs = [(g, relabelled_graph(g, seed)) for g in a5_graphs for seed in (3, 4)]
+    pairs += [(g, relabelled_graph(g, 0)) for g in s5_graphs]
+    pairs.append((full_graph(psl27()), full_graph(psl27())))
+    calls = recorded_c0_calls(monkeypatch, pairs)
+    assert len(calls) == len(pairs)
+    for src, dst, psi_map, c0 in calls:
+        assert src.sec.kind == "normal" and not c0.empty
+        f_oracle = c0_by_enumeration(src, dst, psi_map)
+        assert f_oracle is not None
+        # both lie in one coset D_{U'} f0
+        assert f_oracle[inverse_perm(c0.representative)] in dst.d_u
+
+
+def test_c0_falls_back_to_the_enumeration(monkeypatch):
+    import cencay.iso as iso_mod
+
+    A5 = alt5()
+    gam = build_central_cayley(A5, partition_from_class_merge(A5, [[0], [1], [2], [3], [4]]))
+    swp = schemes_with_phi(gam, gam)
+    calls = count_calls(monkeypatch, iso_mod, "regular_subgroups")
+    rank = swp.src.XU.rank
+    # psi moves the diagonal colour 0, which no bijection can do
+    psi_map = np.roll(np.arange(rank, dtype=np.int32), 1)
+    c0, _ = iso_mod.c0_search(swp.src, swp.dst, psi_map)
+    assert c0.empty
+    assert calls == [1]
+    # the identity colour map is realised by a cheap candidate: no enumeration
+    c0, _ = iso_mod.c0_search(swp.src, swp.dst, np.arange(rank, dtype=np.int32))
+    assert not c0.empty
+    assert calls == [1]
+
+
+def test_iso_test_takes_the_cheap_c0_path(monkeypatch):
+    import cencay.iso as iso_mod
+
+    from .fixture_groups import alt6, pgl27
+
+    calls = count_calls(monkeypatch, iso_mod, "regular_subgroups")
+    s5 = transposition_graph()
+    pgl = full_graph(pgl27())
+    a6 = full_graph(alt6())
+    for a, b in ((s5, relabelled_graph(s5, 3)), (pgl, relabelled_graph(pgl, 0)), (a6, a6)):
+        res = iso_test(a, b)
+        assert res.isomorphic
+        r = res.representative
+        assert np.array_equal(b.arc_colors[r[:, None], r[None, :]], a.arc_colors)
+        assert res.aut_order == automorphisms(a).aut_order
+        assert b is a or res.aut_order == automorphisms(b).aut_order
+    assert calls == [0]
+
+
+def test_cheap_c0_candidates_map_translations_to_translations():
+    import itertools
+
+    import cencay.iso as iso_mod
+    from cencay.group import automorphism_group
+    from cencay.perm import inverse_perm
+
+    gam = transposition_graph()
+    rec = iso_mod.analyze(relabelled_graph(gam, 2))
+    U_a, U_b = iso_mod.analyze(gam).U, rec.U
+    n, n_aut = U_a.order, len(automorphism_group(U_b))
+    cheap = list(itertools.islice(iso_mod._c0_candidates(U_a, U_b, rec.d_u), 2 * n_aut))
+    assert len({f.tobytes() for f in cheap}) == 2 * n_aut
+    x = np.arange(n)
+    for i, f in enumerate(cheap):
+        f_inv = inverse_perm(f)
+        for h in (1, 7, n - 1):
+            # f conjugates the right translation by h into a translation of U'
+            conj = f[U_a.table[f_inv, h]]
+            image = int(conj[0])
+            if i < n_aut:  # isomorphisms: right translations go to right ones
+                assert np.array_equal(conj, U_b.table[x, image])
+            else:  # after inversion on U: right translations go to left ones
+                assert np.array_equal(conj, U_b.table[image, x])
