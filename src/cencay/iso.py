@@ -46,9 +46,11 @@ from .group import (
     is_almost_simple,
 )
 from .perm import (
+    AnyGroup,
     D2Subgroup,
     Perm,
     PermutationGroup,
+    WreathProduct,
     block_action_with_kernel,
     compose,
     conj_into_block,
@@ -273,7 +275,8 @@ class Analysis:
         return d_u_subgroup(self.XU, self.U)
 
     @cached_property
-    def inner_chain(self) -> PermutationGroup:
+    def inner_chain(self) -> AnyGroup:
+        """D_U as a group with membership: Sym(U) kept structural, else a chain."""
         return self.d_u.to_chain() if isinstance(self.d_u, D2Subgroup) else self.d_u
 
     @cached_property
@@ -284,8 +287,9 @@ class Analysis:
         return [[int(G.table[u, c[0]]) for u in sec.U.elements] for c in sec.u_cosets]
 
     @cached_property
-    def cid(self) -> PermutationGroup:
-        """C_id: D_U wr Sym(U-cosets) on the full domain."""
+    def cid(self) -> WreathProduct:
+        """C_id: D_U wr Sym(U-cosets) on the full domain, kept structural:
+        order |D_U|^m * m!, and membership tested blockwise in O(n)."""
         m = len(self.blocks)
         top = symmetric_group_on(range(m), m)
         return wreath_group_on_blocks(self.inner_chain, self.blocks, top, self.gamma.group.order)
@@ -328,8 +332,10 @@ class Analysis:
         d0_set = {r.tobytes() for r in d0_rows}
 
         def aut_membership(f: Sequence[int]) -> bool:
-            f = np.asarray(f, dtype=np.int32)
-            return f in cid and _induced_block_map(f, cls, cls, m).tobytes() in d0_set
+            if f not in cid:  # first: C_id membership rejects every non-permutation
+                return False
+            tau = _induced_block_map(np.asarray(f, dtype=np.int32), cls, cls, m)
+            return tau.tobytes() in d0_set
 
         result = IsoResult(
             "isomorphic", identity_perm(n), aut_gens, n0_order * len(d0_rows), 5, aut_membership
@@ -353,7 +359,7 @@ def analyze(gamma: ColorCayleyGraph) -> Analysis:
     return Analysis(gamma, scheme, principal_section(scheme))
 
 
-def _self_verify(result: IsoResult, gamma: ColorCayleyGraph, cid: PermutationGroup) -> None:
+def _self_verify(result: IsoResult, gamma: ColorCayleyGraph, cid: WreathProduct) -> None:
     """Unconditional checks on an automorphism group: every generator keeps
     the arc colors and lies in C_id, and a stabilizer chain recounts the order."""
     M = gamma.arc_colors
@@ -492,9 +498,13 @@ def c0_search(src: Analysis, dst: Analysis, psi_map: np.ndarray) -> tuple[IsoCos
 
 @dataclass
 class Majorant:
-    """C_phi = C_id * representative on the full domain."""
+    """C_phi = C_id * representative on the full domain.
 
-    cid: Optional[PermutationGroup]
+    ``cid`` is the source's structural C_id: ``order`` and ``contains``
+    (membership in C_id) come from it without a stabilizer chain.
+    """
+
+    cid: Optional[WreathProduct]
     representative: Optional[np.ndarray]
     empty: bool = False
 
@@ -503,7 +513,7 @@ class Majorant:
         return self.cid.order if self.cid is not None else 0
 
     def contains(self, f: Sequence[int]) -> bool:
-        return not self.empty and (np.asarray(f, dtype=np.int32) in self.cid)
+        return not self.empty and f in self.cid
 
 
 def majorant(swp: SchemesWithPhi) -> Majorant:

@@ -5,18 +5,18 @@ Groups carry a deterministic stabilizer chain (base points are smallest moved
 points, transversals breadth-first), so orders, membership tests and element
 enumeration are reproducible across runs.
 
-Two chain constructions exist besides the generic Schreier-Sims: an analytic
-chain for symmetric groups on a point set, and an analytic chain for wreath
-products B wr T on a block system.  Those cover the huge groups that appear
-for symmetric-type Cayley schemes (orders like (60!)^2), where generic chain
-building would be hopeless.
+Two groups are kept structural instead: the symmetric group on a point set
+and the wreath product B wr T on a block system.  Each answers its order and
+membership from its definition, so the huge groups of symmetric-type Cayley
+schemes (orders like (168!)^2) never build a chain of O(n^2) transversals.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -75,9 +75,29 @@ def uniform_cycle_length(p: Perm) -> Optional[int]:
     return common
 
 
-def validate_perm(p: Perm) -> None:
-    if sorted(p.tolist()) != list(range(len(p))):
-        raise InvalidInputError("images are not a bijection")
+def is_permutation(p: np.ndarray) -> bool:
+    """Whether the integer array p lists every point of 0..len(p)-1 once."""
+    n = len(p)
+    if n and (p.min() < 0 or p.max() >= n):
+        return False
+    hit = np.zeros(n, dtype=bool)
+    hit[p] = True
+    return bool(hit.all())
+
+
+def _member_candidate(p, degree: int) -> Optional[Perm]:
+    """p as an int32 permutation of 0..degree-1, or None if it is none.
+
+    Membership tests call this first, so an image outside the domain can
+    neither wrap around as a negative index nor raise from numpy.  A wrong
+    shape raises InvalidInputError.
+    """
+    a = np.asarray(p)
+    if a.ndim != 1 or len(a) != degree:
+        raise InvalidInputError(f"permutation of shape {a.shape} on degree {degree}")
+    if a.dtype.kind not in "iu" or not is_permutation(a):
+        return None
+    return a.astype(np.int32, copy=False)
 
 
 # -- stabilizer chain ---------------------------------------------------------
@@ -108,22 +128,18 @@ class PermutationGroup:
         generators: Iterable[Sequence[int]],
         degree: int,
         known_order: Optional[int] = None,
-        _levels: Optional[list[_Level]] = None,
     ):
         self.degree = int(degree)
         self.generators: list[Perm] = []
         for g in generators:
-            p = as_perm(g, self.degree)
-            validate_perm(p)
+            p = _member_candidate(g, self.degree)
+            if p is None:
+                raise InvalidInputError("images are not a bijection")
             if not is_identity(p):
                 self.generators.append(p)
         self._known_order = known_order
-        self._levels: Optional[list[_Level]] = _levels
+        self._levels: Optional[list[_Level]] = None
         self._order: Optional[int] = None
-        if _levels is not None:
-            self._order = 1
-            for lv in _levels:
-                self._order *= len(lv.trans)
 
     # -- chain construction ------------------------------------------------
 
@@ -280,19 +296,12 @@ class PermutationGroup:
         self._ensure_chain()
         return self._order
 
-    @property
-    def levels(self) -> list[_Level]:
-        self._ensure_chain()
-        return self._levels
-
-    def sift(self, p: Sequence[int]) -> Perm:
-        """Residue of p after stripping through the chain (identity iff member)."""
-        self._ensure_chain()
-        r, _ = self._strip(as_perm(p, self.degree))
-        return r
-
     def __contains__(self, p) -> bool:
-        return is_identity(self.sift(p))
+        r = _member_candidate(p, self.degree)
+        if r is None:
+            return False
+        self._ensure_chain()
+        return is_identity(self._strip(r)[0])
 
     def elements(self, cap: int = ELEMENT_CAP) -> Iterator[Perm]:
         """All elements, deterministically ordered by transversal digits."""
@@ -336,36 +345,41 @@ def reduce_generators(gens: Iterable[Sequence[int]], degree: int) -> list[Perm]:
     return kept
 
 
-# -- analytic chains -----------------------------------------------------------
+# -- structural groups ----------------------------------------------------------
 
 
-def symmetric_group_on(points: Sequence[int], degree: int) -> PermutationGroup:
-    """Sym(points) inside Sym(degree), with an explicit transposition chain."""
-    pts = list(points)
-    k = len(pts)
-    ident = identity_perm(degree)
-    levels: list[_Level] = []
-    for i in range(k - 1):
-        lv = _Level(pts[i])
-        lv.trans[pts[i]] = ident
-        lv.trans_inv[pts[i]] = ident
-        lv.points.append(pts[i])
-        for j in range(i + 1, k):
-            t = ident.copy()
-            t[pts[i]], t[pts[j]] = t[pts[j]], t[pts[i]]
-            lv.trans[pts[j]] = t
-            lv.trans_inv[pts[j]] = t
-            lv.points.append(pts[j])
-        levels.append(lv)
-    gens = []
-    if k >= 2:
-        cyc = ident.copy()
-        for a, b in zip(pts, pts[1:] + pts[:1]):
-            cyc[a] = b
-        tr = ident.copy()
-        tr[pts[0]], tr[pts[1]] = tr[pts[1]], tr[pts[0]]
-        gens = [cyc, tr] if k > 2 else [tr]
-    return PermutationGroup(gens, degree, _levels=levels)
+class SymmetricGroup:
+    """Sym(points) inside Sym(degree), answered from its definition.
+
+    A permutation of the domain is a member iff it fixes every point outside
+    ``points``; the order is k!.  The generators are a k-cycle along
+    ``points`` and the transposition of its first two points.
+    """
+
+    def __init__(self, points: Sequence[int], degree: int):
+        pts = [int(x) for x in points]
+        self.degree = int(degree)
+        self.order = math.factorial(len(pts))
+        ident = identity_perm(self.degree)
+        self._fixed = np.setdiff1d(ident, pts)
+        self.generators: list[Perm] = []
+        if len(pts) >= 2:
+            cyc, tr = ident.copy(), ident.copy()
+            cyc[pts] = pts[1:] + pts[:1]
+            tr[pts[:2]] = pts[1::-1]
+            self.generators = [cyc, tr] if len(pts) > 2 else [tr]
+
+    def __contains__(self, p) -> bool:
+        r = _member_candidate(p, self.degree)
+        return r is not None and bool(np.array_equal(r[self._fixed], self._fixed))
+
+
+def symmetric_group_on(points: Sequence[int], degree: int) -> SymmetricGroup:
+    """Sym(points) inside Sym(degree)."""
+    return SymmetricGroup(points, degree)
+
+
+AnyGroup = Union[PermutationGroup, SymmetricGroup]
 
 
 def conj_into_block(d: Perm, blk: Sequence[int], degree: int) -> Perm:
@@ -376,81 +390,58 @@ def conj_into_block(d: Perm, blk: Sequence[int], degree: int) -> Perm:
     return out
 
 
-def _lift_block_map(tau: Perm, blocks: list[list[int]], degree: int) -> Perm:
-    """Lift a block permutation to points, positionwise along the block lists."""
-    out = identity_perm(degree)
-    for i, blk in enumerate(blocks):
-        tgt = blocks[int(tau[i])]
-        for pos, pt in enumerate(blk):
-            out[pt] = tgt[pos]
-    return out
-
-
-def wreath_group_on_blocks(
-    inner: PermutationGroup,
-    blocks: list[list[int]],
-    top: PermutationGroup,
-    degree: int,
-) -> PermutationGroup:
-    """The wreath product inner wr top on a block system, as an explicit chain.
+class WreathProduct:
+    """inner wr top on a block system, answered blockwise from its definition.
 
     ``inner`` acts on positions 0..b-1; block i is the point list blocks[i],
     identified positionwise.  ``top`` acts on block indices.  The group is
     {f : f permutes blocks by some tau in top, and every block component,
-    pulled back to positions, lies in inner}.
-
-    The chain pins blocks one at a time: first along top's own chain (base
-    block beta; cross-block transversal entries are lifted top transversals
-    composed with conjugated inner transversals), then the blocks left fixed.
-    Pinning all of inner's base points inside a block forces that block's
-    component to the identity, because a complete chain has trivial pointwise
-    base stabilizer.
+    pulled back to positions, lies in inner}, of order |inner|^m * |top|;
+    membership tests exactly that (Seress, *Permutation Group Algorithms*,
+    2003, sec. 2.4).  The generators are inner's on block 0 followed by top's
+    lifted positionwise; they generate the group when top is transitive.
     """
-    m = len(blocks)
-    b = len(blocks[0])
-    if any(len(blk) != b for blk in blocks):
-        raise InvalidInputError("blocks must have equal size")
-    if inner.degree != b:
-        raise InvalidInputError("inner group must act on block positions 0..b-1")
-    inner_levels = inner.levels
-    if not inner_levels and m > 1 and top.order > 1:
-        raise InvalidInputError("trivial inner group needs a plain top action instead")
-    levels: list[_Level] = []
 
-    def add_inner_stage(beta: int, top_level: Optional[_Level]) -> None:
-        blk = blocks[beta]
-        for nu, ilv in enumerate(inner_levels):
-            lv = _Level(blk[ilv.base])
-            if nu == 0 and top_level is not None:
-                for gamma_pt in top_level.points:
-                    tau = top_level.trans[gamma_pt]
-                    lift = _lift_block_map(tau, blocks, degree)
-                    gblk = blocks[int(tau[beta])]
-                    for q in ilv.points:
-                        w = compose(lift, conj_into_block(ilv.trans[q], gblk, degree))
-                        pt = int(w[lv.base])
-                        lv.trans[pt] = w
-                        lv.trans_inv[pt] = inverse_perm(w)
-                        lv.points.append(pt)
-            else:
-                for q in ilv.points:
-                    w = conj_into_block(ilv.trans[q], blk, degree)
-                    pt = blk[q]
-                    lv.trans[pt] = w
-                    lv.trans_inv[pt] = inverse_perm(w)
-                    lv.points.append(pt)
-            levels.append(lv)
+    def __init__(self, inner: AnyGroup, blocks: np.ndarray, top: AnyGroup, degree: int):
+        m, b = blocks.shape
+        self.degree = int(degree)
+        self.inner, self.blocks, self.top = inner, blocks, top
+        self.order = inner.order**m * top.order
+        self._block_of = np.empty(self.degree, dtype=np.int32)
+        self._block_of[blocks] = np.arange(m, dtype=np.int32)[:, None]
+        self._pos_of = np.empty(self.degree, dtype=np.int32)
+        self._pos_of[blocks] = np.arange(b, dtype=np.int32)[None, :]
+        self.generators = [conj_into_block(g, blocks[0], degree) for g in inner.generators]
+        for t in top.generators:
+            lift = identity_perm(self.degree)
+            lift[blocks] = blocks[t]
+            self.generators.append(lift)
 
-    pinned = []
-    for tlv in top.levels:
-        add_inner_stage(tlv.base, tlv)
-        pinned.append(tlv.base)
-    for beta in range(m):
-        if beta not in pinned:
-            add_inner_stage(beta, None)
-    generators = [conj_into_block(g, blocks[0], degree) for g in inner.generators]
-    generators += [_lift_block_map(t, blocks, degree) for t in top.generators]
-    return PermutationGroup(generators, degree, _levels=levels)
+    def __contains__(self, p) -> bool:
+        f = _member_candidate(p, self.degree)
+        if f is None:
+            return False
+        img = f[self.blocks]
+        landed = self._block_of[img]
+        tau = landed[:, 0]
+        if np.any(landed != tau[:, None]) or tau not in self.top:
+            return False
+        return all(c in self.inner for c in self._pos_of[img])
+
+
+def wreath_group_on_blocks(
+    inner: AnyGroup, blocks: list[list[int]], top: AnyGroup, degree: int
+) -> WreathProduct:
+    """The wreath product inner wr top on a block system (see ``WreathProduct``)."""
+    b = len(blocks[0]) if blocks else 0
+    if not b or any(len(blk) != b for blk in blocks):
+        raise InvalidInputError("blocks must be nonempty and of equal size")
+    arr = np.asarray(blocks, dtype=np.int32)
+    if arr.size != degree or not is_permutation(arr.ravel()):
+        raise InvalidInputError("blocks must partition the domain")
+    if inner.degree != b or top.degree != len(blocks):
+        raise InvalidInputError("inner must act on block positions and top on block indices")
+    return WreathProduct(inner, arr, top, degree)
 
 
 # -- regular representations and D(2,G) ----------------------------------------
@@ -468,12 +459,6 @@ class RegularReps:
     @property
     def star_gens(self) -> list[Perm]:
         return self.right_gens + self.left_gens
-
-    def right_perm(self, g: int) -> Perm:
-        return np.ascontiguousarray(self.group.table[:, g])
-
-    def left_perm(self, g: int) -> Perm:
-        return np.ascontiguousarray(self.group.table[g, :])
 
 
 def regular_representations(G: FiniteGroup) -> RegularReps:
@@ -540,7 +525,9 @@ class D2Subgroup:
         return np.ascontiguousarray(r)
 
     def __contains__(self, p) -> bool:
-        r = as_perm(p, self.degree)
+        r = _member_candidate(p, self.degree)
+        if r is None:
+            return False
         inv = self.group.inverse
         # plain: alpha = r * rho_{t}^-1 with t = r[0]
         t = int(r[0])

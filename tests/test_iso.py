@@ -23,7 +23,7 @@ from cencay.perm import (
     full_d2_subgroup,
     regular_representations,
 )
-from .fixture_groups import alt5, cyclic, set_partitions, sym5
+from .fixture_groups import alt5, alt6, cyclic, pgl27, set_partitions, sym5, sym6
 
 
 def class_id(G, size, order):
@@ -552,3 +552,56 @@ def test_cheap_c0_candidates_map_translations_to_translations():
                 assert np.array_equal(conj, U_b.table[x, image])
             else:  # after inversion on U: right translations go to left ones
                 assert np.array_equal(conj, U_b.table[image, x])
+
+
+def complete_graph(G):
+    k = conjugacy_classes(G).k
+    return build_central_cayley(G, partition_from_class_merge(G, [[0], list(range(1, k))]))
+
+
+def even_odd_coset_graph(G):
+    soc_set = set(socle(G).elements)
+    cc = conjugacy_classes(G)
+    even = [i for i, c in enumerate(cc.classes) if i and c[0] in soc_set]
+    odd = [i for i, c in enumerate(cc.classes) if i and c[0] not in soc_set]
+    return build_central_cayley(G, partition_from_class_merge(G, [[0], even, odd]))
+
+
+@pytest.mark.parametrize("graph", [complete_graph, full_graph])
+def test_aut_membership_rejects_non_permutations(graph):
+    res = automorphisms(graph(alt5()))
+    f = np.arange(60)
+    assert res.aut_membership(f)
+    for bad in (-1, 60, 0):  # a wrapped index, one past the domain, a repeated image
+        f[59] = bad
+        assert not res.aut_membership(f)
+    with pytest.raises(InvalidInputError):
+        res.aut_membership(np.arange(59))
+
+
+@pytest.mark.parametrize("group", [pgl27, alt6, sym6])
+def test_aut_of_large_complete_graphs_is_the_symmetric_group(group):
+    G = group()
+    n = G.order
+    res = automorphisms(complete_graph(G))
+    assert res.verdict == "isomorphic"
+    assert res.aut_order == math.factorial(n)
+    f = np.random.default_rng(n).permutation(n)
+    assert res.aut_membership(f)
+    f[1] = f[0]
+    assert not res.aut_membership(f)
+
+
+def test_aut_of_the_pgl27_coset_graph_is_a_wreath_product():
+    G = pgl27()
+    res = automorphisms(even_odd_coset_graph(G))
+    assert res.aut_order == 2 * math.factorial(168) ** 2
+    soc = np.asarray(socle(G).elements)
+    outside = np.setdiff1d(np.arange(336), soc)
+    rng = np.random.default_rng(7)
+    f = np.arange(336)
+    f[soc] = rng.permutation(soc)
+    f[outside] = rng.permutation(outside)
+    assert res.aut_membership(f)
+    f[soc[0]], f[outside[0]] = f[outside[0]], f[soc[0]]  # mixes the two cosets on one point pair
+    assert not res.aut_membership(f)

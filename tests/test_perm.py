@@ -5,12 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cencay.cayley import build_central_cayley, partition_from_class_merge
 from cencay.errors import InvalidInputError
-from cencay.group import group_from_generators, socle
+from cencay.group import conjugacy_classes, group_from_generators, socle
+from cencay.iso import analyze
 from cencay.perm import (
     PermutationGroup,
+    _Level,
     block_action_with_kernel,
     compose,
+    conj_into_block,
     d2_group,
     full_d2_subgroup,
     identity_perm,
@@ -209,6 +213,242 @@ def test_wreath_chain_giant_symmetric():
     assert W.order == 2 * math.factorial(60) ** 2
     swap = np.concatenate([np.arange(60, 120), np.arange(60)]).astype(np.int32)
     assert swap in W
+
+
+# -- the former explicit chains, kept as oracles for the structural groups ------
+
+
+def _chain_levels(group):
+    group._ensure_chain()
+    return group._levels
+
+
+def _chain_group(gens, degree, levels):
+    group = PermutationGroup(gens, degree)
+    group._levels = levels
+    group._order = math.prod(len(lv.trans) for lv in levels)
+    return group
+
+
+def chain_symmetric_group_on(points, degree):
+    """Sym(points) inside Sym(degree), with an explicit transposition chain."""
+    pts = list(points)
+    k = len(pts)
+    ident = identity_perm(degree)
+    levels = []
+    for i in range(k - 1):
+        lv = _Level(pts[i])
+        lv.trans[pts[i]] = ident
+        lv.trans_inv[pts[i]] = ident
+        lv.points.append(pts[i])
+        for j in range(i + 1, k):
+            t = ident.copy()
+            t[pts[i]], t[pts[j]] = t[pts[j]], t[pts[i]]
+            lv.trans[pts[j]] = t
+            lv.trans_inv[pts[j]] = t
+            lv.points.append(pts[j])
+        levels.append(lv)
+    gens = []
+    if k >= 2:
+        cyc = ident.copy()
+        for a, b in zip(pts, pts[1:] + pts[:1]):
+            cyc[a] = b
+        tr = ident.copy()
+        tr[pts[0]], tr[pts[1]] = tr[pts[1]], tr[pts[0]]
+        gens = [cyc, tr] if k > 2 else [tr]
+    return _chain_group(gens, degree, levels)
+
+
+def _chain_lift_block_map(tau, blocks, degree):
+    """Lift a block permutation to points, positionwise along the block lists."""
+    out = identity_perm(degree)
+    for i, blk in enumerate(blocks):
+        tgt = blocks[int(tau[i])]
+        for pos, pt in enumerate(blk):
+            out[pt] = tgt[pos]
+    return out
+
+
+def chain_wreath_group_on_blocks(inner, blocks, top, degree):
+    """inner wr top on a block system, as an explicit chain.
+
+    The chain pins blocks one at a time: first along top's own chain (base
+    block beta; cross-block transversal entries are lifted top transversals
+    composed with conjugated inner transversals), then the blocks left fixed.
+    """
+    m = len(blocks)
+    inner_levels = _chain_levels(inner)
+    levels = []
+
+    def add_inner_stage(beta, top_level):
+        blk = blocks[beta]
+        for nu, ilv in enumerate(inner_levels):
+            lv = _Level(blk[ilv.base])
+            if nu == 0 and top_level is not None:
+                for gamma_pt in top_level.points:
+                    tau = top_level.trans[gamma_pt]
+                    lift = _chain_lift_block_map(tau, blocks, degree)
+                    gblk = blocks[int(tau[beta])]
+                    for q in ilv.points:
+                        w = compose(lift, conj_into_block(ilv.trans[q], gblk, degree))
+                        pt = int(w[lv.base])
+                        lv.trans[pt] = w
+                        lv.trans_inv[pt] = inverse_perm(w)
+                        lv.points.append(pt)
+            else:
+                for q in ilv.points:
+                    w = conj_into_block(ilv.trans[q], blk, degree)
+                    pt = blk[q]
+                    lv.trans[pt] = w
+                    lv.trans_inv[pt] = inverse_perm(w)
+                    lv.points.append(pt)
+            levels.append(lv)
+
+    pinned = []
+    for tlv in _chain_levels(top):
+        add_inner_stage(tlv.base, tlv)
+        pinned.append(tlv.base)
+    for beta in range(m):
+        if beta not in pinned:
+            add_inner_stage(beta, None)
+    generators = [conj_into_block(g, blocks[0], degree) for g in inner.generators]
+    generators += [_chain_lift_block_map(t, blocks, degree) for t in top.generators]
+    return _chain_group(generators, degree, levels)
+
+
+def _random_products(gens, degree, rng, count=6, length=8):
+    out = []
+    for _ in range(count):
+        f = identity_perm(degree)
+        for _ in range(length):
+            f = compose(f, gens[int(rng.integers(len(gens)))])
+        out.append(f)
+    return out
+
+
+def _assert_same_group(new, old, probes):
+    assert new.order == old.order
+    assert len(new.generators) == len(old.generators)
+    assert all(np.array_equal(a, b) for a, b in zip(new.generators, old.generators))
+    for f in probes:
+        assert (f in new) == (f in old)
+
+
+def _block_swap(blocks, i, j, degree):
+    tau = identity_perm(len(blocks))
+    tau[i], tau[j] = j, i
+    return _chain_lift_block_map(tau, blocks, degree)
+
+
+@pytest.mark.parametrize(
+    "points,degree", [(range(6), 6), ([2, 5, 7], 9), ([3], 5), (range(30), 30)]
+)
+def test_symmetric_group_matches_the_transposition_chain(points, degree):
+    rng = np.random.default_rng(11)
+    new, old = symmetric_group_on(points, degree), chain_symmetric_group_on(points, degree)
+    probes = _random_products(new.generators, degree, rng) if new.generators else []
+    probes += [rng.permutation(degree).astype(np.int32) for _ in range(4)]
+    outside = identity_perm(degree)
+    outside[[0, degree - 1]] = degree - 1, 0  # moves a point off the support unless all are on it
+    probes.append(outside)
+    _assert_same_group(new, old, probes)
+    assert all(f in new for f in probes[:-5])
+
+
+def test_wreath_matches_the_chain_on_a_full_top():
+    rng = np.random.default_rng(12)
+    blocks = [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
+    s3 = symmetric_group_on(range(3), 3)
+    new = wreath_group_on_blocks(s3, blocks, s3, 9)
+    old = chain_wreath_group_on_blocks(
+        chain_symmetric_group_on(range(3), 3), blocks, chain_symmetric_group_on(range(3), 3), 9
+    )
+    members = _random_products(new.generators, 9, rng)
+    cross = identity_perm(9)
+    cross[[2, 4]] = 4, 2
+    others = [cross] + [rng.permutation(9).astype(np.int32) for _ in range(6)]
+    _assert_same_group(new, old, members + others)
+    assert all(f in new for f in members) and cross not in new
+
+
+def test_wreath_matches_the_chain_on_a_d2_inner_group():
+    # inner = the D(2,U) chain of the full A5 colouring, over two blocks
+    A5 = alt5()
+    k = conjugacy_classes(A5).k
+    inner = analyze(
+        build_central_cayley(A5, partition_from_class_merge(A5, [[i] for i in range(k)]))
+    ).inner_chain
+    assert isinstance(inner, PermutationGroup)
+    rng = np.random.default_rng(13)
+    blocks = [list(range(60)), list(range(60, 120))]
+    new = wreath_group_on_blocks(inner, blocks, symmetric_group_on(range(2), 2), 120)
+    old = chain_wreath_group_on_blocks(inner, blocks, chain_symmetric_group_on(range(2), 2), 120)
+    members = _random_products(new.generators, 120, rng)
+    stray = identity_perm(120)
+    stray[[1, 2]] = 2, 1  # block-preserving, but a transposition is not in D(2,A5)
+    stray_swapped = compose(stray, _block_swap(blocks, 0, 1, 120))
+    probes = members + [stray, stray_swapped, _block_swap(blocks, 0, 1, 120)]
+    _assert_same_group(new, old, probes)
+    assert all(f in new for f in members)
+    assert stray not in new and stray_swapped not in new
+
+
+def test_wreath_matches_the_chain_on_a_cyclic_top():
+    rng = np.random.default_rng(14)
+    blocks = [[0, 3, 6], [1, 4, 7], [2, 5, 8]]
+    c3 = PermutationGroup([(1, 2, 0)], 3)
+    new = wreath_group_on_blocks(symmetric_group_on(range(3), 3), blocks, c3, 9)
+    old = chain_wreath_group_on_blocks(chain_symmetric_group_on(range(3), 3), blocks, c3, 9)
+    members = _random_products(new.generators, 9, rng)
+    outside_top = _block_swap(blocks, 0, 1, 9)  # a block transposition is not in C3
+    _assert_same_group(new, old, members + [outside_top])
+    assert all(f in new for f in members) and outside_top not in new
+    assert new.order == 6**3 * 3
+
+
+def _non_permutations(n):
+    """Arrays of length n that are not permutations of 0..n-1."""
+    out = []
+    for bad in (-1, n, 0, 2**32 + n - 1):
+        f = np.arange(n, dtype=np.int64)
+        f[-1] = bad
+        out.append(f)
+    out.append(np.full(n, 0.5))
+    return out
+
+
+def _membership_groups():
+    A5 = alt5()
+    blocks = [[0, 1, 2], [3, 4, 5]]
+    s3, s2 = symmetric_group_on(range(3), 3), symmetric_group_on(range(2), 2)
+    wreath = wreath_group_on_blocks(s3, blocks, s2, 6)
+    return [
+        symmetric_group_on(range(6), 6),
+        symmetric_group_on([0, 1, 2, 3, 4], 6),
+        wreath,
+        PermutationGroup([(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)], 5),
+        full_d2_subgroup(A5),
+    ]
+
+
+@pytest.mark.parametrize("index", range(5))
+def test_membership_rejects_non_permutations(index):
+    group = _membership_groups()[index]
+    n = group.degree
+    for f in _non_permutations(n):
+        assert f not in group
+    assert np.arange(n) in group
+    assert list(range(n)) in group
+    for wrong in (np.arange(n + 1), np.arange(n - 1), np.zeros((n, 2), dtype=np.int32)):
+        with pytest.raises(InvalidInputError):
+            wrong in group
+
+
+def test_generators_out_of_the_int32_range_are_rejected():
+    # an int32 cast would wrap 2**32 + 1 to the transposition's image 1
+    for bad in ([2**32, 1], np.array([2**32 + 1, 0], dtype=np.int64)):
+        with pytest.raises(InvalidInputError):
+            PermutationGroup([bad], 2)
 
 
 def test_regular_subgroups_d2_alt5():
