@@ -46,15 +46,15 @@ from .group import (
     is_almost_simple,
 )
 from .perm import (
-    AnyGroup,
     D2Subgroup,
     Perm,
     PermutationGroup,
     WreathProduct,
-    block_action_with_kernel,
+    action_closure,
     compose,
     conj_into_block,
     identity_perm,
+    induced_block_map,
     inverse_perm,
     is_identity,
     reduce_generators,
@@ -62,6 +62,7 @@ from .perm import (
     symmetric_group_on,
     wreath_group_on_blocks,
 )
+from .perm import block_action_with_kernel  # noqa: F401  (bound here only for bench/tracing.py WRAPS)
 
 QUOTIENT_CAP = 12
 CHAIN_RECOUNT_LIMIT = 10**8
@@ -176,54 +177,6 @@ def quotient_isos(qa: QuotientGraph, qb: QuotientGraph) -> list[np.ndarray]:
     return out
 
 
-def _action_closure(
-    gens: list[Perm], class_of: np.ndarray, m: int, cap: int = 500_000
-) -> dict[bytes, Perm]:
-    """Closure of the induced block maps, each with one preimage."""
-    reps_first = np.empty(m, dtype=np.int64)
-    for i in range(m):
-        reps_first[i] = int(np.nonzero(class_of == i)[0][0])
-    degree = len(class_of)
-    ident_k = identity_perm(degree)
-    start = identity_perm(m)
-    reach: dict[bytes, Perm] = {start.tobytes(): ident_k}
-    queue = [(start, ident_k)]
-    gen_actions = []
-    for g in gens:
-        act = class_of[g[reps_first]].astype(np.int32)
-        # well-defined: every member of a class must land in the same class
-        for i in range(m):
-            members = np.nonzero(class_of == i)[0]
-            if np.any(class_of[g[members]] != act[i]):
-                raise InternalError("partition is not invariant under the coset group")
-        gen_actions.append((act, g))
-    head = 0
-    while head < len(queue):
-        arow, pre = queue[head]
-        head += 1
-        for act, g in gen_actions:
-            na = compose(arow, act)
-            key = na.tobytes()
-            if key not in reach:
-                if len(reach) >= cap:
-                    raise CapExceededError("block action image too large")
-                npre = compose(pre, g)
-                reach[key] = npre
-                queue.append((na, npre))
-    return reach
-
-
-def _induced_block_map(f: Perm, cls_a: np.ndarray, cls_b: np.ndarray, m: int) -> Perm:
-    out = np.full(m, -1, dtype=np.int32)
-    for i in range(m):
-        members = np.nonzero(cls_a == i)[0]
-        imgs = cls_b[f[members]]
-        if np.any(imgs != imgs[0]):
-            raise InternalError("bijection does not respect the coset partition")
-        out[i] = int(imgs[0])
-    return out
-
-
 # -- one graph: the analysis record ------------------------------------------------
 
 
@@ -267,17 +220,13 @@ class Analysis:
 
     @cached_property
     def d_u(self):
-        """D_U: Sym(U) for the symmetric type, else D(2,U) cut down to XU."""
+        """D_U: Sym(U) for the symmetric type, else D(2,U) cut down to XU,
+        both structural (no stabilizer chain)."""
         if self.sec.kind == "symmetric":
             if self.XU.rank > 2:
                 raise InternalError("symmetric type restricted scheme must be trivial")
             return symmetric_group_on(range(self.U.order), self.U.order)
         return d_u_subgroup(self.XU, self.U)
-
-    @cached_property
-    def inner_chain(self) -> AnyGroup:
-        """D_U as a group with membership: Sym(U) kept structural, else a chain."""
-        return self.d_u.to_chain() if isinstance(self.d_u, D2Subgroup) else self.d_u
 
     @cached_property
     def blocks(self) -> list[list[int]]:
@@ -289,10 +238,11 @@ class Analysis:
     @cached_property
     def cid(self) -> WreathProduct:
         """C_id: D_U wr Sym(U-cosets) on the full domain, kept structural:
-        order |D_U|^m * m!, and membership tested blockwise in O(n)."""
+        order |D_U|^m * m!, and membership tested blockwise in O(n) by D_U's
+        own membership.  Its kernel on the L-cosets has a closed form (``aut``)."""
         m = len(self.blocks)
         top = symmetric_group_on(range(m), m)
-        return wreath_group_on_blocks(self.inner_chain, self.blocks, top, self.gamma.group.order)
+        return wreath_group_on_blocks(self.d_u, self.blocks, top, self.gamma.group.order)
 
     @cached_property
     def quotient(self) -> QuotientGraph:
@@ -301,23 +251,31 @@ class Analysis:
     @cached_property
     def action(self) -> dict[bytes, Perm]:
         """The induced action of C_id on the L-cosets, each map with one preimage."""
-        return _action_closure(self.cid.generators, self.sec.l_class_of, self.sec.m)
+        reach = action_closure(self.cid.generators, self.sec.l_class_of, self.sec.m)
+        if reach is None:
+            raise InternalError("the L-cosets are not blocks of C_id")
+        return reach
 
     @cached_property
     def aut(self) -> IsoResult:
         """Aut(gamma), verified by ``_self_verify``.
 
-        Kernel generators per block plus one preimage per generator of the
-        quotient stabilizer; the order is |kernel| * |quotient stabilizer|
-        exactly.
+        Generators of the kernel N_0 of C_id on the L-cosets, plus one
+        preimage per generator of the quotient stabilizer; the order is
+        |N_0| * |quotient stabilizer| exactly.  N_0 is, on every block, the
+        kernel of D_U on the L-cosets inside U, in closed form: D_U itself
+        in the symmetric type (L = U), and in the normal type (L = soc) the
+        maps x -> (alpha(x) t)^eps of D_U with t in soc and alpha acting on
+        U/soc trivially (eps = +1) or by inversion (eps = -1)
+        (``D2Subgroup.coset_kernel``).  The check |N_0| = |C_id| / |action|
+        certifies that closed form on every run.
         """
         n, m, cls = self.gamma.group.order, self.sec.m, self.sec.l_class_of
         cid, blocks, reach = self.cid, self.blocks, self.action
 
-        # kernel of the inner block group on the L-cosets inside U
-        inner_cls = np.unique(cls[blocks[0]], return_inverse=True)[1]
-        inner_cosets = [np.nonzero(inner_cls == i)[0].tolist() for i in range(inner_cls.max() + 1)]
-        kernel = block_action_with_kernel(self.inner_chain, inner_cosets).kernel
+        kernel = self.d_u
+        if self.sec.kind == "normal":
+            kernel = self.d_u.coset_kernel(cls[blocks[0]])  # L-coset of each position of U
         n0_gens = [conj_into_block(g, blk, n) for blk in blocks for g in kernel.generators]
         n0_order = kernel.order ** len(blocks)
         if cid.order % len(reach) or cid.order // len(reach) != n0_order:
@@ -334,8 +292,8 @@ class Analysis:
         def aut_membership(f: Sequence[int]) -> bool:
             if f not in cid:  # first: C_id membership rejects every non-permutation
                 return False
-            tau = _induced_block_map(np.asarray(f, dtype=np.int32), cls, cls, m)
-            return tau.tobytes() in d0_set
+            tau = induced_block_map(np.asarray(f, dtype=np.int32), cls, cls, m)
+            return tau is not None and tau.tobytes() in d0_set
 
         result = IsoResult(
             "isomorphic", identity_perm(n), aut_gens, n0_order * len(d0_rows), 5, aut_membership
@@ -484,7 +442,7 @@ def c0_search(src: Analysis, dst: Analysis, psi_map: np.ndarray) -> tuple[IsoCos
         return IsoCoset(None, empty=True), d_u
     if src.sec.kind == "symmetric":
         return IsoCoset(np.arange(b, dtype=np.int32)), d_u
-    d_u_gens = d_u.generators()
+    d_u_gens = d_u.generators
     colors_b = dst.XU.colors
     want = psi_map[src.XU.colors]
     for f0 in _c0_candidates(U_a, dst.U, d_u2):
@@ -558,7 +516,9 @@ def lift_and_intersect(
     back through the preimages of src's action closure.
     """
     m = src.sec.m
-    fbar = _induced_block_map(maj.representative, src.sec.l_class_of, dst.sec.l_class_of, m)
+    fbar = induced_block_map(maj.representative, src.sec.l_class_of, dst.sec.l_class_of, m)
+    if fbar is None:
+        raise InternalError("bijection does not respect the coset partition")
     fbar_inv = inverse_perm(fbar)
     for b in B:
         pre = src.action.get(fbar_inv[b].tobytes())  # cbar with cbar-then-fbar equal to b

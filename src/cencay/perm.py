@@ -5,10 +5,13 @@ Groups carry a deterministic stabilizer chain (base points are smallest moved
 points, transversals breadth-first), so orders, membership tests and element
 enumeration are reproducible across runs.
 
-Two groups are kept structural instead: the symmetric group on a point set
-and the wreath product B wr T on a block system.  Each answers its order and
-membership from its definition, so the huge groups of symmetric-type Cayley
-schemes (orders like (168!)^2) never build a chain of O(n^2) transversals.
+Three groups are kept structural instead: the symmetric group on a point
+set, the wreath product B wr T on a block system, and the subgroups of
+D(2,G) given by their parameters (automorphism, translation, inversion).
+Each answers its order and membership from its definition, so neither the
+huge groups of symmetric-type Cayley schemes (orders like (168!)^2) nor the
+block group of the normal type ever builds a chain.  The action of a group
+on a block system, with one preimage per induced map, is ``action_closure``.
 """
 
 from __future__ import annotations
@@ -16,12 +19,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import CapExceededError, InternalError, InvalidInputError
-from .group import FiniteGroup, greedy_generators
+from .group import FiniteGroup, Subgroup, greedy_generators
 
 Perm = np.ndarray
 
@@ -379,7 +383,8 @@ def symmetric_group_on(points: Sequence[int], degree: int) -> SymmetricGroup:
     return SymmetricGroup(points, degree)
 
 
-AnyGroup = Union[PermutationGroup, SymmetricGroup]
+# every group type with degree, order, generators and membership
+AnyGroup = Union[PermutationGroup, SymmetricGroup, "WreathProduct", "D2Subgroup"]
 
 
 def conj_into_block(d: Perm, blk: Sequence[int], degree: int) -> Perm:
@@ -398,9 +403,12 @@ class WreathProduct:
     {f : f permutes blocks by some tau in top, and every block component,
     pulled back to positions, lies in inner}, of order |inner|^m * |top|;
     membership tests exactly that (Seress, *Permutation Group Algorithms*,
-    2003, sec. 2.4).  The generators are inner's on block 0 followed by top's
-    lifted positionwise; they generate the group when top is transitive.
+    2003, sec. 2.4).  The generators are inner's on the first block of each
+    orbit of top, followed by top's lifted positionwise.
     """
+
+    inner: AnyGroup
+    top: AnyGroup
 
     def __init__(self, inner: AnyGroup, blocks: np.ndarray, top: AnyGroup, degree: int):
         m, b = blocks.shape
@@ -411,7 +419,11 @@ class WreathProduct:
         self._block_of[blocks] = np.arange(m, dtype=np.int32)[:, None]
         self._pos_of = np.empty(self.degree, dtype=np.int32)
         self._pos_of[blocks] = np.arange(b, dtype=np.int32)[None, :]
-        self.generators = [conj_into_block(g, blocks[0], degree) for g in inner.generators]
+        self.generators = [
+            conj_into_block(g, blocks[i], degree)
+            for i in _orbit_minima(top.generators, m)
+            for g in inner.generators
+        ]
         for t in top.generators:
             lift = identity_perm(self.degree)
             lift[blocks] = blocks[t]
@@ -427,6 +439,14 @@ class WreathProduct:
         if np.any(landed != tau[:, None]) or tau not in self.top:
             return False
         return all(c in self.inner for c in self._pos_of[img])
+
+
+def _orbit_minima(gens: Sequence[Perm], m: int) -> np.ndarray:
+    """The smallest point of each orbit of <gens> on 0..m-1, ascending."""
+    low = np.arange(m)
+    for _ in range(m):  # after k rounds: the minimum within k steps along gens
+        low = np.min([low] + [low[g] for g in gens], axis=0)
+    return np.flatnonzero(low == np.arange(m))
 
 
 def wreath_group_on_blocks(
@@ -494,13 +514,26 @@ def d2_group(
 class D2Subgroup:
     """A subgroup of D(2,G) given parametrically.
 
-    Elements are x -> (alpha(x) * t) or x -> (alpha(x) * t)^-1 with t ranging
-    over all of G, alpha over ``auts_plain`` for the first kind and over
-    ``auts_inv`` for the second.  For nonabelian G the parameters are unique
-    per element, so the order is |G| * (|auts_plain| + |auts_inv|).
+    Elements are x -> alpha(x) * t or x -> (alpha(x) * t)^-1 with t ranging
+    over ``translations`` (a subgroup T of G; all of G by default), alpha
+    over ``auts_plain`` for the first kind and over ``auts_inv`` for the
+    second.  For nonabelian G the parameters are unique per element, so the
+    order is |T| * (|auts_plain| + |auts_inv|), and membership reads t off
+    the image of the identity and looks up alpha: O(n), no chain.
+
+    The kernel of the action on the cosets of a normal subgroup N has the
+    same form (``coset_kernel``): x -> (alpha(x) t)^eps fixes every N-coset
+    iff t lies in N (put x = 1) and alpha acts on G/N trivially (eps = +1)
+    or by inversion (eps = -1).
     """
 
-    def __init__(self, G: FiniteGroup, auts_plain: list[Perm], auts_inv: list[Perm]):
+    def __init__(
+        self,
+        G: FiniteGroup,
+        auts_plain: list[Perm],
+        auts_inv: list[Perm],
+        translations: Optional[Sequence[int]] = None,
+    ):
         if G.is_abelian:
             raise InvalidInputError("parametric form needs unique parameters (nonabelian G)")
         self.group = G
@@ -511,12 +544,10 @@ class D2Subgroup:
             raise InvalidInputError("plain part must contain at least the identity")
         if self.auts_inv and len(self.auts_inv) != len(self.auts_plain):
             raise InternalError("inverted part is not a coset of the plain part")
+        self.translations = Subgroup(G, range(G.order) if translations is None else translations)
+        self.order = self.translations.order * (len(self.auts_plain) + len(self.auts_inv))
         self._plain_set = {a.tobytes() for a in self.auts_plain}
         self._inv_set = {a.tobytes() for a in self.auts_inv}
-
-    @property
-    def order(self) -> int:
-        return self.degree * (len(self.auts_plain) + len(self.auts_inv))
 
     def row(self, alpha: Perm, t: int, inverted: bool) -> Perm:
         r = self.group.table[alpha, t]
@@ -528,27 +559,34 @@ class D2Subgroup:
         r = _member_candidate(p, self.degree)
         if r is None:
             return False
-        inv = self.group.inverse
-        # plain: alpha = r * rho_{t}^-1 with t = r[0]
-        t = int(r[0])
-        alpha = self.group.table[r, int(inv[t])]
-        if alpha.tobytes() in self._plain_set:
-            return True
-        r2 = inv[r]
-        t = int(r2[0])
-        alpha = self.group.table[r2, int(inv[t])]
-        return alpha.tobytes() in self._inv_set
+        table, inv = self.group.table, self.group.inverse
+        # the plain part at r, the inverted part at r^-1: t = image of 1 and
+        # alpha = r * rho_t^-1
+        for img, auts in ((r, self._plain_set), (inv[r], self._inv_set)):
+            t = int(img[0])
+            if t in self.translations and table[img, inv[t]].tobytes() in auts:
+                return True
+        return False
 
+    @cached_property
     def generators(self) -> list[Perm]:
+        """Right translations by generators of T, the plain automorphisms
+        (reduced), and one element of the inverted part if there is one."""
         G = self.group
-        gens = [np.ascontiguousarray(G.table[:, g]) for g in greedy_generators(G)]
+        gens = [np.ascontiguousarray(G.table[:, g]) for g in self.translations.generators()]
         gens += reduce_generators(self.auts_plain, self.degree)
         if self.auts_inv:
             gens.append(np.ascontiguousarray(G.inverse[self.auts_inv[0]]))
         return gens
 
-    def to_chain(self) -> PermutationGroup:
-        return PermutationGroup(self.generators(), self.degree, known_order=self.order)
+    def coset_kernel(self, coset_of: np.ndarray) -> "D2Subgroup":
+        """The kernel of the action on the cosets of a normal subgroup N of G,
+        given the coset index of each element; the cosets must be blocks."""
+        cls, inv = np.asarray(coset_of), self.group.inverse
+        plain = [a for a in self.auts_plain if np.array_equal(cls[a], cls)]
+        invs = [a for a in self.auts_inv if np.array_equal(cls[a], cls[inv])]
+        kept = [t for t in self.translations.elements if cls[t] == cls[0]]
+        return D2Subgroup(self.group, plain, invs, kept)
 
     def __repr__(self) -> str:
         return f"D2Subgroup(order={self.order}, degree={self.degree})"
@@ -622,17 +660,46 @@ class BlockAction:
             raise InvalidInputError("block map is not in the action image") from None
 
 
-def induced_block_perm(g: Perm, blocks: Sequence[Sequence[int]], block_of: np.ndarray) -> Perm:
-    """Image of g on block indices; raises if the partition is not invariant."""
-    m = len(blocks)
-    out = np.empty(m, dtype=np.int32)
-    for i, blk in enumerate(blocks):
-        imgs = block_of[g[np.asarray(blk, dtype=np.int32)]]
-        first = int(imgs[0])
-        if np.any(imgs != first):
-            raise InvalidInputError("not a block system")
-        out[i] = first
-    return out
+def induced_block_map(f: Perm, cls_a: np.ndarray, cls_b: np.ndarray, m: int) -> Optional[Perm]:
+    """The map f induces from the classes of cls_a onto those of cls_b.
+
+    cls_a and cls_b give each point's class in 0..m-1; None if f splits a
+    class of cls_a over two classes of cls_b.
+    """
+    out = np.full(m, -1, dtype=np.int32)
+    img = cls_b[f]
+    out[cls_a] = img
+    return out if np.array_equal(out[cls_a], img) else None
+
+
+def action_closure(
+    gens: Sequence[Perm], cls: np.ndarray, m: int, cap: int = 500_000
+) -> Optional[dict[bytes, Perm]]:
+    """The maps <gens> induces on the classes of cls, each with one preimage.
+
+    Keys are the induced maps' bytes in breadth-first order from the
+    identity; each preimage is the product of gens along the first path
+    found.  None if some generator splits a class.
+    """
+    acts = [induced_block_map(g, cls, cls, m) for g in gens]
+    if any(a is None for a in acts):
+        return None
+    start = identity_perm(m)
+    reach = {start.tobytes(): identity_perm(len(cls))}
+    queue = [(start, reach[start.tobytes()])]
+    head = 0
+    while head < len(queue):
+        arow, pre = queue[head]
+        head += 1
+        for act, g in zip(acts, gens):
+            na = compose(arow, act)
+            key = na.tobytes()
+            if key not in reach:
+                if len(reach) >= cap:
+                    raise CapExceededError("block action image too large")
+                reach[key] = compose(pre, g)
+                queue.append((na, reach[key]))
+    return reach
 
 
 def block_action_with_kernel(
@@ -640,9 +707,8 @@ def block_action_with_kernel(
 ) -> BlockAction:
     """Induced action on blocks plus its kernel.
 
-    The action image is enumerated with preimage tracking; kernel generators
-    are the Schreier generators of that coset traversal, reduced against the
-    exact kernel order |K| / |image|.
+    The action image is ``action_closure``; kernel generators are the
+    Schreier generators of that coset traversal.
     """
     n = K.degree
     blocks = [list(map(int, blk)) for blk in partition]
@@ -652,58 +718,23 @@ def block_action_with_kernel(
     if np.any(block_of < 0):
         raise InvalidInputError("partition does not cover the domain")
     m = len(blocks)
-    gen_pairs = [(g, induced_block_perm(g, blocks, block_of)) for g in K.generators]
-
-    ident_a = identity_perm(m)
-    ident_k = identity_perm(n)
-    if all(is_identity(ga) for _, ga in gen_pairs):
+    reach = action_closure(K.generators, block_of, m, closure_cap)
+    if reach is None:
+        raise InvalidInputError("not a block system")
+    if len(reach) == 1:
         # trivial action: the kernel is the whole group
-        action = PermutationGroup([], m, known_order=1)
-        return BlockAction(action, K, {ident_a.tobytes(): ident_k})
-    reach: dict[bytes, Perm] = {ident_a.tobytes(): ident_k}
-    order_list: list[tuple[Perm, Perm]] = [(ident_a, ident_k)]
-    head = 0
-    while head < len(order_list):
-        arow, pre = order_list[head]
-        head += 1
-        for g, ga in gen_pairs:
-            na = compose(arow, ga)
-            key = na.tobytes()
-            if key not in reach:
-                if len(reach) >= closure_cap:
-                    raise CapExceededError("block action image too large")
-                npre = compose(pre, g)
-                reach[key] = npre
-                order_list.append((na, npre))
-    action_order = len(reach)
-    action = PermutationGroup([ga for _, ga in gen_pairs], m, known_order=action_order)
-
-    kernel_order = K.order // action_order
-    schreier: list[Perm] = []
-    seen = set()
-    for arow, pre in order_list:
-        for g, ga in gen_pairs:
-            target = reach[compose(arow, ga).tobytes()]
-            cand = compose(compose(pre, g), inverse_perm(target))
-            if not is_identity(cand):
-                key = cand.tobytes()
-                if key not in seen:
-                    seen.add(key)
-                    schreier.append(cand)
-    kept: list[Perm] = []
-    if kernel_order > 1:
-        group = None
-        for cand in schreier:
-            if group is not None and cand in group:
-                continue
-            kept.append(cand)
-            group = PermutationGroup(kept, n)
-            if group.order == kernel_order:
-                break
-        if group is None or group.order != kernel_order:
-            raise InternalError("Schreier generators failed to generate the kernel")
-    kernel = PermutationGroup(kept, n, known_order=kernel_order)
-    return BlockAction(action, kernel, reach)
+        return BlockAction(PermutationGroup([], m, known_order=1), K, reach)
+    acts = [induced_block_map(g, block_of, block_of, m) for g in K.generators]
+    schreier: dict[bytes, Perm] = {}
+    for akey, pre in reach.items():
+        arow = np.frombuffer(akey, dtype=np.int32)
+        for g, ga in zip(K.generators, acts):
+            cand = compose(compose(pre, g), inverse_perm(reach[compose(arow, ga).tobytes()]))
+            schreier.setdefault(cand.tobytes(), cand)
+    # Schreier's lemma: they generate the kernel, and its chain raises
+    # InternalError unless they reach the order |K| / |image|
+    kernel = PermutationGroup(schreier.values(), n, known_order=K.order // len(reach))
+    return BlockAction(PermutationGroup(acts, m, known_order=len(reach)), kernel, reach)
 
 
 # -- regular subgroups -------------------------------------------------------------
@@ -716,7 +747,7 @@ def _divisor_chain(o: int) -> list[int]:
 def _candidate_pools_parametric(K: D2Subgroup, needed: set[int]) -> dict[int, list[Perm]]:
     """Uniform-cycle-type elements of a parametric D(2,G)-subgroup, per order.
 
-    For each (automorphism, kind) the rows over all translations t form the
+    For each (automorphism, kind) the rows over its translations t form the
     columns of one matrix; column-wise powers are taken together, so the
     uniform-type test (f^o = id, f^k fixed-point-free for proper divisors k)
     is vectorized over t.
@@ -724,8 +755,9 @@ def _candidate_pools_parametric(K: D2Subgroup, needed: set[int]) -> dict[int, li
     n = K.degree
     T = K.group.table
     inv = K.group.inverse
+    ts = np.asarray(K.translations.elements, dtype=np.int32)[None, :]
     ident_col = np.arange(n, dtype=np.int32)[:, None]
-    cols = np.arange(n, dtype=np.int32)[None, :]
+    cols = np.arange(ts.shape[1], dtype=np.int32)[None, :]
     pools: dict[int, list[Perm]] = {o: [] for o in needed}
 
     def scan(M: np.ndarray) -> None:
@@ -746,9 +778,9 @@ def _candidate_pools_parametric(K: D2Subgroup, needed: set[int]) -> dict[int, li
                 pools[o].append(np.ascontiguousarray(M[:, t]))
 
     for alpha in K.auts_plain:
-        scan(T[alpha])
+        scan(T[alpha[:, None], ts])
     for alpha in K.auts_inv:
-        scan(inv[T[alpha]])
+        scan(inv[T[alpha[:, None], ts]])
     return pools
 
 

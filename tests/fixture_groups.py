@@ -3,6 +3,7 @@
 from functools import lru_cache
 
 from cencay.group import FiniteGroup, group_from_generators
+from cencay.perm import PermutationGroup
 
 
 @lru_cache(maxsize=None)
@@ -62,3 +63,9 @@ def set_partitions(items):
         yield [[first]] + part
         for i in range(len(part)):
             yield part[:i] + [[first] + part[i]] + part[i + 1:]
+
+
+def d2_chain(K):
+    """A parametric D(2,G) subgroup as a stabilizer chain on its generators:
+    the oracle for its structural order and membership."""
+    return PermutationGroup(K.generators, K.degree, known_order=K.order)

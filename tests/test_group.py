@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import weakref
 
@@ -290,3 +291,56 @@ def test_socle_and_almost_simplicity_are_memoised(monkeypatch):
         assert is_almost_simple(G) == first == simple
         assert subgroups_over_socle(G, require_normal=True)
         assert calls["normal_closure"] == 0
+
+
+def associative_by_triples(tab):
+    """The n^3 definition: (a*b)*c == a*(b*c) for all a, b, c."""
+    return all(np.array_equal(tab[tab[a]], tab[a][tab]) for a in range(len(tab)))
+
+
+def intercalate_swapped(n, a, c):
+    """The cyclic table of order n (n even) with the 2x2 subsquare at rows
+    a, a + n/2 and columns c, c + n/2 swapped: still a Latin square with a
+    two-sided identity and inverses."""
+    idx = np.arange(n)
+    tab = (idx[:, None] + idx[None, :]) % n
+    rows, cols = [a, a, a + n // 2, a + n // 2], [c, c + n // 2, c, c + n // 2]
+    tab[rows, cols] = tab[rows, cols[::-1]]
+    return tab
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_associativity_check_matches_the_triple_definition(n):
+    for a, c in itertools.product(range(1, n // 2), repeat=2):
+        if (a + c) % (n // 2):  # a swapped 0 would break the inverse law first
+            tab = intercalate_swapped(n, a, c)
+            if associative_by_triples(tab):
+                FiniteGroup(tab)
+            else:
+                with pytest.raises(InvalidInputError, match="associativity"):
+                    FiniteGroup(tab)
+    for G in (alt5(), sym5(), c2_x_alt5(), cyclic(12)):
+        assert associative_by_triples(G.table)
+        FiniteGroup(G.table.copy())
+
+
+def test_associativity_is_checked_beyond_the_first_generator():
+    # C3 x (a non-associative loop Q of order 8), indexed g + 3q: element 1
+    # lies in C3, which associates with everything, so the failure shows
+    # only at a later element of the checked set
+    Q = intercalate_swapped(8, 1, 2)
+    q, g = np.divmod(np.arange(24), 3)
+    tab = (g[:, None] + g[None, :]) % 3 + 3 * Q[q[:, None], q[None, :]]
+    assert np.array_equal(tab[tab[:, 1]], tab[:, tab[1]])
+    assert not associative_by_triples(tab)
+    with pytest.raises(InvalidInputError, match="associativity"):
+        FiniteGroup(tab)
+
+
+def test_associativity_is_checked_exactly_above_order_1000():
+    # a sample of 10^6 triples accepted this table or not depending on what
+    # a shared generator had drawn before; the exact check always rejects it
+    tab = intercalate_swapped(4000, 3, 5)
+    for _ in range(2):
+        with pytest.raises(InvalidInputError, match="associativity"):
+            FiniteGroup(tab)

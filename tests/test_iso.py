@@ -9,6 +9,7 @@ from cencay.group import ClassPartition, FiniteGroup, conjugacy_classes, socle
 from cencay.iso import (
     IsoResult,
     QuotientGraph,
+    analyze,
     brute_force_oracle,
     iso_test,
     automorphisms,
@@ -23,7 +24,7 @@ from cencay.perm import (
     full_d2_subgroup,
     regular_representations,
 )
-from .fixture_groups import alt5, alt6, cyclic, pgl27, set_partitions, sym5, sym6
+from .fixture_groups import alt5, alt6, cyclic, d2_chain, pgl27, set_partitions, sym5, sym6
 
 
 def class_id(G, size, order):
@@ -421,7 +422,7 @@ def c0_by_enumeration(src, dst, psi_map):
             if not np.array_equal(dst.XU.colors[f0[:, None], f0[None, :]], want):
                 continue
             f0_inv = inverse_perm(f0)
-            if all(f0[d[f0_inv]] in d_u2 for d in d_u.generators()):
+            if all(f0[d[f0_inv]] in d_u2 for d in d_u.generators):
                 return f0
     return None
 
@@ -605,3 +606,138 @@ def test_aut_of_the_pgl27_coset_graph_is_a_wreath_product():
     assert res.aut_membership(f)
     f[soc[0]], f[outside[0]] = f[outside[0]], f[soc[0]]  # mixes the two cosets on one point pair
     assert not res.aut_membership(f)
+
+
+# -- the structural D_U and its closed-form kernel against their chains -----------------
+
+
+def inner_cosets(rec):
+    """The L-cosets inside U, as lists of positions of U."""
+    cls = rec.sec.l_class_of[rec.blocks[0]]
+    return [np.flatnonzero(cls == c).tolist() for c in np.unique(cls)]
+
+
+def chain_kernel(rec):
+    """The kernel of D_U on the L-cosets inside U, the way Aut took it before
+    the closed form: Schreier generators of D_U's chain on the coset action."""
+    from cencay.perm import block_action_with_kernel
+
+    return block_action_with_kernel(d2_chain(rec.d_u), inner_cosets(rec)).kernel
+
+
+def assert_same_members(new, old, strays, rng):
+    """Equal orders, and membership agrees both ways on random products of
+    either side's generators and on the stray permutations."""
+    from cencay.perm import compose
+
+    assert new.order == old.order
+    for gens in (new.generators, old.generators):
+        assert gens
+        for _ in range(4):
+            f = np.arange(new.degree, dtype=np.int32)
+            for _ in range(6):
+                f = compose(f, gens[int(rng.integers(len(gens)))])
+            assert f in new and f in old
+    for f in strays:
+        assert (f in new) == (f in old)
+
+
+def d_u_strays(rec, rng):
+    """D_U's generators and random products (some move L-cosets), each also
+    with two points swapped, and random permutations of U."""
+    from cencay.perm import compose
+
+    d_u, b = rec.d_u, rec.U.order
+    gens = d_u.generators
+    strays = list(gens) + [rng.permutation(b).astype(np.int32) for _ in range(3)]
+    for _ in range(6):
+        f = np.arange(b, dtype=np.int32)
+        for _ in range(5):
+            f = compose(f, gens[int(rng.integers(len(gens)))])
+        strays.append(f)
+        g = f.copy()
+        g[[1, 2]] = g[[2, 1]]
+        strays.append(g)
+    return strays
+
+
+def kernel_cases():
+    """The full colouring of every builtin group, then every 8th S5 colouring
+    (26 of 203; U is S5 on some and A5 on others)."""
+    from cencay.fixtures import BUILTIN_NAMES, builtin_group
+
+    S5 = sym5()
+    full = [full_graph(builtin_group(name)) for name in BUILTIN_NAMES if name != "trivial"]
+    return [(False, gam) for gam in full] + [
+        (True, build_central_cayley(S5, partition_from_class_merge(S5, [[0]] + merge)))
+        for merge in list(set_partitions([1, 2, 3, 4, 5, 6]))[::8]
+    ]
+
+
+def test_closed_form_kernel_and_d_u_match_their_chains():
+    rng = np.random.default_rng(21)
+    checked = 0
+    for is_s5, gam in kernel_cases():
+        rec = analyze(gam)
+        if rec.sec.kind != "normal":
+            continue
+        assert rec.sec.m == 2 or not is_s5
+        kernel = rec.d_u.coset_kernel(rec.sec.l_class_of[rec.blocks[0]])
+        strays = d_u_strays(rec, rng)
+        assert_same_members(rec.d_u, d2_chain(rec.d_u), strays, rng)
+        assert_same_members(kernel, chain_kernel(rec), strays, rng)
+        if len(inner_cosets(rec)) > 1:
+            # a generator of D_U moves a coset, so the kernel is proper here
+            assert kernel.order < rec.d_u.order
+            assert any(f in rec.d_u and f not in kernel for f in strays)
+        checked += 1
+    assert checked == 6 + 26
+
+
+def test_aut_generators_span_the_group_of_the_chain_kernel():
+    # Aut's generators from the closed-form kernel span the group that the
+    # chain kernel's generators (plus the same quotient preimages) spanned
+    from cencay.perm import conj_into_block
+
+    for gam in (full_graph(alt5()), full_graph(sym5()), transposition_graph(), coset_graph()):
+        rec = analyze(gam)
+        res = rec.aut
+        n, kernel = gam.group.order, rec.d_u
+        if rec.sec.kind == "normal":
+            kernel = rec.d_u.coset_kernel(rec.sec.l_class_of[rec.blocks[0]])
+            old = chain_kernel(rec)
+        else:
+            old = kernel
+        n_kernel = len(rec.blocks) * len(kernel.generators)
+        old_gens = [conj_into_block(g, blk, n) for blk in rec.blocks for g in old.generators]
+        old_gens += res.aut_generators[n_kernel:]
+        if res.aut_order <= 10**8:
+            assert same_group(res.aut_generators, res.aut_order, old_gens, res.aut_order, n)
+        else:
+            assert all(res.aut_membership(g) for g in old_gens)
+
+
+def test_aut_and_iso_test_build_no_block_action_kernel(monkeypatch):
+    import cencay.iso as iso_mod
+    import cencay.perm as perm_mod
+
+    calls = [
+        count_calls(monkeypatch, module, "block_action_with_kernel")
+        for module in (iso_mod, perm_mod)
+    ]
+    gam = full_graph(sym5())
+    assert automorphisms(gam).aut_order == 28_800
+    assert iso_test(gam, relabelled_graph(gam, 1)).isomorphic
+    assert calls == [[0], [0]]
+
+
+def test_c_id_keeps_a_structural_inner_group():
+    from cencay.perm import D2Subgroup, SymmetricGroup
+
+    for gam, inner_type in (
+        (transposition_graph(), D2Subgroup),
+        (full_graph(sym5()), D2Subgroup),
+        (coset_graph(), SymmetricGroup),
+        (complete_graph(alt5()), SymmetricGroup),
+    ):
+        assert type(analyze(gam).cid.inner) is inner_type

@@ -12,6 +12,7 @@ from cencay.iso import analyze
 from cencay.perm import (
     PermutationGroup,
     _Level,
+    _candidate_pools_parametric,
     block_action_with_kernel,
     compose,
     conj_into_block,
@@ -28,7 +29,7 @@ from cencay.perm import (
     uniform_cycle_length,
     wreath_group_on_blocks,
 )
-from .fixture_groups import alt5, sym5
+from .fixture_groups import alt5, d2_chain, sym5
 
 
 def test_chain_order_s5():
@@ -375,10 +376,9 @@ def test_wreath_matches_the_chain_on_a_d2_inner_group():
     # inner = the D(2,U) chain of the full A5 colouring, over two blocks
     A5 = alt5()
     k = conjugacy_classes(A5).k
-    inner = analyze(
-        build_central_cayley(A5, partition_from_class_merge(A5, [[i] for i in range(k)]))
-    ).inner_chain
-    assert isinstance(inner, PermutationGroup)
+    inner = d2_chain(
+        analyze(build_central_cayley(A5, partition_from_class_merge(A5, [[i] for i in range(k)]))).d_u
+    )
     rng = np.random.default_rng(13)
     blocks = [list(range(60)), list(range(60, 120))]
     new = wreath_group_on_blocks(inner, blocks, symmetric_group_on(range(2), 2), 120)
@@ -404,6 +404,61 @@ def test_wreath_matches_the_chain_on_a_cyclic_top():
     _assert_same_group(new, old, members + [outside_top])
     assert all(f in new for f in members) and outside_top not in new
     assert new.order == 6**3 * 3
+
+
+def test_wreath_generators_generate_under_an_intransitive_top():
+    # inner's generators sit on one block per top orbit, not on block 0 alone
+    blocks = [[0, 1, 2], [3, 4, 5]]
+    W = wreath_group_on_blocks(symmetric_group_on(range(3), 3), blocks, PermutationGroup([], 2), 6)
+    assert W.order == 36
+    assert PermutationGroup(W.generators, 6).order == W.order
+    blocks = [[0, 1], [2, 3], [4, 5], [6, 7], [8, 9]]
+    top = PermutationGroup([(2, 1, 0, 3, 4), (0, 1, 2, 4, 3)], 5)  # orbits {0, 2}, {1}, {3, 4}
+    W = wreath_group_on_blocks(symmetric_group_on(range(2), 2), blocks, top, 10)
+    assert W.order == 2**5 * 4
+    assert PermutationGroup(W.generators, 10).order == W.order
+    assert len(W.generators) == 3 + 2
+
+
+def test_d2_subgroup_with_a_translation_subgroup():
+    # the kernel of D(2,S5) on the two cosets of A5: translations by A5 only
+    S5 = sym5()
+    D = full_d2_subgroup(S5)
+    soc = set(socle(S5).elements)
+    coset_of = np.array([0 if x in soc else 1 for x in range(120)])
+    K = D.coset_kernel(coset_of)
+    assert K.translations.elements == tuple(sorted(soc))
+    oracle = block_action_with_kernel(d2_chain(D), [sorted(soc), sorted(set(range(120)) - soc)])
+    assert K.order == oracle.kernel.order == D.order // 2
+    right = regular_representations(S5).right_gens
+    odd = next(g for g in right if int(g[0]) not in soc)
+    assert odd in D and odd not in K and odd not in oracle.kernel
+    assert all(g in K for g in oracle.kernel.generators)
+    assert all(g in oracle.kernel for g in K.generators)
+    # the candidate pools of the enumeration hold members only; a group
+    # fixing both cosets has no regular subgroup
+    pools = _candidate_pools_parametric(K, {2, 4, 6})
+    assert all(f in K for pool in pools.values() for f in pool)
+    assert regular_subgroups(K, S5) == []
+
+
+def test_coset_kernel_where_alpha_inverts_the_quotient():
+    # A4 over V4: the quotient is C3, and the outer automorphisms invert it,
+    # so the kernel's inverted part is the outer half of Aut(A4), not the inner
+    A4 = group_from_generators([(1, 2, 0, 3), (1, 0, 3, 2)])
+    D = full_d2_subgroup(A4)
+    cosets = socle(A4).right_cosets()
+    coset_of = np.empty(12, dtype=np.int32)
+    for i, c in enumerate(cosets):
+        coset_of[list(c)] = i
+    K = D.coset_kernel(coset_of)
+    oracle = block_action_with_kernel(d2_chain(D), cosets).kernel
+    assert (len(K.auts_plain), len(K.auts_inv), K.order) == (12, 12, 96)
+    assert K.order == oracle.order
+    assert all(g in K for g in oracle.generators) and all(g in oracle for g in K.generators)
+    rng = np.random.default_rng(15)
+    for f in _random_products(D.generators, 12, rng, count=30):
+        assert (f in K) == (f in oracle)
 
 
 def _non_permutations(n):
