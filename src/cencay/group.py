@@ -26,7 +26,7 @@ class FiniteGroup:
     """
 
     def __init__(self, table, names: Optional[Sequence[str]] = None, check: bool = True):
-        tab = np.ascontiguousarray(table, dtype=np.int32)
+        tab = np.array(table, dtype=np.int32, order="C")  # a copy: frozen below
         if tab.ndim != 2 or tab.shape[0] != tab.shape[1] or tab.shape[0] == 0:
             raise InvalidInputError("multiplication table must be square and nonempty")
         self.table = tab
@@ -583,22 +583,42 @@ def _extend_partial_map(
     return m
 
 
+def _conjugation_table(G: FiniteGroup) -> np.ndarray:
+    """conj[h, x] = h^-1 x h: row h is the inner automorphism by h."""
+    x = np.arange(G.order)
+    return G.table[G.table[G.inverse[:, None], x[None, :]], x[:, None]]
+
+
 def automorphism_group(G: FiniteGroup, cap: int = DEFAULT_AUT_CAP) -> list[np.ndarray]:
     """All automorphisms of G as permutations of {0..n-1} fixing 0.
 
-    Backtracking over images of a greedy generating sequence, pruned by
-    class fingerprints (order, class size, power classes).
+    Aut(G) is Inn(G)·T for one automorphism t per coset of Inn(G); the
+    search finds T, and the distinct rows of the conjugation table multiply
+    it out in one gather.
     """
     if G.order > cap:
         raise CapExceededError(f"automorphism search capped at order {cap}")
-    if G._aut_cache is not None:
-        return list(G._aut_cache)
-    found = _isomorphisms_all(G, G)
-    G._aut_cache = found
-    return list(found)
+    if G._aut_cache is None:
+        conj = _conjugation_table(G)
+        _, first = np.unique(conj, axis=0, return_index=True)
+        reps = np.array(_isomorphisms_mod_inner(G, G, conj))
+        G._aut_cache = list(conj[np.sort(first)[:, None, None], reps].reshape(-1, G.order))
+    return list(G._aut_cache)
 
 
-def _isomorphisms_all(G: FiniteGroup, H: FiniteGroup, first_only: bool = False):
+def _isomorphisms_mod_inner(
+    G: FiniteGroup, H: FiniteGroup, conj: np.ndarray, first_only: bool = False
+) -> list[np.ndarray]:
+    """One isomorphism G -> H in every coset Inn(H)·phi (only the first found
+    with ``first_only``); ``conj`` is H's conjugation table.
+
+    Backtracking over images of a greedy generating sequence, pruned by
+    class fingerprints (order, class size, power classes).  An inner
+    automorphism moves the first generator's image to the smallest member of
+    its class, and conjugation by that member's centralizer then moves the
+    second generator's image to the smallest member of its orbit, so only
+    those images are tried.
+    """
     if G.order != H.order:
         return []
     if G.order == 1:
@@ -612,26 +632,34 @@ def _isomorphisms_all(G: FiniteGroup, H: FiniteGroup, first_only: bool = False):
     for g in gens:
         fp = fp_g["elem"][g]
         pools.append([x for x in range(H.order) if fp_h["elem"][x] == fp])
-    out = []
-
-    def rec(depth: int, images: list[int]):
+    class_min = conj.min(axis=0)
+    pools[0] = [x for x in pools[0] if class_min[x] == x]
+    inner = {row.tobytes() for row in conj}
+    out: list[np.ndarray] = []
+    out_inv: list[np.ndarray] = []
+    stack: list[list[int]] = [[]]  # depth first, pools in order
+    while stack:
+        images = stack.pop()
+        depth = len(images)
         if depth == len(gens):
             m = _extend_partial_map(G, H, gens, images)
-            if m is not None:
+            # m and t lie in one Inn-coset iff m * t^-1 is inner
+            if m is not None and not any(m[t_inv].tobytes() in inner for t_inv in out_inv):
                 out.append(m)
-            return len(out) > 0 and first_only
-        for cand in pools[depth]:
+                out_inv.append(np.argsort(m))
+                if first_only:
+                    break
+            continue
+        pool = pools[depth]
+        if depth == 1:
+            c = images[0]
+            orbit_min = conj[conj[:, c] == c].min(axis=0)
+            pool = [x for x in pool if orbit_min[x] == x]
+        if depth > 0:
             # quick order-of-product prune using the previous image
-            if depth > 0:
-                a = G.mul(gens[depth - 1], gens[depth])
-                b = H.mul(images[-1], cand)
-                if fp_g["elem"][a] != fp_h["elem"][b]:
-                    continue
-            if rec(depth + 1, images + [cand]):
-                return True
-        return False
-
-    rec(0, [])
+            fp = fp_g["elem"][G.mul(gens[depth - 1], gens[depth])]
+            pool = [x for x in pool if fp_h["elem"][H.mul(images[-1], x)] == fp]
+        stack.extend(images + [x] for x in reversed(pool))
     return out
 
 
@@ -643,7 +671,7 @@ def group_isomorphisms(
     The full isomorphism set is the returned map composed with each
     automorphism of H.
     """
-    reps = _isomorphisms_all(G, H, first_only=True)
+    reps = _isomorphisms_mod_inner(G, H, _conjugation_table(H), first_only=True)
     if not reps:
         return None
     return reps[0], automorphism_group(H)

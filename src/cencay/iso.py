@@ -124,10 +124,11 @@ def d_u_subgroup(XU: CoherentConfiguration, U: FiniteGroup) -> D2Subgroup:
     class to the class of the inverses.
     """
     cls0 = restricted_scheme_class_row(XU, U)
-    auts = automorphism_group(U)
-    plain = [a for a in auts if np.array_equal(cls0[a], cls0)]
-    invs = [a for a in auts if np.array_equal(cls0[a[U.inverse]], cls0)]
-    return D2Subgroup(U, plain, invs)
+    A = np.array(automorphism_group(U))
+    moved = cls0[A]  # cls0[alpha(x^-1)] = cls0[x] for all x iff moved = cls0[inverse]
+    plain = A[(moved == cls0).all(axis=1)]
+    invs = A[(moved == cls0[U.inverse]).all(axis=1)]
+    return D2Subgroup(U, list(plain), list(invs))
 
 
 # -- the quotient graph on the L-cosets -----------------------------------------------
@@ -393,7 +394,7 @@ def _abstract_group_of_regular(V: PermutationGroup) -> FiniteGroup:
     M = rows[order]
     if not np.array_equal(M[:, 0], np.arange(len(M))):
         raise InternalError("group is not regular on its domain")
-    return FiniteGroup(np.ascontiguousarray(M.T), check=False)
+    return FiniteGroup(M.T, check=False)
 
 
 def _c0_candidates(U_a: FiniteGroup, U_b: FiniteGroup, d_u2) -> Iterator[Perm]:

@@ -2,7 +2,15 @@
 
 from functools import lru_cache
 
-from cencay.group import FiniteGroup, group_from_generators
+import numpy as np
+
+from cencay.group import (
+    FiniteGroup,
+    _class_fingerprints,
+    _extend_partial_map,
+    greedy_generators,
+    group_from_generators,
+)
 from cencay.perm import PermutationGroup
 
 
@@ -69,3 +77,37 @@ def d2_chain(K):
     """A parametric D(2,G) subgroup as a stabilizer chain on its generators:
     the oracle for its structural order and membership."""
     return PermutationGroup(K.generators, K.degree, known_order=K.order)
+
+
+def isomorphisms_all(G: FiniteGroup, H: FiniteGroup) -> list[np.ndarray]:
+    """Every isomorphism G -> H by plain backtracking over the images of a
+    greedy generating sequence, pruned only by class fingerprints: the
+    oracle for ``automorphism_group`` and ``group_isomorphisms``."""
+    if G.order != H.order:
+        return []
+    if G.order == 1:
+        return [np.zeros(1, dtype=np.int32)]
+    _, fp_g = _class_fingerprints(G)
+    _, fp_h = _class_fingerprints(H)
+    if sorted(fp_g["elem"]) != sorted(fp_h["elem"]):
+        return []
+    gens = greedy_generators(G)
+    pools = [[x for x in range(H.order) if fp_h["elem"][x] == fp_g["elem"][g]] for g in gens]
+    out = []
+
+    def rec(depth: int, images: list[int]) -> None:
+        if depth == len(gens):
+            m = _extend_partial_map(G, H, gens, images)
+            if m is not None:
+                out.append(m)
+            return
+        for cand in pools[depth]:
+            if depth > 0:
+                a = G.mul(gens[depth - 1], gens[depth])
+                b = H.mul(images[-1], cand)
+                if fp_g["elem"][a] != fp_h["elem"][b]:
+                    continue
+            rec(depth + 1, images + [cand])
+
+    rec(0, [])
+    return out

@@ -24,7 +24,7 @@ from cencay.group import (
     socle,
     subgroups_over_socle,
 )
-from .fixture_groups import alt5, c2_x_alt5, cyclic, sym5
+from .fixture_groups import alt5, c2_x_alt5, cyclic, isomorphisms_all, sym5
 
 
 def test_closure_orders():
@@ -123,6 +123,58 @@ def test_automorphisms_are_table_maps():
     for a in automorphism_group(G)[:10]:
         assert a[0] == 0
         assert np.array_equal(a[G.table], G.table[a[:, None], a[None, :]])
+
+
+def _is_table_map(a, G, H):
+    return a[0] == 0 and np.array_equal(a[G.table], H.table[a[:, None], a[None, :]])
+
+
+ORACLE_GROUPS = [(name, lambda name=name: builtin_group(name)) for name in BUILTIN_NAMES[:-1]] + [
+    ("c2_x_alt5", c2_x_alt5),  # centre of order 2: Inn is a proper quotient
+    ("cyclic7", lambda: cyclic(7)),  # Inn trivial
+    ("cyclic12", lambda: cyclic(12)),
+    ("trivial", lambda: builtin_group("trivial")),
+]
+
+
+@pytest.mark.parametrize("make", [m for _, m in ORACLE_GROUPS], ids=[n for n, _ in ORACLE_GROUPS])
+def test_automorphism_group_matches_backtracking_oracle(make):
+    G = make()
+    auts = automorphism_group(G)
+    expect = isomorphisms_all(G, G)
+    got = {a.tobytes() for a in auts}
+    assert len(got) == len(auts) == len(expect)
+    assert got == {a.tobytes() for a in expect}
+    assert all(_is_table_map(a, G, G) for a in auts)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES[:-1])
+def test_group_isomorphisms_random_relabelling(name):
+    G = builtin_group(name)
+    n = G.order
+    p = np.concatenate(([0], 1 + np.random.default_rng(7).permutation(n - 1))).astype(np.int32)
+    tab = np.empty_like(G.table)
+    tab[p[:, None], p[None, :]] = p[G.table]  # p is an isomorphism G -> H
+    H = FiniteGroup(tab)
+    res = group_isomorphisms(G, H)
+    assert res is not None
+    beta, auts = res
+    assert np.array_equal(np.sort(beta), np.arange(n))
+    assert _is_table_map(beta, G, H)
+    assert len(auts) == len(automorphism_group(G))
+
+
+def test_group_isomorphisms_none_for_same_order_non_isomorphic():
+    assert sym5().order == c2_x_alt5().order
+    assert group_isomorphisms(sym5(), c2_x_alt5()) is None
+
+
+def test_group_table_is_copied_not_frozen():
+    tab = cyclic(5).table.copy()  # C-contiguous int32: the case that used to freeze
+    G = FiniteGroup(tab)
+    tab[0, 0] = 4  # the caller's array stays writable
+    assert G.table[0, 0] == 0
+    assert not G.table.flags.writeable
 
 
 def test_group_isomorphisms_relabelled_alt5():
