@@ -8,15 +8,18 @@ Every seed the pipeline refines (the arc colors, and the equivalences of the
 normal subgroups U and L) is invariant under right translation and constant
 on conjugacy classes, so its coherent closure is a Cayley scheme, fixed by
 its identity row (the Schur-ring view: Wielandt, Finite Permutation Groups,
-ch. IV).  ``closure_rows`` refines that row one conjugacy class at a time;
-n x n matrices are gathered from the row only where a later step indexes
-them.
+ch. IV).  ``closure_rows`` refines that row one conjugacy class at a time,
+and the row is the only form in which the pipeline holds a scheme: the one
+n x n matrix it builds is the graph's own arc coloring (``arc_colors``),
+for the certificates.  ``CayleyScheme.base`` gathers the n x n matrix for
+the tests' oracles.
 
 The principal section of the scheme's automorphism group is computed without
 the group itself: a direct-sum criterion on the closure row decides the
 symmetric case and yields L = U as the largest subgroup meeting it;
 otherwise L is the socle and U is the smallest normal subgroup over the
-socle whose one-sided partial translations preserve every basis relation.
+socle whose one-sided partial translations preserve every basis relation,
+that is, on whose cosets outside itself the row is constant.
 """
 
 from __future__ import annotations
@@ -69,19 +72,16 @@ class ColorCayleyGraph:
         return cayley_matrix(self.group, self.class_of)
 
     def relabelled(self, f: Sequence[int]) -> "ColorCayleyGraph":
-        """Transport the arc coloring along a bijection and re-read the classes.
+        """Transport the arc coloring along a bijection and re-read the classes
+        from the arcs at the identity, (f^-1(1), f^-1(h)) before the move.
 
         Valid when the result is again a Cayley coloring (e.g. f normalizes
         the translations, as any element of D(2,G) does).
         """
-        f = np.asarray(f, dtype=np.int32)
-        M = self.arc_colors
-        Mf = np.empty_like(M)
-        Mf[f[:, None], f[None, :]] = M
-        classes: list[list[int]] = [[] for _ in range(self.k)]
-        for h in range(self.group.order):
-            classes[int(Mf[0, h])].append(h)
-        return ColorCayleyGraph(self.group, ClassPartition(tuple(tuple(c) for c in classes)))
+        G, f_inv = self.group, np.argsort(np.asarray(f))
+        row = self.class_of[G.table[f_inv, G.inverse[f_inv[0]]]]
+        classes = (tuple(np.flatnonzero(row == c).tolist()) for c in range(self.k))
+        return ColorCayleyGraph(G, ClassPartition(tuple(classes)))
 
 
 def cayley_matrix(G: FiniteGroup, row: np.ndarray) -> np.ndarray:
@@ -153,7 +153,7 @@ class CayleyScheme:
 
     @cached_property
     def base(self) -> CoherentConfiguration:
-        """The n x n color matrix, gathered from the row."""
+        """The n x n color matrix, gathered from the row (for the tests' oracles)."""
         X = CoherentConfiguration(cayley_matrix(self.group, self.row))
         X.verify_light()
         return X
@@ -214,6 +214,15 @@ def _round_keys(G: FiniteGroup, reps: np.ndarray, row: np.ndarray, rank: int) ->
     pairs.sort(axis=1)
     keys = np.column_stack([row[reps], row[G.inverse[reps]], pairs])
     return [k.tobytes() for k in keys]
+
+
+def color_keys(G: FiniteGroup, row: np.ndarray) -> list[bytes]:
+    """The round key at the first element x of each color t: c(x^-1) and the
+    intersection numbers p^t_rs, counted as the pairs (c(y), c(x * y^-1)).
+    Two schemes in one color numbering have equal keys iff the identity
+    color map is an algebraic isomorphism."""
+    _, firsts = np.unique(row, return_index=True)
+    return _round_keys(G, firsts, row, len(firsts))
 
 
 def closure_rows(
@@ -286,18 +295,16 @@ def cayley_wl(gamma: ColorCayleyGraph) -> CayleyScheme:
     return scheme
 
 
-def _row_is_direct_sum(G: FiniteGroup, row: np.ndarray, H: Subgroup) -> bool:
-    """Whether row is constant on H minus 1 and on each double coset HxH, x not in H."""
+def _row_is_constant_off(G: FiniteGroup, row: np.ndarray, H: Subgroup) -> bool:
+    """Whether row is constant on each double coset HxH with x not in H."""
     h = np.asarray(H.elements, dtype=np.int64)
-    if np.unique(row[h[1:]]).size > 1:
-        return False
     seen = np.zeros(G.order, dtype=bool)
     seen[h] = True
     for x in range(G.order):
         if not seen[x]:
             double = G.table[G.table[h, x][:, None], h[None, :]]
             seen[double] = True
-            if np.unique(row[double]).size > 1:
+            if (row[double] != row[x]).any():
                 return False
     return True
 
@@ -326,43 +333,30 @@ def compute_H0(scheme: CayleyScheme) -> list[Subgroup]:
     return [
         H
         for H in subgroups_over_socle(G, require_normal=False)
-        if _row_is_direct_sum(G, scheme.row, H)
+        if np.unique(scheme.row[list(H.elements[1:])]).size <= 1
+        and _row_is_constant_off(G, scheme.row, H)
     ]
-
-
-def _partial_translation(G: FiniteGroup, H: Subgroup, h: int, side: str) -> np.ndarray:
-    """x -> x*h (or h*x) on H, identity elsewhere."""
-    p = np.arange(G.order, dtype=np.int32)
-    idx = np.asarray(H.elements, dtype=np.int32)
-    if side == "right":
-        p[idx] = G.table[idx, h]
-    else:
-        p[idx] = G.table[h, idx]
-    return p
 
 
 def compute_H1(scheme: CayleyScheme) -> list[Subgroup]:
     """Normal subgroups H over the socle with H* x id outside H inside Aut.
 
-    Tested on subgroup generators only: the one-sided partial translations
-    generate the whole partial H*, so generator preservation suffices.
+    Decided on the closure row c: H qualifies iff c is constant on every
+    coset yH = HyH with y not in H.  A one-sided partial translation by h
+    (x -> xh or x -> hx on H, the identity elsewhere) keeps the quotient of
+    every pair inside H or inside its complement, and turns the quotient y
+    of a pair across H into y times a conjugate of h or h^-1, an element of
+    H (H is normal).  The left ones turn every y outside H into y h^-1, so
+    they all preserve the colors iff c is constant on the cosets outside H,
+    and then so do the right ones.  The generator test on the n x n matrix
+    stays in the tests as the oracle.
     """
     G = scheme.group
-    C = scheme.base.colors
-    out = []
-    for H in subgroups_over_socle(G, require_normal=True):
-        ok = True
-        for h in H.generators():
-            for side in ("right", "left"):
-                p = _partial_translation(G, H, h, side)
-                if not np.array_equal(C[p[:, None], p[None, :]], C):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(H)
-    return out
+    return [
+        H
+        for H in subgroups_over_socle(G, require_normal=True)
+        if _row_is_constant_off(G, scheme.row, H)
+    ]
 
 
 @dataclass

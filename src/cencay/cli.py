@@ -98,20 +98,13 @@ def _cmd_aut(args) -> int:
     return EXIT_OK
 
 
-def _cmd_iso(args) -> int:
+def _cmd_pair(args) -> int:
+    """``iso`` and ``oracle``: one decision on two graph files."""
+    decide = iso.iso_test if args.command == "iso" else iso.brute_force_oracle
     t0 = time.perf_counter()
     ga = files.load_graph(args.graph_a)
     gb = files.load_graph(args.graph_b)
-    result = iso.iso_test(ga, gb)
-    _report(result, ga, args, time.perf_counter() - t0)
-    return EXIT_OK if result.isomorphic else EXIT_NON_ISOMORPHIC
-
-
-def _cmd_oracle(args) -> int:
-    t0 = time.perf_counter()
-    ga = files.load_graph(args.graph_a)
-    gb = files.load_graph(args.graph_b)
-    result = iso.brute_force_oracle(ga, gb)
+    result = decide(ga, gb)
     _report(result, ga, args, time.perf_counter() - t0)
     return EXIT_OK if result.isomorphic else EXIT_NON_ISOMORPHIC
 
@@ -151,17 +144,12 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("-o", "--output", default=None)
     a.set_defaults(func=_cmd_aut)
 
-    i = sub.add_parser("iso", help="isomorphism test between two graph files", parents=[common])
-    i.add_argument("graph_a")
-    i.add_argument("graph_b")
-    i.add_argument("-o", "--output", default=None)
-    i.set_defaults(func=_cmd_iso)
-
-    o = sub.add_parser("oracle", help="brute-force oracle on two graph files", parents=[common])
-    o.add_argument("graph_a")
-    o.add_argument("graph_b")
-    o.add_argument("-o", "--output", default=None)
-    o.set_defaults(func=_cmd_oracle)
+    for name, what in (("iso", "isomorphism test"), ("oracle", "brute-force oracle")):
+        i = sub.add_parser(name, help=f"{what} on two graph files", parents=[common])
+        i.add_argument("graph_a")
+        i.add_argument("graph_b")
+        i.add_argument("-o", "--output", default=None)
+        i.set_defaults(func=_cmd_pair)
     return p
 
 

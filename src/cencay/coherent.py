@@ -12,25 +12,23 @@ The two-sided ("lockstep") variant refines two matrices with one shared color
 table and decides whether a prescribed relation pairing extends to an
 algebraic isomorphism of the closures.
 
-The pipeline never refines n x n matrices: every seed it refines is a
-central Cayley coloring, whose closure ``cencay.cayley`` computes on the
-identity row alone.  ``wl_closure``, ``extend_algebraic_iso`` and
-``is_boxplus_trivial`` remain here as the exact n x n oracles that the row
-engine is tested against.
+The pipeline uses nothing in this module: every scheme it meets is a
+central Cayley scheme, held as its identity row by ``cencay.cayley``, which
+refines it, tests the section criteria on it and checks algebraic
+isomorphisms on its round keys.  Everything here is the exact n x n code
+that the row engine is tested against: ``wl_closure``,
+``extend_algebraic_iso``, ``is_boxplus_trivial``, ``restriction`` and
+``AlgebraicIso``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .errors import InternalError, InvalidInputError
-
-Relation = Union[np.ndarray, "RelationLike"]
-RelationLike = Sequence
-
 
 # -- canonical color maps -----------------------------------------------------
 
@@ -145,7 +143,7 @@ def _refine_lockstep(mats: list[np.ndarray], rank: int) -> Optional[tuple[list[n
 
 
 def _relation_to_matrix(rel, n: int) -> np.ndarray:
-    """Normalize a relation to an integer matrix (bool sets or color matrices)."""
+    """Normalize a relation to an integer matrix (bool sets, color matrices or pairs)."""
     if isinstance(rel, np.ndarray):
         if rel.shape != (n, n):
             raise InvalidInputError(f"relation matrix must be {n}x{n}")
@@ -153,8 +151,6 @@ def _relation_to_matrix(rel, n: int) -> np.ndarray:
         if out.min(initial=0) < 0:
             raise InvalidInputError("relation values must be nonnegative")
         return out
-    if hasattr(rel, "color_matrix"):
-        return rel.color_matrix().astype(np.int64)
     # iterable of (i, j) pairs
     M = np.zeros((n, n), dtype=np.int64)
     for i, j in rel:
@@ -295,9 +291,9 @@ class CoherentConfiguration:
 def wl_closure(seeds: Iterable, n: int, check: bool = True) -> CoherentConfiguration:
     """Coherent closure of a list of relations on n points, by exact n x n rounds.
 
-    Seeds may be boolean matrices, pair iterables, integer color matrices, or
-    RelationPartition objects; uncovered pairs share a background color and
-    the diagonal is split off before refinement starts.  The pipeline uses
+    Seeds may be boolean matrices, integer color matrices or pair iterables;
+    uncovered pairs share a background color and the diagonal is split off
+    before refinement starts.  The pipeline uses
     ``cencay.cayley.closure_rows`` instead; this is its test oracle.
     """
     init = _initial_colors_lockstep([list(seeds)], n)

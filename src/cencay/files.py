@@ -1,12 +1,14 @@
 """JSON file formats: groups, graphs, and result reports.
 
 Permutations are 0-based image arrays; group orders are decimal strings so
-that exact big integers survive the round trip.  Loading re-validates every
-invariant (table laws, centrality, almost simplicity).
+that exact big integers survive the round trip.  Loading accepts only JSON
+integers (no bools, no floats) in lists of the right shape, and re-validates
+every invariant (table laws, centrality, almost simplicity).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 from typing import Optional, Union
@@ -16,12 +18,11 @@ import numpy as np
 from .cayley import ColorCayleyGraph, build_central_cayley
 from .errors import InternalError, InvalidInputError
 from .group import ClassPartition, FiniteGroup
+from . import iso
 from .iso import IsoResult
 from .perm import PermutationGroup
 
 PathLike = Union[str, Path]
-
-EMIT_CHAIN_RECOUNT_LIMIT = 10**8
 
 
 def _read_json(path: PathLike) -> dict:
@@ -38,6 +39,22 @@ def _write_json(path: PathLike, payload: dict) -> None:
         fh.write("\n")
 
 
+def _int_rows(value, what: str, bound: int, width: Optional[int] = None) -> list[list[int]]:
+    """``value`` as lists of JSON integers in 0..bound-1, each of length
+    ``width`` when one is given; anything else is invalid input."""
+    if not isinstance(value, list) or not all(
+        isinstance(r, list) and width in (None, len(r)) for r in value
+    ):
+        shape = "a list of lists" if width is None else f"{width} lists of {width}"
+        raise InvalidInputError(f"{what} must be {shape}")
+    flat = list(itertools.chain.from_iterable(value))
+    if set(map(type, flat)) - {int}:  # a bool's type is not int
+        raise InvalidInputError(f"{what} may hold JSON integers only")
+    if flat and not 0 <= min(flat) <= max(flat) < bound:
+        raise InvalidInputError(f"{what} has an entry outside 0..{bound - 1}")
+    return value
+
+
 # -- groups -----------------------------------------------------------------
 
 
@@ -52,9 +69,14 @@ def group_from_dict(data: dict) -> FiniteGroup:
     if not isinstance(data, dict) or "table" not in data:
         raise InvalidInputError("group file needs a 'table' field")
     table = data["table"]
-    if "order" in data and len(table) != int(data["order"]):
+    n = len(table) if isinstance(table, list) else 0
+    table = _int_rows(table, "the table", n, width=n)
+    if "order" in data and (type(data["order"]) is not int or data["order"] != n):
         raise InvalidInputError("declared order does not match the table")
-    return FiniteGroup(table, names=data.get("names"), check=True)
+    names = data.get("names")
+    if not (names is None or isinstance(names, list) and all(isinstance(x, str) for x in names)):
+        raise InvalidInputError("names must be a list of strings")
+    return FiniteGroup(table, names=names, check=True)
 
 
 def save_group(G: FiniteGroup, path: PathLike) -> None:
@@ -86,10 +108,10 @@ def graph_from_dict(data: dict, base_dir: Optional[Path] = None) -> ColorCayleyG
         G = load_group(path)
     else:
         G = group_from_dict(grp)
-    colors = data["colors"]
-    if not colors or list(colors[0]) != [0]:
+    colors = _int_rows(data["colors"], "the colors", G.order)
+    if not colors or colors[0] != [0]:
         raise InvalidInputError("color class 0 must be exactly [0]")
-    partition = ClassPartition(tuple(tuple(int(x) for x in c) for c in colors))
+    partition = ClassPartition(tuple(tuple(c) for c in colors))
     return build_central_cayley(G, partition)
 
 
@@ -140,7 +162,7 @@ def verify_emitted_order(result: IsoResult, degree: int) -> str:
         if result.aut_order > 1:
             raise InternalError("nontrivial order with no generators")
         return "chain"
-    if result.aut_order <= EMIT_CHAIN_RECOUNT_LIMIT:
+    if result.aut_order <= iso.CHAIN_RECOUNT_LIMIT:
         got = PermutationGroup(result.aut_generators, degree).order
         if got != result.aut_order:
             raise InternalError(

@@ -46,6 +46,8 @@ class FiniteGroup:
         # the socle's elements, not a Subgroup: that would point back here
         # and leave the table to the cycle collector
         self._socle_cache: Optional[tuple[int, ...]] = None
+        # likewise (elements, is_normal) per subgroup over the socle
+        self._over_socle_cache: Optional[list[tuple[tuple[int, ...], bool]]] = None
         self._almost_simple_cache: Optional[bool] = None
 
     # -- validation ------------------------------------------------------
@@ -426,19 +428,22 @@ def _all_subgroups_small(Q: FiniteGroup) -> list[tuple[int, ...]]:
 
 
 def subgroups_over_socle(G: FiniteGroup, require_normal: bool) -> list[Subgroup]:
-    """All H with soc(G) <= H <= G, via subgroups of G/soc(G) pulled back."""
-    soc = socle(G)
-    Q, pi = quotient_with_epimorphism(G, soc)
-    out = []
-    for hq in _all_subgroups_small(Q):
-        hq_set = set(hq)
-        elems = tuple(g for g in range(G.order) if int(pi.map[g]) in hq_set)
-        H = Subgroup(G, elems)
-        if require_normal and not H.is_normal:
-            continue
-        out.append(H)
-    out.sort(key=lambda h: (h.order, h.elements))
-    return out
+    """All H with soc(G) <= H <= G, via subgroups of G/soc(G) pulled back.
+
+    The element sets and their normality are memoized on the instance, like
+    the socle; each call hands out new ``Subgroup`` objects.
+    """
+    if G._over_socle_cache is None:
+        Q, pi = quotient_with_epimorphism(G, socle(G))
+        subs = [Subgroup(G, tuple(np.flatnonzero(np.isin(pi.map, hq)).tolist()))
+                for hq in _all_subgroups_small(Q)]
+        subs.sort(key=lambda H: (H.order, H.elements))
+        G._over_socle_cache = [(H.elements, H.is_normal) for H in subs]
+    return [
+        Subgroup(G, elems, _is_normal=normal)
+        for elems, normal in G._over_socle_cache
+        if normal or not require_normal
+    ]
 
 
 # -- quotients ---------------------------------------------------------------

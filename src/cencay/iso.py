@@ -31,13 +31,12 @@ from .cayley import (
     CayleyScheme,
     ColorCayleyGraph,
     PrincipalSection,
-    cayley_matrix,
     cayley_wl,
     closure_rows,
+    color_keys,
     principal_section,
 )
-from .coherent import AlgebraicIso, CoherentConfiguration, restriction
-from .coherent import extend_algebraic_iso  # noqa: F401  (bound here only for bench/tracing.py WRAPS)
+from .coherent import extend_algebraic_iso, restriction  # noqa: F401  (for bench/tracing.py WRAPS)
 from .errors import CapExceededError, InternalError, InvalidInputError
 from .group import (
     FiniteGroup,
@@ -99,35 +98,19 @@ class IsoCoset:
 # -- the block group D_U -----------------------------------------------------------
 
 
-def restricted_scheme_class_row(XU: CoherentConfiguration, U: FiniteGroup) -> np.ndarray:
-    """Identity-row coloring of a restricted scheme, verified to be Cayley.
+def d_u_subgroup(u_row: np.ndarray, U: FiniteGroup) -> D2Subgroup:
+    """D(2,U) cut down to the automorphisms of the restricted scheme, the
+    Cayley scheme of ``u_row`` on U.
 
-    The restriction of a central Cayley scheme to a subgroup class is again a
-    central Cayley scheme: the color of (g, h) is the class of h*g^-1.  That
-    shape is asserted here; it is what lets D(2,U) be intersected with the
-    scheme's automorphisms by looking at the identity row only.
-    """
-    cls0 = XU.colors[0]
-    n = U.order
-    expect = cls0[U.table[np.arange(n)[None, :], U.inverse[:, None]]]
-    if not np.array_equal(expect, XU.colors):
-        raise InternalError("restricted scheme is not in Cayley form")
-    return cls0
-
-
-def d_u_subgroup(XU: CoherentConfiguration, U: FiniteGroup) -> D2Subgroup:
-    """D(2,U) cut down to the automorphisms of the restricted scheme.
-
-    Elements (alpha, t, eps) are filtered by the identity row: translations
-    are color automorphisms for free, so the plain part keeps the alphas
+    Elements (alpha, t, eps) are filtered by the row: translations are
+    color automorphisms for free, so the plain part keeps the alphas
     preserving every point class and the inverted part those matching each
     class to the class of the inverses.
     """
-    cls0 = restricted_scheme_class_row(XU, U)
     A = np.array(automorphism_group(U))
-    moved = cls0[A]  # cls0[alpha(x^-1)] = cls0[x] for all x iff moved = cls0[inverse]
-    plain = A[(moved == cls0).all(axis=1)]
-    invs = A[(moved == cls0[U.inverse]).all(axis=1)]
+    moved = u_row[A]  # u_row[alpha(x^-1)] = u_row[x] for all x iff moved = u_row[inverse]
+    plain = A[(moved == u_row).all(axis=1)]
+    invs = A[(moved == u_row[U.inverse]).all(axis=1)]
     return D2Subgroup(U, list(plain), list(invs))
 
 
@@ -143,17 +126,19 @@ class QuotientGraph:
 
     @staticmethod
     def build(gamma: ColorCayleyGraph, l_class_of: np.ndarray, m: int) -> "QuotientGraph":
-        M = gamma.arc_colors.astype(np.int64)
+        """The arcs from coset i to coset j have the quotients h * g^-1 over
+        g in L c_i and h in L c_j, and with L normal these fill the single
+        L-coset of c_j * c_i^-1; so the labels of i -> j are the colors on it."""
+        G, k = gamma.group, gamma.k
         cls = l_class_of.astype(np.int64)
-        k = gamma.k
-        combined = (cls[:, None] * m + cls[None, :]) * k + M
-        pairs = np.unique(combined)
-        label_sets = [[set() for _ in range(m)] for _ in range(m)]
-        for v in pairs:
-            cell, color = divmod(int(v), k)
-            i, j = divmod(cell, m)
-            label_sets[i][j].add(color)
-        return QuotientGraph(m, [[frozenset(s) for s in row] for row in label_sets])
+        colors: list[set] = [set() for _ in range(m)]
+        for v in np.unique(cls * k + gamma.class_of):
+            coset, color = divmod(int(v), k)
+            colors[coset].add(color)
+        labels = [frozenset(c) for c in colors]
+        _, reps = np.unique(cls, return_index=True)  # c_i: the first member of coset i
+        quotients = G.table[reps[None, :], G.inverse[reps][:, None]]  # [i, j] = c_j * c_i^-1
+        return QuotientGraph(m, [[labels[cls[q]] for q in row] for row in quotients])
 
 
 def quotient_isos(qa: QuotientGraph, qb: QuotientGraph) -> list[np.ndarray]:
@@ -203,17 +188,25 @@ class Analysis:
         return self.gamma.group, [self.gamma.class_of, sec.u_class_of == 0, sec.l_class_of == 0]
 
     @cached_property
-    def X(self) -> CoherentConfiguration:
-        """The coherent closure of the seeds, as an n x n matrix."""
+    def row(self) -> np.ndarray:
+        """The identity row of the seeds' coherent closure, checked for (C1)
+        and (C2); the fixed point of ``closure_rows`` certified (C3)."""
         (row,), _ = closure_rows([self.seeds])
-        X = CoherentConfiguration(cayley_matrix(self.gamma.group, row))
-        X.verify_light()
-        return X
+        return CayleyScheme(self.gamma.group, row).row
 
     @cached_property
-    def XU(self) -> CoherentConfiguration:
-        """X restricted to U."""
-        return restriction(self.X, self.sec.U.elements)[0]
+    def u_row(self) -> np.ndarray:
+        """The closure restricted to U, as the identity row of a Cayley scheme
+        on ``U``: the row at ``sec.U.elements``, renumbered by first
+        occurrence.  U is a seed, so no color of the row on U appears
+        outside U; that is checked."""
+        row, inside = self.row, self.sec.u_class_of == 0
+        if np.isin(row[~inside], row[inside]).any():
+            raise InternalError("U is not a union of colors of the closure")
+        _, first, inverse = np.unique(row[inside], return_index=True, return_inverse=True)
+        number = np.empty(len(first), dtype=np.int32)
+        number[np.argsort(first)] = np.arange(len(first))
+        return number[inverse]
 
     @cached_property
     def U(self) -> FiniteGroup:
@@ -221,13 +214,13 @@ class Analysis:
 
     @cached_property
     def d_u(self):
-        """D_U: Sym(U) for the symmetric type, else D(2,U) cut down to XU,
+        """D_U: Sym(U) for the symmetric type, else D(2,U) cut down to the U-row,
         both structural (no stabilizer chain)."""
         if self.sec.kind == "symmetric":
-            if self.XU.rank > 2:
+            if self.u_row.max() > 1:
                 raise InternalError("symmetric type restricted scheme must be trivial")
             return symmetric_group_on(range(self.U.order), self.U.order)
-        return d_u_subgroup(self.XU, self.U)
+        return d_u_subgroup(self.u_row, self.U)
 
     @cached_property
     def blocks(self) -> list[list[int]]:
@@ -343,11 +336,12 @@ def automorphisms(gamma: ColorCayleyGraph) -> IsoResult:
 
 @dataclass
 class SchemesWithPhi:
+    """Both analyses and dst's closure row in src's color numbering, so that
+    the algebraic isomorphism phi is the identity on colors."""
+
     src: Analysis
     dst: Analysis
-    X: CoherentConfiguration
-    Y: CoherentConfiguration
-    phi: AlgebraicIso
+    row_b: np.ndarray
 
 
 def _schemes_with_phi(src: Analysis, dst: Analysis) -> Optional[SchemesWithPhi]:
@@ -357,14 +351,13 @@ def _schemes_with_phi(src: Analysis, dst: Analysis) -> Optional[SchemesWithPhi]:
     res = closure_rows([src.seeds, dst.seeds])
     if res is None:
         return None
-    (row_a, row_b), rank = res
-    X = CoherentConfiguration(cayley_matrix(ga.group, row_a))
-    Y = CoherentConfiguration(cayley_matrix(gb.group, row_b))
-    X.verify_light()
-    Y.verify_light()
-    phi = AlgebraicIso(X, Y, np.arange(rank, dtype=np.int32))
-    phi.verify()
-    return SchemesWithPhi(src, dst, X, Y, phi)
+    (row_a, row_b), _ = res
+    if not np.array_equal(row_a, src.row):
+        raise InternalError("the lockstep renumbered the source closure")
+    row_b = CayleyScheme(gb.group, row_b).row
+    if color_keys(ga.group, row_a) != color_keys(gb.group, row_b):
+        raise InternalError("the color map fails the intersection numbers")
+    return SchemesWithPhi(src, dst, row_b)
 
 
 def schemes_with_phi(
@@ -374,10 +367,11 @@ def schemes_with_phi(
 
     The closures of the arc colors plus the U- and L-equivalences (seeded by
     the identity rows: the indicators of U and L) are refined in lockstep
-    with one shared key table (``closure_rows``); their n x n matrices X and
-    Y, needed by the restriction in step 3, are gathered from the rows.
-    Returns None when no algebraic isomorphism matches the graph colors and
-    the section equivalences (in particular when the section types differ).
+    with one shared key table (``closure_rows``), so phi is the identity on
+    the shared colors; it is checked against the intersection numbers of
+    both rows (``color_keys``).  Returns None when no algebraic isomorphism
+    matches the graph colors and the section equivalences (in particular
+    when the section types differ).
     """
     return _schemes_with_phi(analyze(gamma_a), analyze(gamma_b))
 
@@ -436,6 +430,12 @@ def c0_search(src: Analysis, dst: Analysis, psi_map: np.ndarray) -> tuple[IsoCos
     on generators) wins.  Any f_0 of C_0 gives the same coset, and an
     empty answer has exhausted the full enumeration.  Both D_U come from
     the analyses.
+
+    The relations are compared on the identity rows alone: every candidate
+    fixes 1 and conjugates U_right into D_{U'}, a group of automorphisms of
+    the restricted scheme of U', so the pair (f_0(x), f_0(y)) has the color
+    of (1, f_0(y * x^-1)) there, and f_0 maps every pair along psi iff it
+    maps the pairs (1, y).
     """
     U_a, d_u, d_u2 = src.U, src.d_u, dst.d_u
     b = U_a.order
@@ -444,10 +444,9 @@ def c0_search(src: Analysis, dst: Analysis, psi_map: np.ndarray) -> tuple[IsoCos
     if src.sec.kind == "symmetric":
         return IsoCoset(np.arange(b, dtype=np.int32)), d_u
     d_u_gens = d_u.generators
-    colors_b = dst.XU.colors
-    want = psi_map[src.XU.colors]
+    u_row_b, want = dst.u_row, psi_map[src.u_row]
     for f0 in _c0_candidates(U_a, dst.U, d_u2):
-        if not np.array_equal(colors_b[f0[:, None], f0[None, :]], want):
+        if not np.array_equal(u_row_b[f0], want):
             continue
         f0_inv = inverse_perm(f0)
         if all(f0[d[f0_inv]] in d_u2 for d in d_u_gens):
@@ -478,22 +477,19 @@ class Majorant:
 def majorant(swp: SchemesWithPhi) -> Majorant:
     """C_phi: C_id from the source analysis, representative built blockwise.
 
-    The restrictions of X and Y to U carry phi down to psi on the restricted
-    colors (``restriction`` numbers colors by first occurrence, so they equal
-    the analyses' XU).  Blocks are paired in order, identity coset to
-    identity coset (any pairing yields the same coset), and C_0's
-    representative is copied into each.
+    phi, the identity on the shared colors, comes down to psi on the colors
+    of the U-rows: a color of ``src.u_row`` goes to the color of
+    ``dst.u_row`` with the same parent color.  Blocks are paired in order,
+    identity coset to identity coset (any pairing yields the same coset),
+    and C_0's representative is copied into each.
     """
     src, dst = swp.src, swp.dst
-    XU_a, parent_a = restriction(swp.X, src.sec.U.elements)
-    _, parent_b = restriction(swp.Y, dst.sec.U.elements)
-    lookup_b = {int(p): i for i, p in enumerate(parent_b)}
-    psi_map = np.empty(XU_a.rank, dtype=np.int32)
-    for i, p in enumerate(parent_a):
-        tgt = lookup_b.get(int(swp.phi.color_map[int(p)]))
-        if tgt is None:
-            return Majorant(None, None, empty=True)
-        psi_map[i] = tgt
+    u_color_b = np.full(len(swp.row_b), -1, dtype=np.int32)  # shared color -> color of dst.u_row
+    u_color_b[swp.row_b[dst.sec.u_class_of == 0]] = dst.u_row
+    psi_map = np.empty(int(src.u_row.max()) + 1, dtype=np.int32)
+    psi_map[src.u_row] = u_color_b[src.row[src.sec.u_class_of == 0]]
+    if (psi_map < 0).any():
+        return Majorant(None, None, empty=True)
 
     c0, _ = c0_search(src, dst, psi_map)
     if c0.empty or len(src.blocks) != len(dst.blocks):

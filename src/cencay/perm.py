@@ -611,9 +611,6 @@ class RelationPartition:
     colors: np.ndarray
     n_colors: int
 
-    def color_matrix(self) -> np.ndarray:
-        return self.colors
-
 
 def orbitals(K: PermutationGroup, degree_cap: int = 1000) -> RelationPartition:
     """Orbits of the componentwise action on pairs, by flood fill."""

@@ -1,9 +1,12 @@
-"""Shared test groups, built once per session."""
+"""Shared test groups, built once per session, and n x n views of the
+closure rows that the pipeline keeps."""
 
 from functools import lru_cache
 
 import numpy as np
 
+from cencay.cayley import cayley_matrix
+from cencay.coherent import AlgebraicIso, CoherentConfiguration
 from cencay.group import (
     FiniteGroup,
     _class_fingerprints,
@@ -111,3 +114,20 @@ def isomorphisms_all(G: FiniteGroup, H: FiniteGroup) -> list[np.ndarray]:
 
     rec(0, [])
     return out
+
+
+def pair_matrices(swp):
+    """X, Y and the identity algebraic isomorphism phi of a ``SchemesWithPhi``,
+    as n x n matrices gathered from its two closure rows."""
+    X = CoherentConfiguration(cayley_matrix(swp.src.gamma.group, swp.src.row))
+    Y = CoherentConfiguration(cayley_matrix(swp.dst.gamma.group, swp.row_b))
+    X.verify_light()
+    Y.verify_light()
+    return X, Y, AlgebraicIso(X, Y, np.arange(X.rank, dtype=np.int32))
+
+
+def restricted_matrix(rec):
+    """XU, the closure restricted to U, as the |U| x |U| matrix of the U-row."""
+    XU = CoherentConfiguration(cayley_matrix(rec.U, rec.u_row))
+    XU.verify_light()
+    return XU

@@ -231,6 +231,54 @@ def test_cli_overlapping_or_empty_classes_exit2(tmp_path):
         assert main(["iso", str(path), str(path)]) == 2
 
 
+def _set(path, value):
+    """An edit of a graph payload: store value at the key path."""
+    def edit(data):
+        *head, last = path
+        for key in head:
+            data = data[key]
+        data[last] = value(data[last]) if callable(value) else value
+    return edit
+
+
+MALFORMED = {
+    "ragged table": _set(("group", "table", 3), lambda row: row[:-1]),
+    "string entry": _set(("group", "table", 2, 5), lambda x: str(x)),
+    "huge entry": _set(("group", "table", 2, 5), 2**40),
+    "float table": _set(("group", "table"), lambda t: [[x + 0.0 for x in r] for r in t]),
+    "bool entry": _set(("group", "table", 0, 1), True),
+    "string order": _set(("group", "order"), "60"),
+    "fractional order": _set(("group", "order"), 60.5),
+    "colors not a list": _set(("colors",), 7),
+    "string color element": _set(("colors", 1, 0), lambda x: str(x)),
+    "nested color element": _set(("colors", 1, 0), lambda x: [x]),
+    "names not a list": _set(("group", "names"), 5),
+}
+
+
+@pytest.mark.parametrize("edit", MALFORMED.values(), ids=list(MALFORMED))
+def test_cli_malformed_json_exit2(tmp_path, edit, capsys):
+    from cencay.cayley import build_central_cayley, partition_from_class_merge
+
+    G = builtin_group("alt5")
+    gamma = build_central_cayley(G, partition_from_class_merge(G, [[0], [1, 2], [3, 4]]))
+    data = graph_to_dict(gamma)
+    edit(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["aut", str(path)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    with pytest.raises(InvalidInputError):
+        graph_from_dict(data)
+
+
+@pytest.mark.parametrize("table", [[[0, 1.7], [1.2, 0]], [[False, True], [True, False]]])
+def test_float_or_bool_tables_are_not_truncated(table):
+    with pytest.raises(InvalidInputError):
+        group_from_dict({"table": table})
+    assert group_from_dict({"order": 2, "table": [[0, 1], [1, 0]]}).order == 2
+
+
 def test_cli_byte_stable(sym5_transp_file, capsys):
     main(["section", str(sym5_transp_file)])
     first = capsys.readouterr().out

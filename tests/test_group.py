@@ -345,6 +345,32 @@ def test_socle_and_almost_simplicity_are_memoised(monkeypatch):
         assert calls["normal_closure"] == 0
 
 
+def test_subgroups_over_socle_are_memoised(monkeypatch):
+    import cencay.group as group_mod
+
+    calls = [0]
+    original = group_mod.quotient_with_epimorphism
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(group_mod, "quotient_with_epimorphism", counted)
+    G = group_from_generators([(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)])  # S5, nothing cached yet
+    every = subgroups_over_socle(G, require_normal=False)
+    normal = subgroups_over_socle(G, require_normal=True)
+    assert calls == [1]
+    assert [H.order for H in every] == [60, 120]
+    assert [H.elements for H in normal] == [H.elements for H in every if normal_by_definition(H)]
+    assert all(H.is_normal == normal_by_definition(H) for H in every)
+    # the memo holds element tuples only, so it keeps no Subgroup alive
+    assert all(type(elems) is tuple for elems, _ in G._over_socle_cache)
+    parent = weakref.ref(G)
+    del G, every, normal
+    gc.collect()
+    assert parent() is None
+
+
 def associative_by_triples(tab):
     """The n^3 definition: (a*b)*c == a*(b*c) for all a, b, c."""
     return all(np.array_equal(tab[tab[a]], tab[a][tab]) for a in range(len(tab)))

@@ -24,7 +24,18 @@ from cencay.perm import (
     full_d2_subgroup,
     regular_representations,
 )
-from .fixture_groups import alt5, alt6, cyclic, d2_chain, pgl27, set_partitions, sym5, sym6
+from .fixture_groups import (
+    alt5,
+    alt6,
+    cyclic,
+    d2_chain,
+    pair_matrices,
+    pgl27,
+    restricted_matrix,
+    set_partitions,
+    sym5,
+    sym6,
+)
 
 
 def class_id(G, size, order):
@@ -73,7 +84,8 @@ def test_schemes_with_phi_identity():
     gam = transposition_graph()
     swp = schemes_with_phi(gam, gam)
     assert swp is not None
-    assert np.array_equal(swp.phi.color_map, np.arange(swp.X.rank))
+    X, _, phi = pair_matrices(swp)
+    assert np.array_equal(phi.color_map, np.arange(X.rank))
     assert swp.src.sec.kind == "normal"
 
 
@@ -90,7 +102,7 @@ def test_schemes_with_phi_relabelled():
     gam2 = gam.relabelled(f)
     swp = schemes_with_phi(gam, gam2)
     assert swp is not None
-    swp.phi.verify()
+    pair_matrices(swp)[2].verify()
 
 
 def test_majorant_normal_type_transpositions():
@@ -150,7 +162,7 @@ def test_c0_search_symmetric_and_normal():
     gam = coset_graph()
     swp = schemes_with_phi(gam, gam)
     rec = swp.src
-    c0, d_u = iso_mod.c0_search(rec, rec, np.arange(rec.XU.rank))
+    c0, d_u = iso_mod.c0_search(rec, rec, np.arange(restricted_matrix(rec).rank))
     assert not c0.empty
     assert d_u.order == math.factorial(60)
 
@@ -159,8 +171,9 @@ def test_c0_search_symmetric_and_normal():
     swp = schemes_with_phi(gam, gam)
     rec = swp.src
     # the pair's restriction, which carries phi down to U, is the analysis' XU
-    assert restriction(swp.X, rec.sec.U.elements)[0] == rec.XU
-    c0, d_u = iso_mod.c0_search(rec, rec, np.arange(rec.XU.rank))
+    XU = restricted_matrix(rec)
+    assert restriction(pair_matrices(swp)[0], rec.sec.U.elements)[0] == XU
+    c0, d_u = iso_mod.c0_search(rec, rec, np.arange(XU.rank))
     assert not c0.empty
     assert 14_400 <= d_u.order <= 28_800
     assert d_u.order % (2 * rec.U.order) == 0
@@ -414,12 +427,12 @@ def c0_by_enumeration(src, dst, psi_map):
     from cencay.perm import inverse_perm, regular_subgroups
 
     d_u, d_u2 = src.d_u, dst.d_u
-    want = psi_map[src.XU.colors]
+    want, colors_b = psi_map[restricted_matrix(src).colors], restricted_matrix(dst).colors
     for V in regular_subgroups(d_u2, src.U):
         beta0, auts = group_isomorphisms(src.U, _abstract_group_of_regular(V))
         for alpha in auts:
             f0 = alpha[beta0]
-            if not np.array_equal(dst.XU.colors[f0[:, None], f0[None, :]], want):
+            if not np.array_equal(colors_b[f0[:, None], f0[None, :]], want):
                 continue
             f0_inv = inverse_perm(f0)
             if all(f0[d[f0_inv]] in d_u2 for d in d_u.generators):
@@ -498,7 +511,7 @@ def test_c0_falls_back_to_the_enumeration(monkeypatch):
     gam = build_central_cayley(A5, partition_from_class_merge(A5, [[0], [1], [2], [3], [4]]))
     swp = schemes_with_phi(gam, gam)
     calls = count_calls(monkeypatch, iso_mod, "regular_subgroups")
-    rank = swp.src.XU.rank
+    rank = restricted_matrix(swp.src).rank
     # psi moves the diagonal colour 0, which no bijection can do
     psi_map = np.roll(np.arange(rank, dtype=np.int32), 1)
     c0, _ = iso_mod.c0_search(swp.src, swp.dst, psi_map)
@@ -553,6 +566,36 @@ def test_cheap_c0_candidates_map_translations_to_translations():
                 assert np.array_equal(conj, U_b.table[x, image])
             else:  # after inversion on U: right translations go to left ones
                 assert np.array_equal(conj, U_b.table[image, x])
+
+
+def test_row_c0_check_equals_the_full_check_on_every_candidate(monkeypatch):
+    # every candidate, fallback included, for the true psi, the identity and
+    # psi with two colors swapped: comparing the U-rows (length |U|) accepts
+    # exactly the candidates that the |U| x |U| comparison accepts
+    import cencay.iso as iso_mod
+
+    A5 = alt5()
+    graphs = [
+        build_central_cayley(A5, partition_from_class_merge(A5, merge))
+        for merge in ([[0], [1], [2], [3], [4]], [[0], [1], [2], [3, 4]])
+    ]
+    pairs = [(g, relabelled_graph(g, seed)) for g in graphs for seed in (3, 4)]
+    pairs += [(g, relabelled_graph(g, 0)) for g in (transposition_graph(), full_graph(sym5()))]
+    for src, dst, psi_map, _ in recorded_c0_calls(monkeypatch, pairs):
+        XU_a, XU_b = restricted_matrix(src).colors, restricted_matrix(dst).colors
+        swapped = psi_map.copy()
+        swapped[[1, 2]] = swapped[[2, 1]]
+        n_aut = len(iso_mod.automorphism_group(dst.U))
+        for psi in (psi_map, np.arange(len(psi_map)), swapped):
+            full_want, row_want = psi[XU_a], psi[src.u_row]
+            tried = passed = 0
+            for f0 in iso_mod._c0_candidates(src.U, dst.U, dst.d_u):
+                full = np.array_equal(XU_b[f0[:, None], f0[None, :]], full_want)
+                assert np.array_equal(dst.u_row[f0], row_want) == full
+                tried += 1
+                passed += full
+            assert tried > 2 * n_aut  # the fallback enumeration ran too
+            assert passed or psi is not psi_map  # the true psi has a C_0
 
 
 def complete_graph(G):
@@ -729,6 +772,44 @@ def test_aut_and_iso_test_build_no_block_action_kernel(monkeypatch):
     assert automorphisms(gam).aut_order == 28_800
     assert iso_test(gam, relabelled_graph(gam, 1)).isomorphic
     assert calls == [[0], [0]]
+
+
+def test_steps_build_no_nxn_scheme_matrix(monkeypatch):
+    # the arc colors, built here up front for the certificates, are the only
+    # n x n matrix: steps 1-3 work on closure rows
+    import cencay.cayley as cayley_mod
+    import cencay.coherent as coherent_mod
+    import cencay.iso as iso_mod
+    from cencay.cayley import CayleyScheme
+    from cencay.coherent import AlgebraicIso, CoherentConfiguration
+
+    from .fixture_groups import psl27
+
+    pairs = [(full_graph(G), relabelled_graph(full_graph(G), 1)) for G in (sym5(), psl27())]
+    for pair in pairs:
+        for gam in pair:
+            assert gam.arc_colors.shape == (gam.group.order,) * 2
+    targets = [
+        (cayley_mod, "cayley_matrix"),
+        (coherent_mod, "restriction"),
+        (AlgebraicIso, "verify"),
+        (CoherentConfiguration, "verify_light"),
+    ]
+    targets += [(iso_mod, name) for name in ("cayley_matrix", "restriction")
+                if hasattr(iso_mod, name)]
+    calls = [count_calls(monkeypatch, module, name) for module, name in targets]
+    base_calls = [0]
+    base = CayleyScheme.__dict__["base"].func
+
+    def counted_base(self):
+        base_calls[0] += 1
+        return base(self)
+
+    monkeypatch.setattr(CayleyScheme, "base", property(counted_base))
+    for a, b in pairs:
+        assert automorphisms(a).aut_order == automorphisms(b).aut_order
+        assert iso_test(a, b).isomorphic
+    assert [c[0] for c in calls] + base_calls == [0] * (len(calls) + 1)
 
 
 def test_c_id_keeps_a_structural_inner_group():

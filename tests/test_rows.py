@@ -1,9 +1,11 @@
 """The class-level row engine against the exact n x n code it replaced.
 
-``closure_rows`` (through ``cayley_wl`` and ``schemes_with_phi``) and the row
-criterion of ``compute_H0`` must give the same matrices and the same
-subgroups as exact n x n refinement: ``wl_closure``, the coset-indicator
-direct-sum test, and ``extend_algebraic_iso``.
+``closure_rows`` (through ``cayley_wl`` and ``schemes_with_phi``), the row
+criteria of ``compute_H0`` and ``compute_H1`` and the row-built quotient
+graph must give the same matrices, subgroups and labels as exact n x n
+code: ``wl_closure``, the coset-indicator direct-sum test,
+``extend_algebraic_iso``, the partial-translation generator test and the
+quotient labels read off the arc-color matrix.
 """
 
 import numpy as np
@@ -12,19 +14,23 @@ from hypothesis import strategies as st
 
 from cencay.cayley import (
     CayleyScheme,
+    coset_class_array,
     ColorCayleyGraph,
     build_central_cayley,
     cayley_matrix,
     cayley_wl,
     closure_rows,
     compute_H0,
+    compute_H1,
     partition_from_class_merge,
     principal_section,
 )
 from cencay.coherent import extend_algebraic_iso, is_boxplus_trivial, wl_closure
 from cencay.fixtures import builtin_group
 from cencay.group import ClassPartition, FiniteGroup, conjugacy_classes, socle, subgroups_over_socle
-from cencay.iso import schemes_with_phi
+from cencay.iso import QuotientGraph, schemes_with_phi
+
+from .fixture_groups import pair_matrices
 
 SMALL = ("alt5", "sym5", "psl27")
 LARGE = ("pgl27", "alt6")  # n = 336 and 360: the exact oracle takes seconds per closure
@@ -55,6 +61,40 @@ def oracle_H0(scheme):
         if is_boxplus_trivial(X, cosets):
             out.append(H)
     return out
+
+
+def oracle_H1(scheme):
+    """Normal subgroups H over the socle such that every one-sided partial
+    translation by a generator of H (x -> xh or hx on H, the identity
+    elsewhere) keeps the n x n color matrix."""
+    G = scheme.group
+    C = cayley_matrix(G, scheme.row)
+    out = []
+    for H in subgroups_over_socle(G, require_normal=True):
+        idx = np.asarray(H.elements, dtype=np.int32)
+        ok = True
+        for h in H.generators():
+            for moved in (G.table[idx, h], G.table[h, idx]):
+                p = np.arange(G.order, dtype=np.int32)
+                p[idx] = moved
+                ok = ok and np.array_equal(C[p[:, None], p[None, :]], C)
+        if ok:
+            out.append(H)
+    return out
+
+
+def oracle_quotient(gamma, l_class_of, m):
+    """Quotient labels read off the n x n arc colors: the colors of all
+    arcs from coset i to coset j."""
+    M = gamma.arc_colors.astype(np.int64)
+    cls = l_class_of.astype(np.int64)
+    k = gamma.k
+    label_sets = [[set() for _ in range(m)] for _ in range(m)]
+    for v in np.unique((cls[:, None] * m + cls[None, :]) * k + M):
+        cell, color = divmod(int(v), k)
+        i, j = divmod(cell, m)
+        label_sets[i][j].add(color)
+    return QuotientGraph(m, [[frozenset(s) for s in row] for row in label_sets])
 
 
 def equivalence_matrix(class_of):
@@ -90,6 +130,25 @@ def check_closure_and_h0(gamma):
     assert [H.elements for H in compute_H0(scheme)] == [H.elements for H in oracle_H0(scheme)]
 
 
+def check_h1_and_quotients(gamma):
+    """compute_H1 on the closure and on the raw arc-color row (not always a
+    scheme: the criterion holds for any row), and the quotient graph on the
+    cosets of L and of every normal subgroup over the socle, against their
+    n x n oracles."""
+    G = gamma.group
+    for scheme in (cayley_wl(gamma), CayleyScheme(G, gamma.class_of, verify=False)):
+        assert [H.elements for H in compute_H1(scheme)] == [
+            H.elements for H in oracle_H1(scheme)
+        ]
+    sec = principal_section(cayley_wl(gamma))
+    parts = [(sec.l_class_of, sec.m)]
+    for H in subgroups_over_socle(G, require_normal=True):
+        cosets = H.right_cosets()
+        parts.append((coset_class_array(G, cosets), len(cosets)))
+    for cls, m in parts:
+        assert QuotientGraph.build(gamma, cls, m) == oracle_quotient(gamma, cls, m)
+
+
 def check_lockstep(gamma_a, gamma_b):
     """Row lockstep and schemes_with_phi against extend_algebraic_iso."""
     sec_a = principal_section(cayley_wl(gamma_a))
@@ -115,8 +174,9 @@ def check_lockstep(gamma_a, gamma_b):
     assert rank == X.rank
     assert np.array_equal(cayley_matrix(gamma_a.group, row_a), X.colors)
     assert np.array_equal(cayley_matrix(gamma_b.group, row_b), Y.colors)
-    assert np.array_equal(swp.X.colors, X.colors)
-    assert np.array_equal(swp.Y.colors, Y.colors)
+    X_swp, Y_swp, _ = pair_matrices(swp)
+    assert np.array_equal(X_swp.colors, X.colors)
+    assert np.array_equal(Y_swp.colors, Y.colors)
 
 
 # -- tests --------------------------------------------------------------------------
@@ -137,6 +197,22 @@ def test_row_engine_matches_nxn_oracle(gamma, data):
 def test_row_engine_matches_nxn_oracle_large(gamma):
     check_closure_and_h0(gamma)
     check_lockstep(gamma, gamma)
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(class_merges(SMALL + ("pgl27",)))
+def test_row_h1_and_quotient_match_nxn_oracles(gamma):
+    check_h1_and_quotients(gamma)
+
+
+def test_row_h1_finds_a_proper_subgroup():
+    # S5 colourings with all odd classes (ids 1, 3, 6) in one color: the
+    # closure row is constant on the odd coset, so A5 passes as well as S5
+    G = builtin_group("sym5")
+    for merge in ([[0], [2], [4], [5], [1, 3, 6]], [[0], [5], [1, 2, 3, 4, 6]]):
+        gamma = build_central_cayley(G, partition_from_class_merge(G, merge))
+        check_h1_and_quotients(gamma)
+        assert [H.order for H in compute_H1(cayley_wl(gamma))] == [60, 120]
 
 
 def coset_graph(G, split_outer=False):
