@@ -32,7 +32,10 @@ def _parse_merge(spec: str) -> list[list[int]]:
         part = part.strip()
         if not part:
             raise InvalidInputError("empty merge group in --merge")
-        groups.append([int(x) for x in part.split(",")])
+        try:
+            groups.append([int(x) for x in part.split(",")])
+        except ValueError:
+            raise InvalidInputError(f"--merge entries must be class indices: {part!r}") from None
     return groups
 
 

@@ -3,7 +3,14 @@
 Permutations are numpy int32 image arrays; ``compose(p, q)`` applies p first.
 Groups carry a deterministic stabilizer chain (base points are smallest moved
 points, transversals breadth-first), so orders, membership tests and element
-enumeration are reproducible across runs.
+enumeration are reproducible across runs.  Each chain level holds its orbit,
+a point-to-orbit-index array and its inverse transversal as one int32 matrix
+with a row per orbit point; forward rows are derived from it when needed.
+Completion is batched: Schreier generators are formed 32 at a time with one
+gather and sifted together level by level, in the order of the textbook
+one-at-a-time loop, so the chain is the same as that loop would build.
+``reduce_generators`` sifts its candidates through one chain and extends it
+in place for each generator it keeps.
 
 Three groups are kept structural instead: the symmetric group on a point
 set, the wreath product B wr T on a block system, and the subgroups of
@@ -19,7 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -54,8 +61,16 @@ def inverse_perm(p: Perm) -> Perm:
     return out
 
 
+@lru_cache(maxsize=64)
+def _identity(n: int) -> Perm:
+    """The identity of degree n, shared and read-only."""
+    ident = identity_perm(n)
+    ident.setflags(write=False)
+    return ident
+
+
 def is_identity(p: Perm) -> bool:
-    return bool(np.array_equal(p, np.arange(len(p), dtype=p.dtype)))
+    return bool((p == _identity(len(p))).all())
 
 
 def uniform_cycle_length(p: Perm) -> Optional[int]:
@@ -106,20 +121,80 @@ def _member_candidate(p, degree: int) -> Optional[Perm]:
 
 # -- stabilizer chain ---------------------------------------------------------
 
+# Schreier generators are formed and sifted this many at a time, so the
+# temporaries of a completion step stay O(32 * degree)
+_CHUNK = 32
+
 
 class _Level:
-    __slots__ = ("base", "gens", "trans", "trans_inv", "points")
+    """One level of the chain: the orbit of ``base`` under the strong
+    generators of this level and the deeper ones, and its inverse transversal.
 
-    def __init__(self, base: int):
+    ``inv[k]`` is u^-1 for the transversal element u taking ``base`` to
+    ``points[k]``; ``pos`` maps a point to its orbit index (-1 outside the
+    orbit).  Forward rows are the inverses of these rows, made on demand.
+    """
+
+    __slots__ = ("base", "gens", "points", "pos", "inv")
+
+    def __init__(self, base: int, degree: int):
         self.base = base
         self.gens: list[Perm] = []  # strong generators first stuck at this level
-        self.trans: dict[int, Perm] = {}
-        self.trans_inv: dict[int, Perm] = {}
-        self.points: list[int] = []  # orbit in discovery order
+        self.points = np.array([base], dtype=np.int32)  # orbit in discovery order
+        self.pos = np.full(degree, -1, dtype=np.int32)
+        self.pos[base] = 0
+        self.inv = identity_perm(degree)[None, :]
+
+    def reach(self, gens: np.ndarray, frontier: np.ndarray) -> np.ndarray:
+        """Append the new points gens take the frontier to, in queue order
+        (by frontier point, then generator), each with u^-1 = g^-1 u_a^-1;
+        returns their orbit indices."""
+        images = gens[:, self.points[frontier]].T.ravel()
+        fresh = np.flatnonzero(self.pos[images] < 0)
+        if not len(fresh):
+            return fresh
+        _, first = np.unique(images[fresh], return_index=True)
+        fresh = fresh[np.sort(first)]
+        src, via = np.divmod(fresh, len(gens))
+        start = len(self.points)
+        self.points = np.concatenate([self.points, images[fresh]])
+        self.pos[images[fresh]] = np.arange(start, len(self.points), dtype=np.int32)
+        rows = _rows_of(self.inv, frontier[src], _invert_rows(gens[via]))
+        self.inv = np.concatenate([self.inv, rows])
+        return np.arange(start, len(self.points))
+
+
+def _rows_of(table: np.ndarray, which: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """table[which[r]][rows[r]] for every r: each row followed by a table row.
+
+    One flat ``np.take``; a two-axis fancy index is several times slower on
+    the 32-row batches of the chain.
+    """
+    return np.take(table, which.astype(np.intp)[:, None] * table.shape[1] + rows)
+
+
+def _invert_rows(rows: np.ndarray) -> np.ndarray:
+    """The inverse of every row of a permutation matrix."""
+    out = np.empty_like(rows)
+    out[np.arange(len(rows))[:, None], rows] = _identity(rows.shape[1])
+    return out
+
+
+def _is_identity_rows(rows: np.ndarray) -> np.ndarray:
+    return (rows == _identity(rows.shape[1])).all(axis=1)
 
 
 class PermutationGroup:
     """Permutation group with a deterministic stabilizer chain.
+
+    Each level keeps its orbit in breadth-first discovery order and its
+    inverse transversal as one int32 matrix, one row per orbit point (see
+    ``_Level``).  Schreier–Sims completion (Seress, *Permutation Group
+    Algorithms*, 2003, ch. 4) walks each level's (orbit point, generator)
+    pairs in order, but forms their Schreier generators 32 at a time with
+    one gather and sifts them together; the first one with a nonidentity
+    residue becomes a strong generator, exactly as a one-at-a-time loop
+    would choose.
 
     ``known_order`` is an optional externally certified order: chain
     construction stops as soon as the transversal product reaches it.  The
@@ -153,66 +228,103 @@ class PermutationGroup:
             out.extend(lv.gens)
         return out
 
-    def _extend_orbit(self, i: int, new_gen: Optional[Perm] = None) -> None:
-        """BFS-extend the level transversal.
+    def _extend_orbit(self, i: int, new_gen: Perm) -> None:
+        """Breadth-first extension of the level orbit after new_gen arrived.
 
         Existing points were already saturated under the old generators, so
-        when a single new generator arrives only it is applied to them; newly
-        reached points are expanded under the full effective generator set.
+        only new_gen is applied to them; newly reached points are expanded
+        under the full effective generator set, one BFS layer per step.
         """
         lv = self._levels[i]
-        if lv.base not in lv.trans:
-            ident = identity_perm(self.degree)
-            lv.trans[lv.base] = ident
-            lv.trans_inv[lv.base] = ident
-            lv.points.append(lv.base)
-        gens = self._effective_gens(i)
-
-        def reach(a: int, g: Perm) -> None:
-            b = int(g[a])
-            if b not in lv.trans:
-                ub = compose(lv.trans[a], g)
-                lv.trans[b] = ub
-                lv.trans_inv[b] = inverse_perm(ub)
-                lv.points.append(b)
-                queue.append(b)
-
-        queue: list[int] = []
-        if new_gen is not None:
-            for a in list(lv.points):
-                reach(a, new_gen)
-        else:
-            queue = list(lv.points)
-        head = 0
-        while head < len(queue):
-            a = queue[head]
-            head += 1
-            for g in gens:
-                reach(a, g)
+        frontier = lv.reach(new_gen[None, :], np.arange(len(lv.points)))
+        if len(frontier):  # most calls reach nothing new: skip stacking the generators
+            gens = np.stack(self._effective_gens(i))
+            while len(frontier):
+                frontier = lv.reach(gens, frontier)
 
     def _strip(self, p: Perm, start: int = 0) -> tuple[Perm, int]:
         for i in range(start, len(self._levels)):
             lv = self._levels[i]
-            d = int(p[lv.base])
-            v = lv.trans_inv.get(d)
-            if v is None:
+            k = lv.pos[p[lv.base]]
+            if k < 0:
                 return p, i
-            p = compose(p, v)
+            p = lv.inv[k][p]
         return p, len(self._levels)
+
+    def _strip_rows(self, rows: np.ndarray, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """Sift every row together: the residues and the level each stopped at."""
+        res = np.empty_like(rows)
+        stop = np.full(len(rows), len(self._levels))
+        live = np.arange(len(rows))
+        for i in range(start, len(self._levels)):
+            lv = self._levels[i]
+            k = lv.pos[rows[:, lv.base]]
+            out = k < 0
+            if out.any():
+                res[live[out]], stop[live[out]] = rows[out], i
+                live, rows, k = live[~out], rows[~out], k[~out]
+            rows = _rows_of(lv.inv, k, rows)
+        res[live] = rows
+        return res, stop
+
+    def _first_residue(self, rows: np.ndarray, start: int) -> Optional[tuple[int, Perm, int]]:
+        """(index, residue, level) of the first row that does not sift to
+        the identity from level start on, or None if every row does."""
+        res, stop = self._strip_rows(rows, start)
+        # a row that stopped early moves that level's base point
+        out = (stop < len(self._levels)) | ~_is_identity_rows(res)
+        if not out.any():
+            return None
+        r = int(np.argmax(out))
+        return r, res[r], int(stop[r])
 
     def _chain_order(self) -> int:
         o = 1
         for lv in self._levels:
-            o *= len(lv.trans)
+            o *= len(lv.points)
         return o
 
     def _add_strong_gen(self, j: int, g: Perm) -> None:
         if j == len(self._levels):
-            moved = int(np.nonzero(g != np.arange(self.degree, dtype=np.int32))[0][0])
-            self._levels.append(_Level(moved))
+            moved = int(np.flatnonzero(g != _identity(self.degree))[0])
+            self._levels.append(_Level(moved, self.degree))
         self._levels[j].gens.append(g)
         for i in range(j, -1, -1):
-            self._extend_orbit(i, new_gen=g)
+            self._extend_orbit(i, g)
+
+    def _schreier_residue(self, i: int) -> Optional[tuple[int, Perm, int]]:
+        """The first Schreier generator of level i, in (orbit point,
+        generator) order, that does not sift through the deeper levels."""
+        lv = self._levels[i]
+        gens = np.stack(self._effective_gens(i))
+        pairs = len(lv.points) * len(gens)
+        for lo in range(0, pairs, _CHUNK):
+            a, via = np.divmod(np.arange(lo, min(lo + _CHUNK, pairs)), len(gens))
+            u = _invert_rows(lv.inv[a[0] : a[-1] + 1])  # the chunk's few orbit points
+            ug = _rows_of(gens, via, u[a - a[0]])  # u_a g
+            sg = _rows_of(lv.inv, lv.pos[ug[:, lv.base]], ug)  # u_a g u_b^-1
+            sg = sg[~_is_identity_rows(sg)]
+            hit = self._first_residue(sg, i + 1) if len(sg) else None
+            if hit is not None:
+                return hit
+        return None
+
+    def _complete(self, i: int, target: Optional[int]) -> bool:
+        """Schreier–Sims on levels i, i-1, ..., 0; the levels deeper than i
+        must already be complete.  True if the chain order reached target."""
+        while i >= 0:
+            hit = self._schreier_residue(i)
+            if hit is None:
+                i -= 1
+                continue
+            _, r, j = hit
+            if j <= i:
+                raise InternalError("sift residue above its level")
+            self._add_strong_gen(j, r)
+            if target is not None and self._chain_order() == target:
+                return True
+            i = j
+        return False
 
     def _ensure_chain(self) -> None:
         if self._levels is not None:
@@ -233,38 +345,23 @@ class PermutationGroup:
             if self._randomized_descent(target):
                 self._order = target
                 return
-        i = len(self._levels) - 1
-        while i >= 0:
-            lv = self._levels[i]
-            gens = self._effective_gens(i)
-            restart = False
-            for a in list(lv.points):
-                ua = lv.trans[a]
-                for g in gens:
-                    b = int(g[a])
-                    sg = compose(compose(ua, g), lv.trans_inv[b])
-                    if is_identity(sg):
-                        continue
-                    r, j = self._strip(sg, i + 1)
-                    if not is_identity(r):
-                        if j <= i:
-                            raise InternalError("sift residue above its level")
-                        self._add_strong_gen(j, r)
-                        if target is not None and self._chain_order() == target:
-                            self._order = target
-                            return
-                        i = j
-                        restart = True
-                        break
-                if restart:
-                    break
-            if not restart:
-                i -= 1
+        if self._complete(len(self._levels) - 1, target):
+            self._order = target
+            return
         self._order = self._chain_order()
         if target is not None and self._order != target:
             raise InternalError(
                 f"chain order {self._order} disagrees with certified order {target}"
             )
+
+    def _adjoin(self, p: Perm) -> None:
+        """Add a generator from outside the group to a built chain, and
+        complete the chain again."""
+        self.generators.append(p)
+        r, j = self._strip(p)
+        self._add_strong_gen(j, r)
+        self._complete(j, None)
+        self._order = self._chain_order()
 
     def _randomized_descent(self, target: int, max_rounds: int = 200_000) -> bool:
         """Fill the chain from seeded product-replacement samples.
@@ -313,17 +410,14 @@ class PermutationGroup:
         if self.order > cap:
             raise CapExceededError(f"group of order {self.order} exceeds element cap")
         levels = self._levels
-        if not levels:
-            yield identity_perm(self.degree)
-            return
+        forward = [_invert_rows(lv.inv) for lv in levels]
 
         def rec(i: int) -> Iterator[Perm]:
             if i == len(levels):
                 yield identity_perm(self.degree)
                 return
             for e in rec(i + 1):
-                for pt in levels[i].points:
-                    yield compose(e, levels[i].trans[pt])
+                yield from forward[i][:, e]  # e u for every transversal row u
 
         yield from rec(0)
 
@@ -335,17 +429,30 @@ class PermutationGroup:
 
 
 def reduce_generators(gens: Iterable[Sequence[int]], degree: int) -> list[Perm]:
-    """Drop generators already generated by the kept ones (membership sifts)."""
+    """Drop generators already generated by the kept ones.
+
+    Candidates are sifted 32 at a time through one chain of the kept ones;
+    the first that does not sift to the identity is kept and adjoined to
+    that same chain, and sifting resumes after it.
+    """
+    cands = [as_perm(g, degree) for g in gens]
     kept: list[Perm] = []
-    group: Optional[PermutationGroup] = None
-    for g in gens:
-        p = as_perm(g, degree)
-        if is_identity(p):
+    group = PermutationGroup([], degree)
+    group._ensure_chain()
+    lo = 0
+    while lo < len(cands):
+        chunk = cands[lo : lo + _CHUNK]
+        rows = np.stack(chunk)
+        if rows.ndim != 2 or not _is_identity_rows(np.sort(rows, axis=1)).all():
+            raise InvalidInputError("images are not a bijection")
+        hit = group._first_residue(rows, 0)
+        if hit is None:
+            lo += len(chunk)
             continue
-        if group is not None and p in group:
-            continue
-        kept.append(p)
-        group = PermutationGroup(kept, degree)
+        r = hit[0]
+        kept.append(chunk[r])
+        group._adjoin(chunk[r])
+        lo += r + 1
     return kept
 
 

@@ -1,7 +1,9 @@
-"""Shared test groups, built once per session, and n x n views of the
-closure rows that the pipeline keeps."""
+"""Shared test groups, built once per session, n x n views of the
+closure rows that the pipeline keeps, and the dict-based stabilizer chain
+that the batched chain replaced."""
 
 from functools import lru_cache
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -14,7 +16,18 @@ from cencay.group import (
     greedy_generators,
     group_from_generators,
 )
-from cencay.perm import PermutationGroup
+from cencay.errors import CapExceededError, InternalError, InvalidInputError
+from cencay.perm import (
+    ELEMENT_CAP,
+    Perm,
+    PermutationGroup,
+    _member_candidate,
+    as_perm,
+    compose,
+    identity_perm,
+    inverse_perm,
+    is_identity,
+)
 
 
 @lru_cache(maxsize=None)
@@ -131,3 +144,252 @@ def restricted_matrix(rec):
     XU = CoherentConfiguration(cayley_matrix(rec.U, rec.u_row))
     XU.verify_light()
     return XU
+
+
+# -- the dict-based stabilizer chain ---------------------------------------------
+
+
+class DictLevel:
+    __slots__ = ("base", "gens", "trans", "trans_inv", "points")
+
+    def __init__(self, base: int):
+        self.base = base
+        self.gens: list[Perm] = []  # strong generators first stuck at this level
+        self.trans: dict[int, Perm] = {}
+        self.trans_inv: dict[int, Perm] = {}
+        self.points: list[int] = []  # orbit in discovery order
+
+
+class DictChainGroup:
+    """The dict-based stabilizer chain: per-point forward and inverse
+    transversal dicts, one Schreier generator formed and sifted at a time.
+    The oracle for ``PermutationGroup``'s batched chain, which must build
+    the same levels (bases, orbits in order, inverse transversals).
+
+    ``known_order`` is an optional externally certified order: chain
+    construction stops as soon as the transversal product reaches it.  The
+    product of transversal sizes never exceeds the true order of the
+    generated group, so reaching the target proves the chain is complete.
+    """
+
+    def __init__(
+        self,
+        generators: Iterable[Sequence[int]],
+        degree: int,
+        known_order: Optional[int] = None,
+    ):
+        self.degree = int(degree)
+        self.generators: list[Perm] = []
+        for g in generators:
+            p = _member_candidate(g, self.degree)
+            if p is None:
+                raise InvalidInputError("images are not a bijection")
+            if not is_identity(p):
+                self.generators.append(p)
+        self._known_order = known_order
+        self._levels: Optional[list[DictLevel]] = None
+        self._order: Optional[int] = None
+
+    # -- chain construction ------------------------------------------------
+
+    def _effective_gens(self, i: int) -> list[Perm]:
+        out = []
+        for lv in self._levels[i:]:
+            out.extend(lv.gens)
+        return out
+
+    def _extend_orbit(self, i: int, new_gen: Optional[Perm] = None) -> None:
+        """BFS-extend the level transversal.
+
+        Existing points were already saturated under the old generators, so
+        when a single new generator arrives only it is applied to them; newly
+        reached points are expanded under the full effective generator set.
+        """
+        lv = self._levels[i]
+        if lv.base not in lv.trans:
+            ident = identity_perm(self.degree)
+            lv.trans[lv.base] = ident
+            lv.trans_inv[lv.base] = ident
+            lv.points.append(lv.base)
+        gens = self._effective_gens(i)
+
+        def reach(a: int, g: Perm) -> None:
+            b = int(g[a])
+            if b not in lv.trans:
+                ub = compose(lv.trans[a], g)
+                lv.trans[b] = ub
+                lv.trans_inv[b] = inverse_perm(ub)
+                lv.points.append(b)
+                queue.append(b)
+
+        queue: list[int] = []
+        if new_gen is not None:
+            for a in list(lv.points):
+                reach(a, new_gen)
+        else:
+            queue = list(lv.points)
+        head = 0
+        while head < len(queue):
+            a = queue[head]
+            head += 1
+            for g in gens:
+                reach(a, g)
+
+    def _strip(self, p: Perm, start: int = 0) -> tuple[Perm, int]:
+        for i in range(start, len(self._levels)):
+            lv = self._levels[i]
+            d = int(p[lv.base])
+            v = lv.trans_inv.get(d)
+            if v is None:
+                return p, i
+            p = compose(p, v)
+        return p, len(self._levels)
+
+    def _chain_order(self) -> int:
+        o = 1
+        for lv in self._levels:
+            o *= len(lv.trans)
+        return o
+
+    def _add_strong_gen(self, j: int, g: Perm) -> None:
+        if j == len(self._levels):
+            moved = int(np.nonzero(g != np.arange(self.degree, dtype=np.int32))[0][0])
+            self._levels.append(DictLevel(moved))
+        self._levels[j].gens.append(g)
+        for i in range(j, -1, -1):
+            self._extend_orbit(i, new_gen=g)
+
+    def _ensure_chain(self) -> None:
+        if self._levels is not None:
+            return
+        self._levels = []
+        target = self._known_order
+        for g in self.generators:
+            r, j = self._strip(g)
+            if not is_identity(r):
+                self._add_strong_gen(j, r)
+        if target is not None:
+            if self._chain_order() == target:
+                self._order = target
+                return
+            # certified order: fill the chain by sifting pseudo-random
+            # products; every transversal entry is a genuine word in the
+            # generators, so reaching the target order proves completeness
+            if self._randomized_descent(target):
+                self._order = target
+                return
+        i = len(self._levels) - 1
+        while i >= 0:
+            lv = self._levels[i]
+            gens = self._effective_gens(i)
+            restart = False
+            for a in list(lv.points):
+                ua = lv.trans[a]
+                for g in gens:
+                    b = int(g[a])
+                    sg = compose(compose(ua, g), lv.trans_inv[b])
+                    if is_identity(sg):
+                        continue
+                    r, j = self._strip(sg, i + 1)
+                    if not is_identity(r):
+                        if j <= i:
+                            raise InternalError("sift residue above its level")
+                        self._add_strong_gen(j, r)
+                        if target is not None and self._chain_order() == target:
+                            self._order = target
+                            return
+                        i = j
+                        restart = True
+                        break
+                if restart:
+                    break
+            if not restart:
+                i -= 1
+        self._order = self._chain_order()
+        if target is not None and self._order != target:
+            raise InternalError(
+                f"chain order {self._order} disagrees with certified order {target}"
+            )
+
+    def _randomized_descent(self, target: int, max_rounds: int = 200_000) -> bool:
+        """Fill the chain from seeded product-replacement samples.
+
+        Returns True once the transversal product reaches the target.  A
+        False return falls back to deterministic Schreier processing, so a
+        wrong target can only ever slow things down, never falsify an order.
+        """
+        if not self.generators:
+            return self._chain_order() == target
+        rng = np.random.default_rng(0xD15C0)
+        pool = [g.copy() for g in self.generators]
+        while len(pool) < 6:
+            pool.append(identity_perm(self.degree))
+        accum = identity_perm(self.degree)
+        for _ in range(max_rounds):
+            i = int(rng.integers(len(pool)))
+            j = int(rng.integers(len(pool)))
+            if i != j:
+                pool[i] = compose(pool[i], pool[j])
+            accum = compose(accum, pool[i])
+            r, lvl = self._strip(accum)
+            if not is_identity(r):
+                self._add_strong_gen(lvl, r)
+                if self._chain_order() == target:
+                    return True
+        return False
+
+    # -- queries -------------------------------------------------------------
+
+    @property
+    def order(self) -> int:
+        self._ensure_chain()
+        return self._order
+
+    def __contains__(self, p) -> bool:
+        r = _member_candidate(p, self.degree)
+        if r is None:
+            return False
+        self._ensure_chain()
+        return is_identity(self._strip(r)[0])
+
+    def elements(self, cap: int = ELEMENT_CAP) -> Iterator[Perm]:
+        """All elements, deterministically ordered by transversal digits."""
+        self._ensure_chain()
+        if self.order > cap:
+            raise CapExceededError(f"group of order {self.order} exceeds element cap")
+        levels = self._levels
+        if not levels:
+            yield identity_perm(self.degree)
+            return
+
+        def rec(i: int) -> Iterator[Perm]:
+            if i == len(levels):
+                yield identity_perm(self.degree)
+                return
+            for e in rec(i + 1):
+                for pt in levels[i].points:
+                    yield compose(e, levels[i].trans[pt])
+
+        yield from rec(0)
+
+    def element_rows(self, cap: int = ELEMENT_CAP) -> np.ndarray:
+        return np.array(list(self.elements(cap)), dtype=np.int32)
+
+    def __repr__(self) -> str:
+        return f"DictChainGroup(degree={self.degree}, gens={len(self.generators)})"
+
+
+def dict_reduce_generators(gens: Iterable[Sequence[int]], degree: int) -> list[Perm]:
+    """Drop generators already generated by the kept ones, rebuilding a
+    chain per kept generator: the oracle for ``reduce_generators``."""
+    kept: list[Perm] = []
+    group: Optional[DictChainGroup] = None
+    for g in gens:
+        p = as_perm(g, degree)
+        if is_identity(p):
+            continue
+        if group is not None and p in group:
+            continue
+        kept.append(p)
+        group = DictChainGroup(kept, degree)
+    return kept

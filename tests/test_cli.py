@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cencay
 from cencay.cli import main
 from cencay import iso
 from cencay.errors import InternalError, InvalidInputError
@@ -284,3 +289,25 @@ def test_cli_byte_stable(sym5_transp_file, capsys):
     first = capsys.readouterr().out
     main(["section", str(sym5_transp_file)])
     assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("merge", ["0;a;2,3,4", "0;1.5;2,3,4"])
+def test_cli_non_integer_merge_exit2(tmp_path, merge, capsys):
+    gpath = tmp_path / "a5.json"
+    save_group(builtin_group("alt5"), gpath)
+    out = tmp_path / "g.json"
+    assert main(["graph", "--group", str(gpath), "--merge", merge, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "class indices" in err
+    assert not out.exists()
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(cencay.__file__).resolve().parent.parent
+    path = [str(src)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    done = subprocess.run(
+        [sys.executable, "-m", "cencay", "group", "alt5"], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "alt5: order 60"

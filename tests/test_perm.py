@@ -11,7 +11,6 @@ from cencay.group import conjugacy_classes, group_from_generators, socle
 from cencay.iso import analyze
 from cencay.perm import (
     PermutationGroup,
-    _Level,
     _candidate_pools_parametric,
     block_action_with_kernel,
     compose,
@@ -29,7 +28,7 @@ from cencay.perm import (
     uniform_cycle_length,
     wreath_group_on_blocks,
 )
-from .fixture_groups import alt5, d2_chain, sym5
+from .fixture_groups import DictChainGroup, DictLevel, alt5, d2_chain, sym5
 
 
 def test_chain_order_s5():
@@ -220,12 +219,15 @@ def test_wreath_chain_giant_symmetric():
 
 
 def _chain_levels(group):
+    """The dict-based chain's levels, for a group of either chain type."""
+    if not isinstance(group, DictChainGroup):
+        group = DictChainGroup(group.generators, group.degree, known_order=group._known_order)
     group._ensure_chain()
     return group._levels
 
 
 def _chain_group(gens, degree, levels):
-    group = PermutationGroup(gens, degree)
+    group = DictChainGroup(gens, degree)
     group._levels = levels
     group._order = math.prod(len(lv.trans) for lv in levels)
     return group
@@ -238,7 +240,7 @@ def chain_symmetric_group_on(points, degree):
     ident = identity_perm(degree)
     levels = []
     for i in range(k - 1):
-        lv = _Level(pts[i])
+        lv = DictLevel(pts[i])
         lv.trans[pts[i]] = ident
         lv.trans_inv[pts[i]] = ident
         lv.points.append(pts[i])
@@ -284,7 +286,7 @@ def chain_wreath_group_on_blocks(inner, blocks, top, degree):
     def add_inner_stage(beta, top_level):
         blk = blocks[beta]
         for nu, ilv in enumerate(inner_levels):
-            lv = _Level(blk[ilv.base])
+            lv = DictLevel(blk[ilv.base])
             if nu == 0 and top_level is not None:
                 for gamma_pt in top_level.points:
                     tau = top_level.trans[gamma_pt]
