@@ -49,11 +49,11 @@ def _cmd_group(args) -> int:
 
 def _cmd_classes(args) -> int:
     G = files.load_group(args.groupfile)
-    cc = group.conjugacy_classes(G)
+    cc, orders = group.conjugacy_classes(G), group.element_orders(G)
     for i, cls in enumerate(cc.classes):
         rep = cls[0]
         name = G.names[rep] if G.names else str(rep)
-        print(f"{i}\tsize {len(cls)}\torder {G.element_order(rep)}\trep {name}")
+        print(f"{i}\tsize {len(cls)}\torder {orders[rep]}\trep {name}")
     return EXIT_OK
 
 

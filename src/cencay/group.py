@@ -22,7 +22,12 @@ class FiniteGroup:
     """A group of order n given by its n x n multiplication table.
 
     ``table[a][b]`` is the index of a*b, index 0 is the identity.
-    Instances are immutable after construction and safe to share.
+    Instances are immutable after construction and safe to share.  Each
+    instance memoizes what is derived from it once: the conjugacy classes,
+    ``greedy_generators``, the socle, the subgroups over it, almost
+    simplicity and Aut(G).  The memos hold element tuples and arrays only,
+    never a ``Subgroup``, so they make no reference cycle.  Subgroups are
+    closed breadth first with one gather per layer (``closure``).
     """
 
     def __init__(self, table, names: Optional[Sequence[str]] = None, check: bool = True):
@@ -43,6 +48,8 @@ class FiniteGroup:
         self.table.setflags(write=False)
         self.inverse.setflags(write=False)
         self._aut_cache: Optional[list[np.ndarray]] = None
+        self._classes_cache: Optional[tuple[tuple[int, ...], ...]] = None
+        self._generators_cache: Optional[tuple[int, ...]] = None
         # the socle's elements, not a Subgroup: that would point back here
         # and leave the table to the cycle collector
         self._socle_cache: Optional[tuple[int, ...]] = None
@@ -92,13 +99,6 @@ class FiniteGroup:
     def conj(self, x: int, g: int) -> int:
         """g^-1 * x * g."""
         return int(self.table[self.table[self.inverse[g], x], g])
-
-    def element_order(self, x: int) -> int:
-        k, y = 1, x
-        while y != 0:
-            y = int(self.table[y, x])
-            k += 1
-        return k
 
     @property
     def is_abelian(self) -> bool:
@@ -212,7 +212,10 @@ class Subgroup:
         return FiniteGroup(sub_tab, names=names, check=False), elems
 
     def generators(self) -> list[int]:
-        """Greedy short generating sequence of the subgroup (parent indices)."""
+        """Greedy short generating sequence of the subgroup (parent indices);
+        the whole group's is the parent's own, memoized there."""
+        if self.order == self.parent.order:
+            return greedy_generators(self.parent)
         H, elems = self.as_group()
         return [elems[i] for i in greedy_generators(H)]
 
@@ -306,19 +309,28 @@ def perm_cycle_string(p: Sequence[int]) -> str:
 
 
 def conjugacy_classes(G: FiniteGroup) -> ClassPartition:
-    """Conjugacy classes, ordered by (size, smallest member)."""
-    n, tab, inv = G.order, G.table, G.inverse
-    seen = np.zeros(n, dtype=bool)
-    classes = []
-    all_g = np.arange(n)
-    for x in range(n):
-        if seen[x]:
-            continue
-        orbit = np.unique(tab[tab[inv, x], all_g])
-        seen[orbit] = True
-        classes.append(tuple(int(v) for v in orbit))
-    classes.sort(key=lambda c: (len(c), c[0]))
-    return ClassPartition(tuple(classes))
+    """Conjugacy classes, ordered by (size, smallest member); each element's
+    class is labelled by its smallest conjugate, one column minimum of the
+    conjugation table (memoized on the instance)."""
+    if G._classes_cache is None:
+        label = _conjugation_table(G).min(axis=0)
+        members = np.argsort(label, kind="stable")  # grouped by label, ascending
+        reps, sizes = np.unique(label, return_counts=True)
+        classes = np.split(members, np.cumsum(sizes)[:-1])
+        G._classes_cache = tuple(tuple(classes[i].tolist()) for i in np.lexsort((reps, sizes)))
+    return ClassPartition(G._classes_cache)
+
+
+def element_orders(G: FiniteGroup) -> np.ndarray:
+    """The order of every element: y <- y*x for every x whose power y is
+    not yet the identity, one gather per step."""
+    orders = np.ones(G.order, dtype=np.int64)
+    x = y = np.arange(1, G.order)
+    while len(x):
+        orders[x] += 1
+        y = G.table[y, x]
+        x, y = x[y != 0], y[y != 0]
+    return orders
 
 
 def is_central(G: FiniteGroup, row: np.ndarray) -> bool:
@@ -336,21 +348,21 @@ def is_central(G: FiniteGroup, row: np.ndarray) -> bool:
 
 
 def closure(G: FiniteGroup, seed: Iterable[int]) -> tuple[int, ...]:
-    """Subgroup generated by a seed set, as a sorted element tuple."""
-    tab = G.table
-    members = {0}
-    queue = [0]
-    seed = [s for s in dict.fromkeys(seed)]
-    head = 0
-    while head < len(queue):
-        e = queue[head]
-        head += 1
-        for s in seed:
-            w = int(tab[e, s])
-            if w not in members:
-                members.add(w)
-                queue.append(w)
-    return tuple(sorted(members))
+    """Subgroup generated by a seed set, as a sorted element tuple.
+
+    Breadth first from the identity: each layer marks the frontier's rows of
+    ``table[:, seed]`` in one gather, and the newly marked elements are the
+    next frontier.
+    """
+    step = G.table[:, np.unique(np.fromiter(seed, dtype=np.int64))]
+    member = np.zeros(G.order, dtype=bool)
+    member[0] = True
+    frontier = np.zeros(1, dtype=np.int64)
+    while len(frontier):
+        before = member.copy()
+        member[step[frontier]] = True
+        frontier = np.flatnonzero(member > before)
+    return tuple(np.flatnonzero(member).tolist())
 
 
 def normal_closure(G: FiniteGroup, x: int) -> tuple[int, ...]:
@@ -500,28 +512,27 @@ def quotient_with_epimorphism(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup,
 
 def greedy_generators(G: FiniteGroup) -> list[int]:
     """Short generating sequence: start from a maximal-order element, then
-    greedily add the element that grows the closure most (ties: smallest index).
+    greedily add the element that grows the closure most (ties: smallest
+    index).  Memoized on the instance; each call hands out a new list.
     """
-    if G.order == 1:
-        return []
-    orders = [G.element_order(x) for x in range(G.order)]
-    best = max(range(1, G.order), key=lambda x: (orders[x], -x))
-    gens = [best]
-    current = closure(G, gens)
-    while len(current) < G.order:
-        mem = set(current)
-        best_x, best_len = -1, len(current)
-        for x in range(1, G.order):
-            if x in mem:
-                continue
-            ln = len(closure(G, gens + [x]))
-            if ln > best_len:
-                best_x, best_len = x, ln
-                if ln == G.order:
-                    break
-        gens.append(best_x)
+    if G._generators_cache is None:
+        gens = [int(np.argmax(element_orders(G)))] if G.order > 1 else []
         current = closure(G, gens)
-    return gens
+        while len(current) < G.order:
+            mem = set(current)
+            best_x, best_len = -1, len(current)
+            for x in range(1, G.order):
+                if x in mem:
+                    continue
+                ln = len(closure(G, gens + [x]))
+                if ln > best_len:
+                    best_x, best_len = x, ln
+                    if ln == G.order:
+                        break
+            gens.append(best_x)
+            current = closure(G, gens)
+        G._generators_cache = tuple(gens)
+    return list(G._generators_cache)
 
 
 def _class_fingerprints(G: FiniteGroup) -> tuple[np.ndarray, dict]:
@@ -533,7 +544,7 @@ def _class_fingerprints(G: FiniteGroup) -> tuple[np.ndarray, dict]:
     part = conjugacy_classes(G)
     cls_of = part.class_of_array(G.order)
     sizes = [len(c) for c in part.classes]
-    orders = [G.element_order(c[0]) for c in part.classes]
+    orders = element_orders(G)[[c[0] for c in part.classes]].tolist()
     base = {i: (orders[i], sizes[i]) for i in range(part.k)}
     fps = {}
     for i, cls in enumerate(part.classes):
@@ -589,9 +600,12 @@ def _extend_partial_map(
 
 
 def _conjugation_table(G: FiniteGroup) -> np.ndarray:
-    """conj[h, x] = h^-1 x h: row h is the inner automorphism by h."""
-    x = np.arange(G.order)
-    return G.table[G.table[G.inverse[:, None], x[None, :]], x[:, None]]
+    """conj[h, x] = h^-1 x h: row h is the inner automorphism by h, read
+    as table[h^-1 x, h] in one flat gather."""
+    flat = G.table[G.inverse].astype(np.intp)
+    flat *= G.order
+    flat += np.arange(G.order)[:, None]
+    return np.take(G.table, flat)
 
 
 def automorphism_group(G: FiniteGroup, cap: int = DEFAULT_AUT_CAP) -> list[np.ndarray]:

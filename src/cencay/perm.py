@@ -32,7 +32,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .errors import CapExceededError, InternalError, InvalidInputError
-from .group import FiniteGroup, Subgroup, greedy_generators
+from .group import FiniteGroup, Subgroup, element_orders, greedy_generators
 
 Perm = np.ndarray
 
@@ -363,12 +363,14 @@ class PermutationGroup:
         self._complete(j, None)
         self._order = self._chain_order()
 
-    def _randomized_descent(self, target: int, max_rounds: int = 200_000) -> bool:
+    def _randomized_descent(self, target: int) -> bool:
         """Fill the chain from seeded product-replacement samples.
 
-        Returns True once the transversal product reaches the target.  A
-        False return falls back to deterministic Schreier processing, so a
-        wrong target can only ever slow things down, never falsify an order.
+        Returns True once the transversal product reaches the target, and
+        False after 16 rounds per point in a row that add no strong
+        generator.  A False return falls back to deterministic Schreier
+        processing, so a wrong target can only ever slow things down, never
+        falsify an order.
         """
         if not self.generators:
             return self._chain_order() == target
@@ -377,14 +379,17 @@ class PermutationGroup:
         while len(pool) < 6:
             pool.append(identity_perm(self.degree))
         accum = identity_perm(self.degree)
-        for _ in range(max_rounds):
+        stalled = 0
+        while stalled < 16 * self.degree:
             i = int(rng.integers(len(pool)))
             j = int(rng.integers(len(pool)))
             if i != j:
                 pool[i] = compose(pool[i], pool[j])
             accum = compose(accum, pool[i])
             r, lvl = self._strip(accum)
+            stalled += 1
             if not is_identity(r):
+                stalled = 0
                 self._add_strong_gen(lvl, r)
                 if self._chain_order() == target:
                     return True
@@ -930,7 +935,7 @@ def regular_subgroups(K, H: FiniteGroup, element_cap: int = ELEMENT_CAP) -> list
         return [PermutationGroup([], 1)]
     gens_idx = greedy_generators(H)
     k = len(gens_idx)
-    orders = [H.element_order(g) for g in gens_idx]
+    orders = element_orders(H)[gens_idx].tolist()
 
     if isinstance(K, D2Subgroup):
         pools = _candidate_pools_parametric(K, set(orders))

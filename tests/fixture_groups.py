@@ -1,6 +1,6 @@
 """Shared test groups, built once per session, n x n views of the
-closure rows that the pipeline keeps, and the dict-based stabilizer chain
-that the batched chain replaced."""
+closure rows that the pipeline keeps, and the per-element group primitives
+and dict-based stabilizer chain that the array-native ones replaced."""
 
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
@@ -10,6 +10,7 @@ import numpy as np
 from cencay.cayley import cayley_matrix
 from cencay.coherent import AlgebraicIso, CoherentConfiguration
 from cencay.group import (
+    ClassPartition,
     FiniteGroup,
     _class_fingerprints,
     _extend_partial_map,
@@ -127,6 +128,68 @@ def isomorphisms_all(G: FiniteGroup, H: FiniteGroup) -> list[np.ndarray]:
 
     rec(0, [])
     return out
+
+
+# -- the per-element group primitives ----------------------------------------
+
+
+def closure_by_bfs(G: FiniteGroup, seed: Iterable[int]) -> tuple[int, ...]:
+    """The subgroup a seed set generates, by a breadth-first search over
+    single elements: the oracle for ``closure``."""
+    members, queue = {0}, [0]
+    seed = list(dict.fromkeys(seed))
+    for e in queue:
+        for s in seed:
+            w = int(G.table[e, s])
+            if w not in members:
+                members.add(w)
+                queue.append(w)
+    return tuple(sorted(members))
+
+
+def conjugacy_classes_by_orbits(G: FiniteGroup) -> ClassPartition:
+    """The conjugation orbit of each element not seen yet, ordered by
+    (size, smallest member): the oracle for ``conjugacy_classes``."""
+    seen = np.zeros(G.order, dtype=bool)
+    classes = []
+    for x in range(G.order):
+        if not seen[x]:
+            orbit = np.unique(G.table[G.table[G.inverse, x], np.arange(G.order)])
+            seen[orbit] = True
+            classes.append(tuple(int(v) for v in orbit))
+    classes.sort(key=lambda c: (len(c), c[0]))
+    return ClassPartition(tuple(classes))
+
+
+def element_order_by_powers(G: FiniteGroup, x: int) -> int:
+    """The order of x, one power at a time: the oracle for ``element_orders``."""
+    k, y = 1, x
+    while y != 0:
+        y = int(G.table[y, x])
+        k += 1
+    return k
+
+
+def greedy_generators_by_bfs(G: FiniteGroup) -> list[int]:
+    """``greedy_generators`` on the oracles above: a maximal-order element
+    first, then the element that grows the closure most (ties: smallest)."""
+    if G.order == 1:
+        return []
+    orders = [element_order_by_powers(G, x) for x in range(G.order)]
+    gens = [max(range(1, G.order), key=lambda x: (orders[x], -x))]
+    current = closure_by_bfs(G, gens)
+    while len(current) < G.order:
+        mem, best_x, best_len = set(current), -1, len(current)
+        for x in range(1, G.order):
+            if x not in mem:
+                ln = len(closure_by_bfs(G, gens + [x]))
+                if ln > best_len:
+                    best_x, best_len = x, ln
+                    if ln == G.order:
+                        break
+        gens.append(best_x)
+        current = closure_by_bfs(G, gens)
+    return gens
 
 
 def pair_matrices(swp):
@@ -311,12 +374,14 @@ class DictChainGroup:
                 f"chain order {self._order} disagrees with certified order {target}"
             )
 
-    def _randomized_descent(self, target: int, max_rounds: int = 200_000) -> bool:
+    def _randomized_descent(self, target: int) -> bool:
         """Fill the chain from seeded product-replacement samples.
 
-        Returns True once the transversal product reaches the target.  A
-        False return falls back to deterministic Schreier processing, so a
-        wrong target can only ever slow things down, never falsify an order.
+        Returns True once the transversal product reaches the target, and
+        False after 16 rounds per point in a row that add no strong
+        generator.  A False return falls back to deterministic Schreier
+        processing, so a wrong target can only ever slow things down, never
+        falsify an order.
         """
         if not self.generators:
             return self._chain_order() == target
@@ -325,14 +390,17 @@ class DictChainGroup:
         while len(pool) < 6:
             pool.append(identity_perm(self.degree))
         accum = identity_perm(self.degree)
-        for _ in range(max_rounds):
+        stalled = 0
+        while stalled < 16 * self.degree:
             i = int(rng.integers(len(pool)))
             j = int(rng.integers(len(pool)))
             if i != j:
                 pool[i] = compose(pool[i], pool[j])
             accum = compose(accum, pool[i])
             r, lvl = self._strip(accum)
+            stalled += 1
             if not is_identity(r):
+                stalled = 0
                 self._add_strong_gen(lvl, r)
                 if self._chain_order() == target:
                     return True

@@ -16,7 +16,7 @@ from cencay.cayley import (
     principal_section,
 )
 from cencay.coherent import wl_closure
-from cencay.group import automorphism_group, conjugacy_classes, socle
+from cencay.group import automorphism_group, conjugacy_classes, element_orders, socle
 from cencay.iso import (
     automorphisms,
     brute_force_oracle,
@@ -39,7 +39,7 @@ ALL_FIXTURES = ("alt5", "sym5", "alt6", "sym6", "psl27", "pgl27")
 def _class_id(G, size, order):
     cc = conjugacy_classes(G)
     return next(
-        i for i, c in enumerate(cc.classes) if len(c) == size and G.element_order(c[0]) == order
+        i for i, c in enumerate(cc.classes) if len(c) == size and element_orders(G)[c[0]] == order
     )
 
 

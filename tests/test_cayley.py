@@ -12,7 +12,7 @@ from cencay.cayley import (
     principal_section,
 )
 from cencay.errors import InvalidInputError
-from cencay.group import ClassPartition, conjugacy_classes, is_central, socle
+from cencay.group import ClassPartition, conjugacy_classes, element_orders, is_central, socle
 from cencay.perm import PermutationGroup, orbitals, regular_representations
 from .fixture_groups import alt5, psl27, set_partitions, sym5
 
@@ -26,7 +26,7 @@ def class_id_by(G, size=None, order=None):
     for i, cls in enumerate(cc.classes):
         if size is not None and len(cls) != size:
             continue
-        if order is not None and G.element_order(cls[0]) != order:
+        if order is not None and element_orders(G)[cls[0]] != order:
             continue
         return i
     raise AssertionError("no class matches")

@@ -184,6 +184,26 @@ def test_a_wrong_known_order_raises():
         PermutationGroup(gens, 7, known_order=480).order
 
 
+def test_a_wrong_known_order_stops_the_descent_early(monkeypatch):
+    # the descent strips one product per round and stops after 16 * 7
+    # rounds in a row that add no strong generator; each one it adds grows
+    # an orbit by a point, which happens at most 7 + 6 + ... + 1 = 28
+    # times, so the count is bounded whatever the products are (it used to
+    # run 200,000 rounds here)
+    gens = [(1, 2, 3, 4, 0, 5, 6), (1, 0, 2, 3, 4, 5, 6), (0, 1, 2, 3, 4, 6, 5)]
+    rounds = [0]
+    strip = PermutationGroup._strip
+
+    def counting_strip(self, p, start=0):
+        rounds[0] += 1
+        return strip(self, p, start)
+
+    monkeypatch.setattr(PermutationGroup, "_strip", counting_strip)
+    with pytest.raises(InternalError):
+        PermutationGroup(gens, 7, known_order=480).order
+    assert 16 * 7 <= rounds[0] - len(gens) <= 28 + 29 * 16 * 7
+
+
 def test_reduce_generators_builds_one_chain(monkeypatch):
     d_u = analyze(full_colouring("sym5")).d_u
     built, chains = [], []

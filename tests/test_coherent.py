@@ -10,7 +10,7 @@ from cencay.coherent import (
     wl_closure,
 )
 from cencay.errors import InvalidInputError
-from cencay.group import conjugacy_classes, socle
+from cencay.group import conjugacy_classes, element_orders, socle
 from cencay.perm import PermutationGroup, orbitals, regular_representations
 from .fixture_groups import alt5, sym5
 
@@ -141,10 +141,10 @@ def test_extend_swapped_classes_fails():
     M, cc = arc_color_matrix(G)
     sizes = [len(c) for c in cc.classes]
     threes = next(
-        i for i, c in enumerate(cc.classes) if len(c) == 20 and G.element_order(c[0]) == 3
+        i for i, c in enumerate(cc.classes) if len(c) == 20 and element_orders(G)[c[0]] == 3
     )
     three_two = next(
-        i for i, c in enumerate(cc.classes) if len(c) == 20 and G.element_order(c[0]) == 6
+        i for i, c in enumerate(cc.classes) if len(c) == 20 and element_orders(G)[c[0]] == 6
     )
     rel_a = (M == threes).astype(np.int8)
     rel_b = (M == three_two).astype(np.int8)

@@ -16,15 +16,27 @@ from cencay.group import (
     automorphism_group,
     closure,
     conjugacy_classes,
+    element_orders,
     greedy_generators,
     group_from_generators,
     group_isomorphisms,
     is_almost_simple,
+    is_central,
     quotient_with_epimorphism,
     socle,
     subgroups_over_socle,
 )
-from .fixture_groups import alt5, c2_x_alt5, cyclic, isomorphisms_all, sym5
+from .fixture_groups import (
+    alt5,
+    c2_x_alt5,
+    closure_by_bfs,
+    conjugacy_classes_by_orbits,
+    cyclic,
+    element_order_by_powers,
+    greedy_generators_by_bfs,
+    isomorphisms_all,
+    sym5,
+)
 
 
 def test_closure_orders():
@@ -275,7 +287,7 @@ def test_random_closures_are_groups(data):
     cc = conjugacy_classes(G)
     assert sum(len(c) for c in cc.classes) == G.order
     for cls in cc.classes:
-        assert G.order % G.element_order(cls[0]) == 0
+        assert G.order % element_orders(G)[cls[0]] == 0
 
 
 @settings(max_examples=20, deadline=None)
@@ -368,6 +380,76 @@ def test_subgroups_over_socle_are_memoised(monkeypatch):
     parent = weakref.ref(G)
     del G, every, normal
     gc.collect()
+    assert parent() is None
+
+
+def assert_primitives_match_oracles(G, seeds):
+    assert conjugacy_classes(G) == conjugacy_classes_by_orbits(G)
+    assert element_orders(G).tolist() == [element_order_by_powers(G, x) for x in range(G.order)]
+    assert greedy_generators(G) == greedy_generators_by_bfs(G)
+    for seed in seeds:
+        assert closure(G, iter(seed)) == closure_by_bfs(G, seed), seed
+
+
+def oracle_seeds(G, rng):
+    """Empty, single, repeated and out-of-order seeds, a whole class and
+    the generators reversed."""
+    n, gens = G.order, greedy_generators_by_bfs(G)
+    drawn = [rng.integers(0, n, size=k).tolist() for k in (1, 2, 3, 5)]
+    cls = conjugacy_classes_by_orbits(G).classes[-1]
+    return [[], [0], [n - 1, n - 1, 0], gens[::-1], gens + gens, list(cls)[::-1]] + drawn
+
+
+@pytest.mark.parametrize("make", [m for _, m in ORACLE_GROUPS], ids=[n for n, _ in ORACLE_GROUPS])
+def test_group_primitives_match_the_per_element_oracles(make):
+    G = make()
+    assert_primitives_match_oracles(G, oracle_seeds(G, np.random.default_rng(G.order)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_perm_group(), st.lists(st.integers(0, 10**6), max_size=6))
+def test_group_primitives_match_the_oracles_on_random_groups(data, raw_seed):
+    gens, deg = data
+    G = group_from_generators(gens, degree=deg)
+    seed = [s % G.order for s in raw_seed]
+    assert_primitives_match_oracles(G, [seed, seed[::-1], seed + seed])
+
+
+def test_classes_generators_and_centrality_are_memoised(monkeypatch):
+    import cencay.group as group_mod
+
+    calls = {"conj": 0, "closure": 0}
+    conj, clos = group_mod._conjugation_table, group_mod.closure
+
+    def counted_conj(*args):
+        calls["conj"] += 1
+        return conj(*args)
+
+    def counted_closure(*args):
+        calls["closure"] += 1
+        return clos(*args)
+
+    monkeypatch.setattr(group_mod, "_conjugation_table", counted_conj)
+    monkeypatch.setattr(group_mod, "closure", counted_closure)
+    G = group_from_generators([(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)])  # S5, nothing cached yet
+    row = np.zeros(G.order, dtype=np.int32)
+    classes, gens, central = conjugacy_classes(G), greedy_generators(G), is_central(G, row)
+    assert calls["conj"] > 0 and calls["closure"] > 0
+    calls.update(conj=0, closure=0)
+    assert conjugacy_classes(G) == classes
+    assert greedy_generators(G) == gens
+    assert is_central(G, row) == central
+    assert Subgroup(G, tuple(range(G.order))).generators() == gens  # the whole group's
+    assert calls == {"conj": 0, "closure": 0}
+    # a caller's change to a handed-out list does not reach the memo
+    gens.append(7)
+    greedy_generators(G).clear()
+    assert greedy_generators(G) == gens[:-1] == greedy_generators_by_bfs(G)
+    # the memos hold plain tuples, so they keep no Subgroup and make no
+    # cycle: the group goes with its last reference, before any collection
+    assert type(G._classes_cache) is tuple and type(G._generators_cache) is tuple
+    parent = weakref.ref(G)
+    del G, classes
     assert parent() is None
 
 

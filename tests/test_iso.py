@@ -5,7 +5,7 @@ import pytest
 
 from cencay.cayley import build_central_cayley, partition_from_class_merge
 from cencay.errors import InvalidInputError
-from cencay.group import ClassPartition, FiniteGroup, conjugacy_classes, socle
+from cencay.group import ClassPartition, FiniteGroup, conjugacy_classes, element_orders, socle
 from cencay.iso import (
     IsoResult,
     QuotientGraph,
@@ -41,7 +41,7 @@ from .fixture_groups import (
 def class_id(G, size, order):
     cc = conjugacy_classes(G)
     return next(
-        i for i, c in enumerate(cc.classes) if len(c) == size and G.element_order(c[0]) == order
+        i for i, c in enumerate(cc.classes) if len(c) == size and element_orders(G)[c[0]] == order
     )
 
 
