@@ -50,10 +50,15 @@ def _cmd_group(args) -> int:
 def _cmd_classes(args) -> int:
     G = files.load_group(args.groupfile)
     cc, orders = group.conjugacy_classes(G), group.element_orders(G)
-    for i, cls in enumerate(cc.classes):
-        rep = cls[0]
-        name = G.names[rep] if G.names else str(rep)
-        print(f"{i}\tsize {len(cls)}\torder {orders[rep]}\trep {name}")
+    rows = [
+        dict(size=len(cls), order=int(orders[cls[0]]), rep=G.names[cls[0]] if G.names else cls[0])
+        for cls in cc.classes
+    ]
+    if args.json:
+        print(json.dumps(rows))
+    else:
+        for i, row in enumerate(rows):
+            print(f"{i}\tsize {row['size']}\torder {row['order']}\trep {row['rep']}")
     return EXIT_OK
 
 
@@ -69,7 +74,10 @@ def _cmd_graph(args) -> int:
 
 def _cmd_section(args) -> int:
     sec = iso.analyze(files.load_graph(args.graphfile)).sec
-    print(f"{sec.kind}, L={sec.L.order}, U={sec.U.order}, m={sec.m}")
+    if args.json:
+        print(json.dumps(dict(section_kind=sec.kind, L=sec.L.order, U=sec.U.order, m=sec.m)))
+    else:
+        print(f"{sec.kind}, L={sec.L.order}, U={sec.U.order}, m={sec.m}")
     return EXIT_OK
 
 
@@ -123,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("group", help="write a builtin group file", parents=[common])
+    g = sub.add_parser("group", help="write a builtin group file")
     g.add_argument("name")
     g.add_argument("-o", "--output", default=None)
     g.set_defaults(func=_cmd_group)
@@ -132,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("groupfile")
     c.set_defaults(func=_cmd_classes)
 
-    gr = sub.add_parser("graph", help="build a central graph from class merges", parents=[common])
+    gr = sub.add_parser("graph", help="build a central graph from class merges")
     gr.add_argument("--group", required=True)
     gr.add_argument("--merge", required=True, help='e.g. "0;1;2,3"')
     gr.add_argument("-o", "--output", required=True)

@@ -308,12 +308,13 @@ def perm_cycle_string(p: Sequence[int]) -> str:
 # -- conjugacy structure ----------------------------------------------------
 
 
-def conjugacy_classes(G: FiniteGroup) -> ClassPartition:
+def conjugacy_classes(G: FiniteGroup, conj: Optional[np.ndarray] = None) -> ClassPartition:
     """Conjugacy classes, ordered by (size, smallest member); each element's
     class is labelled by its smallest conjugate, one column minimum of the
-    conjugation table (memoized on the instance)."""
+    conjugation table (memoized on the instance).  A caller that holds the
+    table passes it as ``conj``, so it is not built twice."""
     if G._classes_cache is None:
-        label = _conjugation_table(G).min(axis=0)
+        label = (_conjugation_table(G) if conj is None else conj).min(axis=0)
         members = np.argsort(label, kind="stable")  # grouped by label, ascending
         reps, sizes = np.unique(label, return_counts=True)
         classes = np.split(members, np.cumsum(sizes)[:-1])
@@ -642,6 +643,7 @@ def _isomorphisms_mod_inner(
         return []
     if G.order == 1:
         return [np.zeros(1, dtype=np.int32)]
+    conjugacy_classes(H, conj)  # H's classes from the table in hand
     _, fp_g = _class_fingerprints(G)
     _, fp_h = _class_fingerprints(H)
     if sorted(fp_g["elem"]) != sorted(fp_h["elem"]):

@@ -111,7 +111,7 @@ def d_u_subgroup(u_row: np.ndarray, U: FiniteGroup) -> D2Subgroup:
     moved = u_row[A]  # u_row[alpha(x^-1)] = u_row[x] for all x iff moved = u_row[inverse]
     plain = A[(moved == u_row).all(axis=1)]
     invs = A[(moved == u_row[U.inverse]).all(axis=1)]
-    return D2Subgroup(U, list(plain), list(invs))
+    return D2Subgroup(U, plain, invs)
 
 
 # -- the quotient graph on the L-cosets -----------------------------------------------

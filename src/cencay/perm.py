@@ -5,20 +5,20 @@ Groups carry a deterministic stabilizer chain (base points are smallest moved
 points, transversals breadth-first), so orders, membership tests and element
 enumeration are reproducible across runs.  Each chain level holds its orbit,
 a point-to-orbit-index array and its inverse transversal as one int32 matrix
-with a row per orbit point; forward rows are derived from it when needed.
-Completion is batched: Schreier generators are formed 32 at a time with one
-gather and sifted together level by level, in the order of the textbook
-one-at-a-time loop, so the chain is the same as that loop would build.
-``reduce_generators`` sifts its candidates through one chain and extends it
-in place for each generator it keeps.
+with a row per orbit point.  Completion sifts Schreier generators 32 at a
+time, in the order of the textbook one-at-a-time loop, so the chain is the
+one that loop builds.  ``reduce_generators`` sifts its candidates one at a
+time through one chain and extends it for each generator it keeps.
 
 Three groups are kept structural instead: the symmetric group on a point
 set, the wreath product B wr T on a block system, and the subgroups of
 D(2,G) given by their parameters (automorphism, translation, inversion).
 Each answers its order and membership from its definition, so neither the
 huge groups of symmetric-type Cayley schemes (orders like (168!)^2) nor the
-block group of the normal type ever builds a chain.  The action of a group
-on a block system, with one preimage per induced map, is ``action_closure``.
+block group of the normal type ever builds a chain: its automorphisms are
+rows keyed by their images of a generating set, and its generators come
+from a breadth-first closure over them.  The action of a group on a block
+system, with one preimage per induced map, is ``action_closure``.
 """
 
 from __future__ import annotations
@@ -74,24 +74,13 @@ def is_identity(p: Perm) -> bool:
 
 
 def uniform_cycle_length(p: Perm) -> Optional[int]:
-    """The common cycle length if all cycles of p agree, else None."""
-    n = len(p)
-    seen = np.zeros(n, dtype=bool)
-    common: Optional[int] = None
-    for i in range(n):
-        if seen[i]:
-            continue
-        ln, j = 1, int(p[i])
-        seen[i] = True
-        while j != i:
-            seen[j] = True
-            j = int(p[j])
-            ln += 1
-        if common is None:
-            common = ln
-        elif ln != common:
-            return None
-    return common
+    """The common cycle length if all cycles of p agree, else None: the
+    smallest cycle length is the first power with a fixed point, and the
+    cycles agree iff that power is the identity."""
+    q, k = p, 1
+    while not np.any(q == _identity(len(p))):
+        q, k = p[q], k + 1
+    return k if is_identity(q) else None
 
 
 def is_permutation(p: np.ndarray) -> bool:
@@ -354,15 +343,6 @@ class PermutationGroup:
                 f"chain order {self._order} disagrees with certified order {target}"
             )
 
-    def _adjoin(self, p: Perm) -> None:
-        """Add a generator from outside the group to a built chain, and
-        complete the chain again."""
-        self.generators.append(p)
-        r, j = self._strip(p)
-        self._add_strong_gen(j, r)
-        self._complete(j, None)
-        self._order = self._chain_order()
-
     def _randomized_descent(self, target: int) -> bool:
         """Fill the chain from seeded product-replacement samples.
 
@@ -434,30 +414,20 @@ class PermutationGroup:
 
 
 def reduce_generators(gens: Iterable[Sequence[int]], degree: int) -> list[Perm]:
-    """Drop generators already generated by the kept ones.
-
-    Candidates are sifted 32 at a time through one chain of the kept ones;
-    the first that does not sift to the identity is kept and adjoined to
-    that same chain, and sifting resumes after it.
-    """
-    cands = [as_perm(g, degree) for g in gens]
+    """Drop generators already generated by the kept ones: each candidate
+    is sifted through one chain of the kept ones, and extends it if kept."""
     kept: list[Perm] = []
     group = PermutationGroup([], degree)
     group._ensure_chain()
-    lo = 0
-    while lo < len(cands):
-        chunk = cands[lo : lo + _CHUNK]
-        rows = np.stack(chunk)
-        if rows.ndim != 2 or not _is_identity_rows(np.sort(rows, axis=1)).all():
+    for g in gens:
+        p = _member_candidate(g, degree)
+        if p is None:
             raise InvalidInputError("images are not a bijection")
-        hit = group._first_residue(rows, 0)
-        if hit is None:
-            lo += len(chunk)
-            continue
-        r = hit[0]
-        kept.append(chunk[r])
-        group._adjoin(chunk[r])
-        lo += r + 1
+        r, j = group._strip(p)
+        if not is_identity(r):
+            kept.append(p)
+            group._add_strong_gen(j, r)
+            group._complete(j, None)
     return kept
 
 
@@ -628,10 +598,13 @@ class D2Subgroup:
 
     Elements are x -> alpha(x) * t or x -> (alpha(x) * t)^-1 with t ranging
     over ``translations`` (a subgroup T of G; all of G by default), alpha
-    over ``auts_plain`` for the first kind and over ``auts_inv`` for the
-    second.  For nonabelian G the parameters are unique per element, so the
-    order is |T| * (|auts_plain| + |auts_inv|), and membership reads t off
-    the image of the identity and looks up alpha: O(n), no chain.
+    over the rows of ``auts_plain`` for the first kind and of ``auts_inv``
+    for the second.  For nonabelian G the parameters are unique per element,
+    so the order is |T| * (|auts_plain| + |auts_inv|).  An automorphism is
+    fixed by its images of ``greedy_generators(G)``, so each part keys its
+    rows by a mixed-radix int64 code of those images, kept sorted.
+    Membership reads t off the image of the identity, looks alpha = r *
+    rho_t^-1 up by its code and compares the full row: O(n), no chain.
 
     The kernel of the action on the cosets of a normal subgroup N has the
     same form (``coset_kernel``): x -> (alpha(x) t)^eps fixes every N-coset
@@ -642,24 +615,42 @@ class D2Subgroup:
     def __init__(
         self,
         G: FiniteGroup,
-        auts_plain: list[Perm],
-        auts_inv: list[Perm],
+        auts_plain: Sequence[Sequence[int]],
+        auts_inv: Sequence[Sequence[int]],
         translations: Optional[Sequence[int]] = None,
     ):
         if G.is_abelian:
             raise InvalidInputError("parametric form needs unique parameters (nonabelian G)")
-        self.group = G
-        self.degree = G.order
-        self.auts_plain = [as_perm(a, G.order) for a in auts_plain]
-        self.auts_inv = [as_perm(a, G.order) for a in auts_inv]
-        if not self.auts_plain:
+        self.group, self.degree = G, G.order
+        self._base = np.asarray(greedy_generators(G), dtype=np.intp)
+        if G.order ** len(self._base) >= 2**63:
+            raise CapExceededError("generator images do not fit an int64 code")
+        self._radix = G.order ** np.arange(len(self._base), dtype=np.int64)
+        self.auts_plain, self._plain_keys = self._keyed(auts_plain)
+        self.auts_inv, self._inv_keys = self._keyed(auts_inv)
+        if not len(self.auts_plain):
             raise InvalidInputError("plain part must contain at least the identity")
-        if self.auts_inv and len(self.auts_inv) != len(self.auts_plain):
+        if len(self.auts_inv) and len(self.auts_inv) != len(self.auts_plain):
             raise InternalError("inverted part is not a coset of the plain part")
         self.translations = Subgroup(G, range(G.order) if translations is None else translations)
         self.order = self.translations.order * (len(self.auts_plain) + len(self.auts_inv))
-        self._plain_set = {a.tobytes() for a in self.auts_plain}
-        self._inv_set = {a.tobytes() for a in self.auts_inv}
+
+    def _keyed(self, auts) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+        """The rows as one int32 matrix, and their sorted codes with each one's row."""
+        rows = np.array(auts, dtype=np.int32) if len(auts) else np.empty((0, self.degree), np.int32)
+        if rows.ndim != 2 or rows.shape[1] != self.degree:
+            raise InvalidInputError(f"automorphisms of shape {rows.shape} on degree {self.degree}")
+        codes = rows[:, self._base].astype(np.int64) @ self._radix
+        at = np.argsort(codes)
+        if np.any(np.diff(codes[at]) == 0):
+            raise InvalidInputError("two automorphisms agree on the generators of G")
+        return rows, (codes[at], at)
+
+    def _find(self, keys: tuple[np.ndarray, np.ndarray], images: np.ndarray) -> np.ndarray:
+        """The row with each generator images (last axis), or -1; the part is nonempty."""
+        codes, (sorted_codes, at) = images.astype(np.int64) @ self._radix, keys
+        k = np.searchsorted(sorted_codes, codes).clip(max=len(at) - 1)
+        return np.where(sorted_codes[k] == codes, at[k], -1)
 
     def row(self, alpha: Perm, t: int, inverted: bool) -> Perm:
         r = self.group.table[alpha, t]
@@ -673,21 +664,54 @@ class D2Subgroup:
             return False
         table, inv = self.group.table, self.group.inverse
         # the plain part at r, the inverted part at r^-1: t = image of 1 and
-        # alpha = r * rho_t^-1
-        for img, auts in ((r, self._plain_set), (inv[r], self._inv_set)):
+        # alpha = r * rho_t^-1, found by its code and compared in full
+        parts = ((r, self.auts_plain, self._plain_keys), (inv[r], self.auts_inv, self._inv_keys))
+        for img, rows, keys in parts:
             t = int(img[0])
-            if t in self.translations and table[img, inv[t]].tobytes() in auts:
-                return True
+            if len(rows) and t in self.translations:
+                alpha = table[img, inv[t]]
+                k = int(self._find(keys, alpha[self._base]))
+                if k >= 0 and np.array_equal(rows[k], alpha):
+                    return True
         return False
+
+    def _closure_generators(self) -> list[int]:
+        """The plain rows outside the closure of the rows kept before them,
+        in order: the rows ``reduce_generators`` keeps, with no chain.  The
+        closure grows a frontier at a time, mapped through the kept rows by
+        one gather of generator images and looked up by code; a new row acts
+        on all members first.  A product off the list raises InternalError.
+        """
+        rows, keys = self.auts_plain, self._plain_keys
+        images = rows[:, self._base]
+        members = self._find(keys, self._base)[None]
+        if members[0] < 0:
+            raise InternalError("the plain part lacks the identity")
+        inside = np.zeros(len(rows), dtype=bool)
+        inside[members] = True
+        kept: list[int] = []
+        while not inside.all():
+            kept.append(int(np.argmin(inside)))
+            frontier, step = members, rows[kept[-1:]]
+            while len(frontier):
+                found = self._find(keys, step[:, images[frontier]]).ravel()
+                if np.any(found < 0):
+                    raise InternalError("the plain part is not closed under composition")
+                frontier = np.unique(found[~inside[found]])
+                inside[frontier] = True
+                members = np.concatenate([members, frontier])
+                step = rows[kept]
+        return kept
 
     @cached_property
     def generators(self) -> list[Perm]:
         """Right translations by generators of T, the plain automorphisms
-        (reduced), and one element of the inverted part if there is one."""
+        that ``_closure_generators`` keeps, and one element of the inverted
+        part if there is one."""
         G = self.group
         gens = [np.ascontiguousarray(G.table[:, g]) for g in self.translations.generators()]
-        gens += reduce_generators(self.auts_plain, self.degree)
-        if self.auts_inv:
+        gens += list(self.auts_plain[self._closure_generators()])
+        if len(self.auts_inv):
             gens.append(np.ascontiguousarray(G.inverse[self.auts_inv[0]]))
         return gens
 
@@ -695,8 +719,8 @@ class D2Subgroup:
         """The kernel of the action on the cosets of a normal subgroup N of G,
         given the coset index of each element; the cosets must be blocks."""
         cls, inv = np.asarray(coset_of), self.group.inverse
-        plain = [a for a in self.auts_plain if np.array_equal(cls[a], cls)]
-        invs = [a for a in self.auts_inv if np.array_equal(cls[a], cls[inv])]
+        plain = self.auts_plain[(cls[self.auts_plain] == cls).all(axis=1)]
+        invs = self.auts_inv[(cls[self.auts_inv] == cls[inv]).all(axis=1)]
         kept = [t for t in self.translations.elements if cls[t] == cls[0]]
         return D2Subgroup(self.group, plain, invs, kept)
 
@@ -709,7 +733,7 @@ def full_d2_subgroup(G: FiniteGroup, automorphisms: Optional[list[Perm]] = None)
     from .group import automorphism_group
 
     auts = automorphisms if automorphisms is not None else automorphism_group(G)
-    return D2Subgroup(G, list(auts), list(auts))
+    return D2Subgroup(G, auts, auts)
 
 
 # -- orbitals -------------------------------------------------------------------
@@ -796,10 +820,7 @@ def action_closure(
     start = identity_perm(m)
     reach = {start.tobytes(): identity_perm(len(cls))}
     queue = [(start, reach[start.tobytes()])]
-    head = 0
-    while head < len(queue):
-        arow, pre = queue[head]
-        head += 1
+    for arow, pre in queue:  # the queue grows while it is walked
         for act, g in zip(acts, gens):
             na = compose(arow, act)
             key = na.tobytes()
@@ -849,17 +870,12 @@ def block_action_with_kernel(
 # -- regular subgroups -------------------------------------------------------------
 
 
-def _divisor_chain(o: int) -> list[int]:
-    return [k for k in range(1, o) if o % k == 0]
-
-
 def _candidate_pools_parametric(K: D2Subgroup, needed: set[int]) -> dict[int, list[Perm]]:
     """Uniform-cycle-type elements of a parametric D(2,G)-subgroup, per order.
 
     For each (automorphism, kind) the rows over its translations t form the
     columns of one matrix; column-wise powers are taken together, so the
-    uniform-type test (f^o = id, f^k fixed-point-free for proper divisors k)
-    is vectorized over t.
+    uniform-type test (as in ``uniform_cycle_length``) is vectorized over t.
     """
     n = K.degree
     T = K.group.table
@@ -870,21 +886,16 @@ def _candidate_pools_parametric(K: D2Subgroup, needed: set[int]) -> dict[int, li
     pools: dict[int, list[Perm]] = {o: [] for o in needed}
 
     def scan(M: np.ndarray) -> None:
-        # M[x, t] is the image of x under candidate t
-        maxo = max(needed)
-        powers = {1: M}
-        P = M
-        for k in range(2, maxo + 1):
-            P = M[P, cols]
-            powers[k] = P
-        fpf = {k: ~np.any(powers[k] == ident_col, axis=0) for k in range(1, maxo + 1)}
-        is_id = {k: np.all(powers[k] == ident_col, axis=0) for k in range(1, maxo + 1)}
+        # M[x, t] is the image of x under candidate t; length[t] is its
+        # uniform cycle length, 0 before its first fixed point, -1 if none
+        length = np.zeros(M.shape[1], dtype=np.int64)
+        for k in range(1, max(needed) + 1):
+            P = M if k == 1 else M[P, cols]
+            fixed = P == ident_col
+            first = (length == 0) & fixed.any(axis=0)
+            length[first] = np.where(fixed.all(axis=0)[first], k, -1)
         for o in needed:
-            ok = is_id[o].copy()
-            for k in _divisor_chain(o):
-                ok &= fpf[k]
-            for t in np.nonzero(ok)[0]:
-                pools[o].append(np.ascontiguousarray(M[:, t]))
+            pools[o].extend(np.ascontiguousarray(M[:, t]) for t in np.flatnonzero(length == o))
 
     for alpha in K.auts_plain:
         scan(T[alpha[:, None], ts])
@@ -895,22 +906,15 @@ def _candidate_pools_parametric(K: D2Subgroup, needed: set[int]) -> dict[int, li
 
 def _bfs_tree(H: FiniteGroup, gens: list[int]) -> list[tuple[int, int, int]]:
     """Edges (parent, gen slot, child) of a BFS spanning tree of the Cayley graph."""
-    n = H.order
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    edges = []
-    queue = [0]
-    head = 0
-    while head < len(queue):
-        a = queue[head]
-        head += 1
+    seen, edges, queue = {0}, [], [0]
+    for a in queue:  # the queue grows while it is walked
         for gi, g in enumerate(gens):
             b = int(H.table[a, g])
-            if not seen[b]:
-                seen[b] = True
+            if b not in seen:
+                seen.add(b)
                 edges.append((a, gi, b))
                 queue.append(b)
-    if not np.all(seen):
+    if len(seen) < H.order:
         raise InternalError("generating sequence does not generate")
     return edges
 
@@ -961,17 +965,13 @@ def regular_subgroups(K, H: FiniteGroup, element_cap: int = ELEMENT_CAP) -> list
         binv = inverse_perm(b)
         P = b[T[binv]]  # column h is the conjugated right translation by h
         # conjugating H_right by b must reproduce the candidate images
-        for gi, g in enumerate(gens_idx):
-            if not np.array_equal(P[:, g], cands[gi]):
-                return
+        if any(not np.array_equal(P[:, g], c) for g, c in zip(gens_idx, cands)):
+            return
         # canonical form: element rows indexed by their image of the base point
         M = np.ascontiguousarray(P.T[binv])
         full = M.tobytes()
-        if full in found:
+        if full in found or not all(row in K for row in M):
             return
-        for row in M:
-            if row not in K:
-                return
         sub = PermutationGroup(list(cands), n, known_order=n)
         sub.element_rows_cache = np.ascontiguousarray(P.T)
         found[full] = sub
@@ -981,7 +981,6 @@ def regular_subgroups(K, H: FiniteGroup, element_cap: int = ELEMENT_CAP) -> list
         return []
     c_last = np.stack(last_pool)
     m_last = len(last_pool)
-    rows_idx = np.arange(m_last)
 
     def scan_batch(prefix: list[Perm]) -> None:
         """Fill the orbit map for every last-slot candidate at once.

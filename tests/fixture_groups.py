@@ -28,6 +28,7 @@ from cencay.perm import (
     identity_perm,
     inverse_perm,
     is_identity,
+    reduce_generators,
 )
 
 
@@ -94,6 +95,18 @@ def d2_chain(K):
     """A parametric D(2,G) subgroup as a stabilizer chain on its generators:
     the oracle for its structural order and membership."""
     return PermutationGroup(K.generators, K.degree, known_order=K.order)
+
+
+def chain_d2_generators(K) -> list[Perm]:
+    """The generators of a parametric D(2,G) subgroup with its plain part
+    reduced by a stabilizer chain (``reduce_generators``): the oracle for
+    the chain-free closure of ``D2Subgroup.generators``."""
+    G = K.group
+    gens = [np.ascontiguousarray(G.table[:, g]) for g in K.translations.generators()]
+    gens += reduce_generators(K.auts_plain, K.degree)
+    if len(K.auts_inv):
+        gens.append(np.ascontiguousarray(G.inverse[K.auts_inv[0]]))
+    return gens
 
 
 def isomorphisms_all(G: FiniteGroup, H: FiniteGroup) -> list[np.ndarray]:

@@ -136,6 +136,29 @@ def test_cli_group_and_classes(tmp_path, capsys):
     assert lines[0].startswith("0\tsize 1")
 
 
+def test_cli_json_on_section_and_classes(tmp_path, sym5_transp_file, capsys):
+    assert main(["section", str(sym5_transp_file), "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out == {"section_kind": "normal", "L": 60, "U": 120, "m": 2}
+    assert main(["group", "alt5", "-o", str(tmp_path / "a5.json")]) == 0
+    capsys.readouterr()
+    assert main(["classes", str(tmp_path / "a5.json"), "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [(r["size"], r["order"]) for r in rows] == [(1, 1), (12, 5), (12, 5), (15, 2), (20, 3)]
+    assert rows[0]["rep"] == "()"
+
+
+def test_cli_group_and_graph_take_no_json_flag(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["group", "alt5", "--json"])
+    assert exc.value.code == 2
+    assert main(["group", "alt5", "-o", str(tmp_path / "a5.json")]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["graph", "--group", str(tmp_path / "a5.json"), "--merge", "0;1,2;3;4",
+              "-o", str(tmp_path / "g.json"), "--json"])
+    assert exc.value.code == 2
+
+
 def test_cli_unknown_group_exit2(capsys):
     assert main(["group", "nonsense"]) == 2
 

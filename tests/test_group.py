@@ -453,6 +453,28 @@ def test_classes_generators_and_centrality_are_memoised(monkeypatch):
     assert parent() is None
 
 
+def test_one_conjugation_table_per_group(monkeypatch):
+    # automorphism_group builds the table, and the class fingerprints it
+    # needs take the conjugacy classes from that same table
+    import cencay.group as group_mod
+
+    calls = [0]
+    conj = group_mod._conjugation_table
+
+    def counted_conj(G):
+        calls[0] += 1
+        return conj(G)
+
+    monkeypatch.setattr(group_mod, "_conjugation_table", counted_conj)
+    U = group_from_generators([(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)])  # S5, nothing cached yet
+    assert len(group_mod.automorphism_group(U)) == 120
+    classes = conjugacy_classes(U).classes  # memoised from that table
+    assert calls == [1]
+    monkeypatch.undo()
+    fresh = group_from_generators([(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)])
+    assert classes == conjugacy_classes(fresh).classes
+
+
 def associative_by_triples(tab):
     """The n^3 definition: (a*b)*c == a*(b*c) for all a, b, c."""
     return all(np.array_equal(tab[tab[a]], tab[a][tab]) for a in range(len(tab)))

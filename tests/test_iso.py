@@ -27,6 +27,7 @@ from cencay.perm import (
 from .fixture_groups import (
     alt5,
     alt6,
+    chain_d2_generators,
     cyclic,
     d2_chain,
     pair_matrices,
@@ -735,6 +736,43 @@ def test_closed_form_kernel_and_d_u_match_their_chains():
             assert any(f in rec.d_u and f not in kernel for f in strays)
         checked += 1
     assert checked == 6 + 26
+
+
+def test_d_u_and_kernel_generators_are_the_chain_reductions():
+    for _, gam in kernel_cases()[:6]:  # the full colouring of every builtin group
+        rec = analyze(gam)
+        assert rec.sec.kind == "normal"
+        for K in (rec.d_u, rec.d_u.coset_kernel(rec.sec.l_class_of[rec.blocks[0]])):
+            assert [g.tobytes() for g in K.generators] == [
+                g.tobytes() for g in chain_d2_generators(K)
+            ]
+
+
+def test_normal_aut_builds_chains_only_for_the_recount_and_the_quotient(monkeypatch):
+    # D_U and its coset kernel take their generators from the closure, so
+    # the only groups built are the degree-n recount (when |Aut| is small
+    # enough) and the degree-m quotient reduction; on S5 with U = L = A5
+    # none has degree |U| = 60
+    from cencay.iso import CHAIN_RECOUNT_LIMIT
+
+    S5 = sym5()
+    coset_a5 = build_central_cayley(S5, partition_from_class_merge(S5, [[0], [2, 5], [1, 3, 4, 6]]))
+    degrees = []
+    init = PermutationGroup.__init__
+
+    def counted_init(self, generators, degree, *args, **kwargs):
+        degrees.append(int(degree))
+        init(self, generators, degree, *args, **kwargs)
+
+    for gam, u_order in ((coset_a5, 60), (transposition_graph(), 120)):
+        rec = analyze(gam)
+        assert (rec.sec.kind, rec.sec.U.order, rec.sec.m) == ("normal", u_order, 2)
+        degrees.clear()
+        monkeypatch.setattr(PermutationGroup, "__init__", counted_init)
+        recounted = 1 < rec.aut.aut_order <= CHAIN_RECOUNT_LIMIT
+        monkeypatch.undo()
+        assert degrees.count(120) == recounted and set(degrees) - {120} == {2}
+    assert recounted  # the transposition graph's order is recounted
 
 
 def test_aut_generators_span_the_group_of_the_chain_kernel():

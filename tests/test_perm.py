@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cencay.cayley import build_central_cayley, partition_from_class_merge
-from cencay.errors import InvalidInputError
+from cencay.errors import InternalError, InvalidInputError
+from cencay.fixtures import BUILTIN_NAMES, builtin_group
 from cencay.group import conjugacy_classes, group_from_generators, socle
 from cencay.iso import analyze
 from cencay.perm import (
+    D2Subgroup,
     PermutationGroup,
     _candidate_pools_parametric,
     block_action_with_kernel,
@@ -28,7 +30,7 @@ from cencay.perm import (
     uniform_cycle_length,
     wreath_group_on_blocks,
 )
-from .fixture_groups import DictChainGroup, DictLevel, alt5, d2_chain, sym5
+from .fixture_groups import DictChainGroup, DictLevel, alt5, chain_d2_generators, d2_chain, sym5
 
 
 def test_chain_order_s5():
@@ -461,6 +463,37 @@ def test_coset_kernel_where_alpha_inverts_the_quotient():
     rng = np.random.default_rng(15)
     for f in _random_products(D.generators, 12, rng, count=30):
         assert (f in K) == (f in oracle)
+
+
+@pytest.mark.parametrize("name", [nm for nm in BUILTIN_NAMES if nm != "trivial"])
+def test_d2_generators_are_the_chain_reductions(name):
+    D = full_d2_subgroup(builtin_group(name))
+    assert [g.tobytes() for g in D.generators] == [g.tobytes() for g in chain_d2_generators(D)]
+
+
+def test_d2_membership_compares_the_full_row():
+    # alpha' agrees with an automorphism on the generators of A5, so its code
+    # is found, but it swaps two other images: no automorphism, no member
+    A5 = alt5()
+    D = D2Subgroup(A5, full_d2_subgroup(A5).auts_plain, [])
+    alpha = D.auts_plain[7]
+    f = D.row(alpha, 11, False)
+    x, y = [p for p in range(1, 60) if p not in D._base][:2]
+    g = f.copy()
+    g[[x, y]] = f[[y, x]]
+    stray = A5.table[g, A5.inverse[11]]
+    assert np.array_equal(stray[D._base], alpha[D._base]) and not np.array_equal(stray, alpha)
+    assert f in D and g not in D
+    assert g not in PermutationGroup(D.generators, 60, known_order=D.order)
+
+
+def test_d2_generators_need_a_closed_plain_part():
+    A5 = alt5()
+    a = next(r for r in full_d2_subgroup(A5).auts_plain if not is_identity(compose(r, r)))
+    with pytest.raises(InternalError):  # a * a is not listed
+        D2Subgroup(A5, [identity_perm(60), a], []).generators
+    with pytest.raises(InternalError):  # nor is the identity
+        D2Subgroup(A5, [a], []).generators
 
 
 def _non_permutations(n):
