@@ -11,8 +11,7 @@ its identity row (the Schur-ring view: Wielandt, Finite Permutation Groups,
 ch. IV).  ``closure_rows`` refines that row one conjugacy class at a time,
 and the row is the only form in which the pipeline holds a scheme: the one
 n x n matrix it builds is the graph's own arc coloring (``arc_colors``),
-for the certificates.  ``CayleyScheme.base`` gathers the n x n matrix for
-the tests' oracles.
+for the certificates; ``cayley_matrix`` gathers it from a row.
 
 The principal section of the scheme's automorphism group is computed without
 the group itself: a direct-sum criterion on the closure row decides the
@@ -30,7 +29,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .coherent import CoherentConfiguration
 from .coherent import wl_closure  # noqa: F401  (bound here only for bench/tracing.py WRAPS)
 from .errors import InternalError, InvalidInputError
 from .group import (
@@ -150,18 +148,6 @@ class CayleyScheme:
     def central(self) -> bool:
         """Whether the row is constant on conjugacy classes."""
         return is_central(self.group, self.row)
-
-    @cached_property
-    def base(self) -> CoherentConfiguration:
-        """The n x n color matrix, gathered from the row (for the tests' oracles)."""
-        X = CoherentConfiguration(cayley_matrix(self.group, self.row))
-        X.verify_light()
-        return X
-
-    @cached_property
-    def point_classes(self) -> list[tuple[int, ...]]:
-        """Neighborhoods of the identity per basis relation."""
-        return [tuple(int(x) for x in np.nonzero(self.row == s)[0]) for s in range(self.rank)]
 
     def __repr__(self):
         return f"CayleyScheme(n={self.group.order}, rank={self.rank})"

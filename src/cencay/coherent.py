@@ -17,8 +17,8 @@ central Cayley scheme, held as its identity row by ``cencay.cayley``, which
 refines it, tests the section criteria on it and checks algebraic
 isomorphisms on its round keys.  Everything here is the exact n x n code
 that the row engine is tested against: ``wl_closure``,
-``extend_algebraic_iso``, ``is_boxplus_trivial``, ``restriction`` and
-``AlgebraicIso``.
+``extend_algebraic_iso``, ``restriction`` and ``AlgebraicIso``, on
+``CoherentConfiguration``.  The package does not re-export them.
 """
 
 from __future__ import annotations
@@ -263,14 +263,12 @@ class CoherentConfiguration:
             }
         return self._inums[t]
 
-    def verify_axioms(self, exhaustive: bool = True):
+    def verify_axioms(self):
         """Check (C1) reflexivity, (C2) transposition, (C3) intersection numbers.
 
-        (C3) runs one exact refinement round and demands a fixed point; it is
-        always exhaustive, and ``exhaustive=False`` is refused.
+        (C3) runs one exact refinement round and demands a fixed point, so it
+        is exhaustive.
         """
-        if not exhaustive:
-            raise InvalidInputError("(C3) is only checked exhaustively")
         self.verify_light()
         res = _exact_round_apply([self.colors], self.rank)
         if res is None or res[1] != self.rank:
@@ -288,7 +286,7 @@ class CoherentConfiguration:
 # -- public operations ------------------------------------------------------------
 
 
-def wl_closure(seeds: Iterable, n: int, check: bool = True) -> CoherentConfiguration:
+def wl_closure(seeds: Iterable, n: int) -> CoherentConfiguration:
     """Coherent closure of a list of relations on n points, by exact n x n rounds.
 
     Seeds may be boolean matrices, integer color matrices or pair iterables;
@@ -304,8 +302,7 @@ def wl_closure(seeds: Iterable, n: int, check: bool = True) -> CoherentConfigura
     if res is None:
         raise InternalError("single-sided refinement cannot diverge")
     out = CoherentConfiguration(res[0][0])
-    if check:
-        out.verify_light()  # the exact fixed-point round already certified (C3)
+    out.verify_light()  # the exact fixed-point round already certified (C3)
     return out
 
 
@@ -395,46 +392,3 @@ def restriction(
     out = CoherentConfiguration(new)
     out.verify_light()
     return out, parent_of
-
-
-def is_boxplus_trivial(X: CoherentConfiguration, parts: Sequence[Sequence[int]]) -> bool:
-    """Whether X is the direct sum of trivial configurations on the parts.
-
-    Inside each part only the diagonal and its complement may appear, and
-    every color crossing two parts must cover their full product.  The
-    pipeline decides this on the closure row (``cencay.cayley.compute_H0``);
-    this is its n x n test oracle.
-    """
-    n = X.n
-    part_of = np.full(n, -1, dtype=np.int64)
-    sizes = []
-    for i, p in enumerate(parts):
-        arr = np.asarray(list(p), dtype=np.int64)
-        part_of[arr] = i
-        sizes.append(len(arr))
-    if np.any(part_of < 0):
-        raise InvalidInputError("parts do not cover the domain")
-    if len(set(sizes)) != 1:
-        raise InvalidInputError("parts must have equal size")
-    k = len(parts)
-    cell = part_of[:, None] * k + part_of[None, :]
-    combined = X.colors.astype(np.int64) * (k * k) + cell
-    counts = np.bincount(combined.ravel(), minlength=X.rank * k * k)
-    b = sizes[0]
-    diag_colors = set(int(c) for c in X.diagonal_colors)
-    for c in range(X.rank):
-        for cellv in range(k * k):
-            cnt = int(counts[c * k * k + cellv])
-            if cnt == 0:
-                continue
-            i, j = divmod(cellv, k)
-            if i != j:
-                if cnt != b * b:
-                    return False
-            else:
-                if c in diag_colors:
-                    if cnt != b:
-                        return False
-                elif cnt != b * b - b:
-                    return False
-    return True

@@ -14,8 +14,8 @@ import numpy as np
 
 from .errors import CapExceededError, InvalidInputError
 
-DEFAULT_CLOSURE_CAP = 10_000
-DEFAULT_AUT_CAP = 1000
+CLOSURE_CAP = 10_000  # elements ``group_from_generators`` may close
+AUT_CAP = 1000  # largest order ``automorphism_group`` searches
 
 
 class FiniteGroup:
@@ -241,9 +241,7 @@ def _compose(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
 
 
 def group_from_generators(
-    generators: Iterable[Sequence[int]],
-    degree: Optional[int] = None,
-    cap: int = DEFAULT_CLOSURE_CAP,
+    generators: Iterable[Sequence[int]], degree: Optional[int] = None
 ) -> FiniteGroup:
     """Close a set of permutations under composition into a FiniteGroup.
 
@@ -269,8 +267,8 @@ def group_from_generators(
             w = _compose(e, g)
             j = index.get(w)
             if j is None:
-                if len(elems) >= cap:
-                    raise CapExceededError(f"group too large (closure cap {cap})")
+                if len(elems) >= CLOSURE_CAP:
+                    raise CapExceededError(f"group too large (closure cap {CLOSURE_CAP})")
                 j = len(elems)
                 index[w] = j
                 elems.append(w)
@@ -609,15 +607,15 @@ def _conjugation_table(G: FiniteGroup) -> np.ndarray:
     return np.take(G.table, flat)
 
 
-def automorphism_group(G: FiniteGroup, cap: int = DEFAULT_AUT_CAP) -> list[np.ndarray]:
+def automorphism_group(G: FiniteGroup) -> list[np.ndarray]:
     """All automorphisms of G as permutations of {0..n-1} fixing 0.
 
     Aut(G) is Inn(G)·T for one automorphism t per coset of Inn(G); the
     search finds T, and the distinct rows of the conjugation table multiply
     it out in one gather.
     """
-    if G.order > cap:
-        raise CapExceededError(f"automorphism search capped at order {cap}")
+    if G.order > AUT_CAP:
+        raise CapExceededError(f"automorphism search capped at order {AUT_CAP}")
     if G._aut_cache is None:
         conj = _conjugation_table(G)
         _, first = np.unique(conj, axis=0, return_index=True)

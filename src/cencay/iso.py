@@ -23,7 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -80,7 +80,7 @@ class IsoResult:
     aut_generators: list[np.ndarray]
     aut_order: int
     decided_at_step: int
-    aut_membership: Optional[callable] = field(default=None, repr=False)
+    aut_membership: Optional[Callable[[Sequence[int]], bool]] = field(default=None, repr=False)
 
     @property
     def isomorphic(self) -> bool:
@@ -379,18 +379,6 @@ def schemes_with_phi(
 # -- step 3: C_0 and the majorant ----------------------------------------------------
 
 
-def _abstract_group_of_regular(V: PermutationGroup) -> FiniteGroup:
-    """Multiplication table of a regular permutation group via base-point images."""
-    rows = getattr(V, "element_rows_cache", None)
-    if rows is None:
-        rows = V.element_rows()
-    order = rows[:, 0].argsort(kind="stable")
-    M = rows[order]
-    if not np.array_equal(M[:, 0], np.arange(len(M))):
-        raise InternalError("group is not regular on its domain")
-    return FiniteGroup(M.T, check=False)
-
-
 def _c0_candidates(U_a: FiniteGroup, U_b: FiniteGroup, d_u2) -> Iterator[Perm]:
     """Candidate bijections f_0: U -> U' for a normal-type C_0, cheapest first.
 
@@ -410,8 +398,7 @@ def _c0_candidates(U_a: FiniteGroup, U_b: FiniteGroup, d_u2) -> Iterator[Perm]:
         for alpha in auts:
             yield alpha[beta0][U_a.inverse]
     for V in regular_subgroups(d_u2, U_a):
-        V_abs = _abstract_group_of_regular(V)
-        res = group_isomorphisms(U_a, V_abs)
+        res = group_isomorphisms(U_a, V)
         if res is None:
             raise InternalError("regular subgroup is not isomorphic to U")
         beta0, auts = res
@@ -671,9 +658,7 @@ class _OracleSearch:
         return extendable * self.count_automorphisms(*canonical, sink)
 
 
-def brute_force_oracle(
-    gamma_a: ColorCayleyGraph, gamma_b: ColorCayleyGraph, cap: int = ORACLE_CAP
-) -> IsoResult:
+def brute_force_oracle(gamma_a: ColorCayleyGraph, gamma_b: ColorCayleyGraph) -> IsoResult:
     """Exhaustive color-respecting backtracking, independent of the pipeline.
 
     The automorphism order of the first graph comes from orbit-stabilizer
@@ -682,8 +667,8 @@ def brute_force_oracle(
     symmetric group.
     """
     n = gamma_a.group.order
-    if n > cap:
-        raise CapExceededError(f"oracle capped at order {cap}")
+    if n > ORACLE_CAP:
+        raise CapExceededError(f"oracle capped at order {ORACLE_CAP}")
     MA, MB = gamma_a.arc_colors, gamma_b.arc_colors
     if gamma_a.k == 2:
         # complete graph: arcs are diagonal vs everything else

@@ -18,7 +18,12 @@ huge groups of symmetric-type Cayley schemes (orders like (168!)^2) nor the
 block group of the normal type ever builds a chain: its automorphisms are
 rows keyed by their images of a generating set, and its generators come
 from a breadth-first closure over them.  The action of a group on a block
-system, with one preimage per induced map, is ``action_closure``.
+system, with one preimage per induced map, is ``action_closure``; its
+kernel, through a stabilizer chain, is ``block_action_with_kernel``, which
+only the tests' oracles call.  ``regular_subgroups`` enumerates the regular
+subgroups of a parametric D(2,G) subgroup isomorphic to a given group, the
+fallback of the seed coset search, and hands each back as a
+multiplication table.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from .group import FiniteGroup, Subgroup, element_orders, greedy_generators
 Perm = np.ndarray
 
 ELEMENT_CAP = 10_000_000
+ACTION_CAP = 500_000  # induced maps ``action_closure`` may reach
 
 
 def as_perm(images: Sequence[int], degree: Optional[int] = None) -> Perm:
@@ -71,16 +77,6 @@ def _identity(n: int) -> Perm:
 
 def is_identity(p: Perm) -> bool:
     return bool((p == _identity(len(p))).all())
-
-
-def uniform_cycle_length(p: Perm) -> Optional[int]:
-    """The common cycle length if all cycles of p agree, else None: the
-    smallest cycle length is the first power with a fixed point, and the
-    cycles agree iff that power is the identity."""
-    q, k = p, 1
-    while not np.any(q == _identity(len(p))):
-        q, k = p[q], k + 1
-    return k if is_identity(q) else None
 
 
 def is_permutation(p: np.ndarray) -> bool:
@@ -389,10 +385,10 @@ class PermutationGroup:
         self._ensure_chain()
         return is_identity(self._strip(r)[0])
 
-    def elements(self, cap: int = ELEMENT_CAP) -> Iterator[Perm]:
+    def elements(self) -> Iterator[Perm]:
         """All elements, deterministically ordered by transversal digits."""
         self._ensure_chain()
-        if self.order > cap:
+        if self.order > ELEMENT_CAP:
             raise CapExceededError(f"group of order {self.order} exceeds element cap")
         levels = self._levels
         forward = [_invert_rows(lv.inv) for lv in levels]
@@ -405,9 +401,6 @@ class PermutationGroup:
                 yield from forward[i][:, e]  # e u for every transversal row u
 
         yield from rec(0)
-
-    def element_rows(self, cap: int = ELEMENT_CAP) -> np.ndarray:
-        return np.array(list(self.elements(cap)), dtype=np.int32)
 
     def __repr__(self) -> str:
         return f"PermutationGroup(degree={self.degree}, gens={len(self.generators)})"
@@ -546,51 +539,7 @@ def wreath_group_on_blocks(
     return WreathProduct(inner, arr, top, degree)
 
 
-# -- regular representations and D(2,G) ----------------------------------------
-
-
-@dataclass
-class RegularReps:
-    """Left/right regular actions of a finite group on itself."""
-
-    group: FiniteGroup
-    right_gens: list[Perm]
-    left_gens: list[Perm]
-    sigma: Perm
-
-    @property
-    def star_gens(self) -> list[Perm]:
-        return self.right_gens + self.left_gens
-
-
-def regular_representations(G: FiniteGroup) -> RegularReps:
-    """Right/left translation generators and the inversion permutation."""
-    gens = greedy_generators(G)
-    right = [np.ascontiguousarray(G.table[:, g]) for g in gens]
-    left = [np.ascontiguousarray(G.table[g, :]) for g in gens]
-    sigma = np.ascontiguousarray(G.inverse)
-    return RegularReps(G, right, left, sigma)
-
-
-def d2_group(
-    G: FiniteGroup, automorphisms: Optional[list[Perm]] = None, cap: int = 1000
-) -> PermutationGroup:
-    """D(2,G): the holomorph of G extended by inversion, acting on G.
-
-    Generators are right translations, the automorphisms (as permutations
-    fixing 0), and inversion; the generator list is reduced before chain
-    construction.
-    """
-    from .group import automorphism_group
-
-    if G.order > cap:
-        raise CapExceededError(f"d2_group capped at order {cap}")
-    reps = regular_representations(G)
-    auts = automorphisms if automorphisms is not None else automorphism_group(G)
-    gens = reduce_generators(
-        reps.right_gens + [as_perm(a, G.order) for a in auts] + [reps.sigma], G.order
-    )
-    return PermutationGroup(gens, G.order)
+# -- subgroups of D(2,G) ----------------------------------------------------------
 
 
 class D2Subgroup:
@@ -728,52 +677,6 @@ class D2Subgroup:
         return f"D2Subgroup(order={self.order}, degree={self.degree})"
 
 
-def full_d2_subgroup(G: FiniteGroup, automorphisms: Optional[list[Perm]] = None) -> D2Subgroup:
-    """D(2,G) itself in parametric form (all automorphisms on both parts)."""
-    from .group import automorphism_group
-
-    auts = automorphisms if automorphisms is not None else automorphism_group(G)
-    return D2Subgroup(G, auts, auts)
-
-
-# -- orbitals -------------------------------------------------------------------
-
-
-@dataclass
-class RelationPartition:
-    """A partition of Omega x Omega into colored relations."""
-
-    degree: int
-    colors: np.ndarray
-    n_colors: int
-
-
-def orbitals(K: PermutationGroup, degree_cap: int = 1000) -> RelationPartition:
-    """Orbits of the componentwise action on pairs, by flood fill."""
-    n = K.degree
-    if n > degree_cap:
-        raise CapExceededError(f"orbitals capped at degree {degree_cap}")
-    gens = [g.tolist() for g in K.generators]
-    colors = np.full((n, n), -1, dtype=np.int32)
-    col_flat = colors.ravel()
-    color = 0
-    for start in range(n * n):
-        if col_flat[start] >= 0:
-            continue
-        col_flat[start] = color
-        stack = [start]
-        while stack:
-            pr = stack.pop()
-            a, b = divmod(pr, n)
-            for g in gens:
-                q = g[a] * n + g[b]
-                if col_flat[q] < 0:
-                    col_flat[q] = color
-                    stack.append(q)
-        color += 1
-    return RelationPartition(n, colors, color)
-
-
 # -- block actions ---------------------------------------------------------------
 
 
@@ -805,9 +708,7 @@ def induced_block_map(f: Perm, cls_a: np.ndarray, cls_b: np.ndarray, m: int) -> 
     return out if np.array_equal(out[cls_a], img) else None
 
 
-def action_closure(
-    gens: Sequence[Perm], cls: np.ndarray, m: int, cap: int = 500_000
-) -> Optional[dict[bytes, Perm]]:
+def action_closure(gens: Sequence[Perm], cls: np.ndarray, m: int) -> Optional[dict[bytes, Perm]]:
     """The maps <gens> induces on the classes of cls, each with one preimage.
 
     Keys are the induced maps' bytes in breadth-first order from the
@@ -825,16 +726,14 @@ def action_closure(
             na = compose(arow, act)
             key = na.tobytes()
             if key not in reach:
-                if len(reach) >= cap:
+                if len(reach) >= ACTION_CAP:
                     raise CapExceededError("block action image too large")
                 reach[key] = compose(pre, g)
                 queue.append((na, reach[key]))
     return reach
 
 
-def block_action_with_kernel(
-    K: PermutationGroup, partition: Sequence[Sequence[int]], closure_cap: int = 500_000
-) -> BlockAction:
+def block_action_with_kernel(K: PermutationGroup, partition: Sequence[Sequence[int]]) -> BlockAction:
     """Induced action on blocks plus its kernel.
 
     The action image is ``action_closure``; kernel generators are the
@@ -848,7 +747,7 @@ def block_action_with_kernel(
     if np.any(block_of < 0):
         raise InvalidInputError("partition does not cover the domain")
     m = len(blocks)
-    reach = action_closure(K.generators, block_of, m, closure_cap)
+    reach = action_closure(K.generators, block_of, m)
     if reach is None:
         raise InvalidInputError("not a block system")
     if len(reach) == 1:
@@ -875,7 +774,9 @@ def _candidate_pools_parametric(K: D2Subgroup, needed: set[int]) -> dict[int, li
 
     For each (automorphism, kind) the rows over its translations t form the
     columns of one matrix; column-wise powers are taken together, so the
-    uniform-type test (as in ``uniform_cycle_length``) is vectorized over t.
+    uniform-type test is vectorized over t: the smallest cycle length is the
+    first power with a fixed point, and the cycles agree iff that power is
+    the identity.
     """
     n = K.degree
     T = K.group.table
@@ -919,8 +820,10 @@ def _bfs_tree(H: FiniteGroup, gens: list[int]) -> list[tuple[int, int, int]]:
     return edges
 
 
-def regular_subgroups(K, H: FiniteGroup, element_cap: int = ELEMENT_CAP) -> list[PermutationGroup]:
-    """All regular subgroups of K isomorphic to H.
+def regular_subgroups(K: D2Subgroup, H: FiniteGroup) -> list[FiniteGroup]:
+    """All regular subgroups of K isomorphic to H, each as its abstract group,
+    in order of their member rows' bytes: column i of the table is the
+    member that takes 0 to i, so a * b is the image of a under member b.
 
     A regular subgroup V is recovered from the images (c_1..c_k) of a short
     generating sequence of H: the base-point orbit map b(h) = 0^phi(h) is
@@ -933,24 +836,10 @@ def regular_subgroups(K, H: FiniteGroup, element_cap: int = ELEMENT_CAP) -> list
     n = H.order
     if K.degree != n:
         return []  # a regular subgroup has order equal to the degree
-    if K.order > element_cap:
-        raise CapExceededError("K too large to enumerate")
-    if n == 1:
-        return [PermutationGroup([], 1)]
     gens_idx = greedy_generators(H)
     k = len(gens_idx)
     orders = element_orders(H)[gens_idx].tolist()
-
-    if isinstance(K, D2Subgroup):
-        pools = _candidate_pools_parametric(K, set(orders))
-    else:
-        pools = {o: [] for o in set(orders)}
-        for row in K.elements(element_cap):
-            if int(row[0]) == 0:
-                continue  # fixes a point, cannot belong to a regular subgroup
-            o = uniform_cycle_length(row)
-            if o in pools:
-                pools[o].append(row.copy())
+    pools = _candidate_pools_parametric(K, set(orders))
 
     # iterate small pools in the outer product, batch over the largest one
     slot_order = sorted(range(k), key=lambda i: len(pools[orders[i]]))
@@ -959,7 +848,7 @@ def regular_subgroups(K, H: FiniteGroup, element_cap: int = ELEMENT_CAP) -> list
 
     tree = _bfs_tree(H, gens_idx)
     T = H.table
-    found: dict[bytes, PermutationGroup] = {}
+    found: dict[bytes, np.ndarray] = {}
 
     def accept(cands: list[Perm], b: np.ndarray) -> None:
         binv = inverse_perm(b)
@@ -969,12 +858,11 @@ def regular_subgroups(K, H: FiniteGroup, element_cap: int = ELEMENT_CAP) -> list
             return
         # canonical form: element rows indexed by their image of the base point
         M = np.ascontiguousarray(P.T[binv])
+        if not np.array_equal(M[:, 0], np.arange(n)):
+            raise InternalError("group is not regular on its domain")
         full = M.tobytes()
-        if full in found or not all(row in K for row in M):
-            return
-        sub = PermutationGroup(list(cands), n, known_order=n)
-        sub.element_rows_cache = np.ascontiguousarray(P.T)
-        found[full] = sub
+        if full not in found and all(row in K for row in M):
+            found[full] = M
 
     last_pool = pools[orders[-1]]
     if not last_pool or any(not pools[o] for o in orders):
@@ -1023,4 +911,4 @@ def regular_subgroups(K, H: FiniteGroup, element_cap: int = ELEMENT_CAP) -> list
     for combo in itertools.product(*(pools[o] for o in orders[:-1])):
         scan_batch(list(combo))
 
-    return [found[k2] for k2 in sorted(found)]
+    return [FiniteGroup(found[key].T, check=False) for key in sorted(found)]

@@ -1,7 +1,10 @@
 """Shared test groups, built once per session, n x n views of the
-closure rows that the pipeline keeps, and the per-element group primitives
-and dict-based stabilizer chain that the array-native ones replaced."""
+closure rows that the pipeline keeps, the per-element group primitives
+and dict-based stabilizer chain that the array-native ones replaced, and
+the constructors only the tests use: the regular representations, D(2,G)
+as a chain and in parametric form, orbitals and the direct-sum test."""
 
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -14,12 +17,14 @@ from cencay.group import (
     FiniteGroup,
     _class_fingerprints,
     _extend_partial_map,
+    automorphism_group,
     greedy_generators,
     group_from_generators,
 )
 from cencay.errors import CapExceededError, InternalError, InvalidInputError
 from cencay.perm import (
     ELEMENT_CAP,
+    D2Subgroup,
     Perm,
     PermutationGroup,
     _member_candidate,
@@ -89,6 +94,84 @@ def set_partitions(items):
         yield [[first]] + part
         for i in range(len(part)):
             yield part[:i] + [[first] + part[i]] + part[i + 1:]
+
+
+# -- regular representations, D(2,G), orbitals ----------------------------------
+
+
+@dataclass
+class RegularReps:
+    """Left/right regular actions of a finite group on itself."""
+
+    group: FiniteGroup
+    right_gens: list[Perm]
+    left_gens: list[Perm]
+    sigma: Perm
+
+    @property
+    def star_gens(self) -> list[Perm]:
+        return self.right_gens + self.left_gens
+
+
+def regular_representations(G: FiniteGroup) -> RegularReps:
+    """Right/left translation generators and the inversion permutation."""
+    gens = greedy_generators(G)
+    right = [np.ascontiguousarray(G.table[:, g]) for g in gens]
+    left = [np.ascontiguousarray(G.table[g, :]) for g in gens]
+    sigma = np.ascontiguousarray(G.inverse)
+    return RegularReps(G, right, left, sigma)
+
+
+def d2_group(G: FiniteGroup) -> PermutationGroup:
+    """D(2,G): the holomorph of G extended by inversion, acting on G.
+
+    Generators are right translations, the automorphisms (as permutations
+    fixing 0), and inversion; the generator list is reduced before chain
+    construction.
+    """
+    reps = regular_representations(G)
+    auts = [as_perm(a, G.order) for a in automorphism_group(G)]
+    gens = reduce_generators(reps.right_gens + auts + [reps.sigma], G.order)
+    return PermutationGroup(gens, G.order)
+
+
+def full_d2_subgroup(G: FiniteGroup) -> D2Subgroup:
+    """D(2,G) itself in parametric form (all automorphisms on both parts)."""
+    auts = automorphism_group(G)
+    return D2Subgroup(G, auts, auts)
+
+
+@dataclass
+class RelationPartition:
+    """A partition of Omega x Omega into colored relations."""
+
+    degree: int
+    colors: np.ndarray
+    n_colors: int
+
+
+def orbitals(K: PermutationGroup) -> RelationPartition:
+    """Orbits of the componentwise action on pairs, by flood fill."""
+    n = K.degree
+    gens = [g.tolist() for g in K.generators]
+    colors = np.full((n, n), -1, dtype=np.int32)
+    col_flat = colors.ravel()
+    color = 0
+    for start in range(n * n):
+        if col_flat[start] >= 0:
+            continue
+        col_flat[start] = color
+        stack = [start]
+        while stack:
+            pr = stack.pop()
+            a, b = divmod(pr, n)
+            for g in gens:
+                q = g[a] * n + g[b]
+                if col_flat[q] < 0:
+                    col_flat[q] = color
+                    stack.append(q)
+        color += 1
+    return RelationPartition(n, colors, color)
 
 
 def d2_chain(K):
@@ -205,21 +288,77 @@ def greedy_generators_by_bfs(G: FiniteGroup) -> list[int]:
     return gens
 
 
+def row_matrix(G: FiniteGroup, row: np.ndarray) -> CoherentConfiguration:
+    """The n x n color matrix of an identity row, checked for (C1) and (C2)."""
+    X = CoherentConfiguration(cayley_matrix(G, row))
+    X.verify_light()
+    return X
+
+
 def pair_matrices(swp):
     """X, Y and the identity algebraic isomorphism phi of a ``SchemesWithPhi``,
     as n x n matrices gathered from its two closure rows."""
-    X = CoherentConfiguration(cayley_matrix(swp.src.gamma.group, swp.src.row))
-    Y = CoherentConfiguration(cayley_matrix(swp.dst.gamma.group, swp.row_b))
-    X.verify_light()
-    Y.verify_light()
+    X = row_matrix(swp.src.gamma.group, swp.src.row)
+    Y = row_matrix(swp.dst.gamma.group, swp.row_b)
     return X, Y, AlgebraicIso(X, Y, np.arange(X.rank, dtype=np.int32))
 
 
 def restricted_matrix(rec):
     """XU, the closure restricted to U, as the |U| x |U| matrix of the U-row."""
-    XU = CoherentConfiguration(cayley_matrix(rec.U, rec.u_row))
-    XU.verify_light()
-    return XU
+    return row_matrix(rec.U, rec.u_row)
+
+
+def scheme_matrix(scheme) -> CoherentConfiguration:
+    """A ``CayleyScheme`` as its n x n color matrix, gathered from the row."""
+    return row_matrix(scheme.group, scheme.row)
+
+
+def point_classes(scheme) -> list[tuple[int, ...]]:
+    """Neighborhoods of the identity per basis relation of a ``CayleyScheme``."""
+    return [tuple(int(x) for x in np.nonzero(scheme.row == s)[0]) for s in range(scheme.rank)]
+
+
+def is_boxplus_trivial(X: CoherentConfiguration, parts: Sequence[Sequence[int]]) -> bool:
+    """Whether X is the direct sum of trivial configurations on the parts.
+
+    Inside each part only the diagonal and its complement may appear, and
+    every color crossing two parts must cover their full product.  The
+    pipeline decides this on the closure row (``cencay.cayley.compute_H0``);
+    this is its n x n oracle.
+    """
+    n = X.n
+    part_of = np.full(n, -1, dtype=np.int64)
+    sizes = []
+    for i, p in enumerate(parts):
+        arr = np.asarray(list(p), dtype=np.int64)
+        part_of[arr] = i
+        sizes.append(len(arr))
+    if np.any(part_of < 0):
+        raise InvalidInputError("parts do not cover the domain")
+    if len(set(sizes)) != 1:
+        raise InvalidInputError("parts must have equal size")
+    k = len(parts)
+    cell = part_of[:, None] * k + part_of[None, :]
+    combined = X.colors.astype(np.int64) * (k * k) + cell
+    counts = np.bincount(combined.ravel(), minlength=X.rank * k * k)
+    b = sizes[0]
+    diag_colors = set(int(c) for c in X.diagonal_colors)
+    for c in range(X.rank):
+        for cellv in range(k * k):
+            cnt = int(counts[c * k * k + cellv])
+            if cnt == 0:
+                continue
+            i, j = divmod(cellv, k)
+            if i != j:
+                if cnt != b * b:
+                    return False
+            else:
+                if c in diag_colors:
+                    if cnt != b:
+                        return False
+                elif cnt != b * b - b:
+                    return False
+    return True
 
 
 # -- the dict-based stabilizer chain ---------------------------------------------
@@ -452,9 +591,6 @@ class DictChainGroup:
                     yield compose(e, levels[i].trans[pt])
 
         yield from rec(0)
-
-    def element_rows(self, cap: int = ELEMENT_CAP) -> np.ndarray:
-        return np.array(list(self.elements(cap)), dtype=np.int32)
 
     def __repr__(self) -> str:
         return f"DictChainGroup(degree={self.degree}, gens={len(self.generators)})"

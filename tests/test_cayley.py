@@ -13,8 +13,17 @@ from cencay.cayley import (
 )
 from cencay.errors import InvalidInputError
 from cencay.group import ClassPartition, conjugacy_classes, element_orders, is_central, socle
-from cencay.perm import PermutationGroup, orbitals, regular_representations
-from .fixture_groups import alt5, psl27, set_partitions, sym5
+from cencay.perm import PermutationGroup
+from .fixture_groups import (
+    alt5,
+    orbitals,
+    point_classes,
+    psl27,
+    regular_representations,
+    scheme_matrix,
+    set_partitions,
+    sym5,
+)
 
 
 def merge_partition(G, groups):
@@ -79,22 +88,23 @@ def test_cayley_wl_full_classes_is_orbital_scheme():
     G = sym5()
     gamma = build_central_cayley(G, merge_partition(G, [[i] for i in range(7)]))
     scheme = cayley_wl(gamma)
-    assert scheme.base.rank == 7
+    X = scheme_matrix(scheme)
+    assert X.rank == 7
     reps = regular_representations(G)
     orb = orbitals(PermutationGroup(reps.star_gens, 120))
-    pairs = set(zip(scheme.base.colors.ravel().tolist(), orb.colors.ravel().tolist()))
+    pairs = set(zip(X.colors.ravel().tolist(), orb.colors.ravel().tolist()))
     assert len(pairs) == 7
     assert scheme.central
 
 
 def test_cayley_wl_transpositions_rank7():
     scheme = cayley_wl(transposition_graph(sym5()))
-    assert scheme.base.rank == 7
+    assert scheme_matrix(scheme).rank == 7
 
 
 def test_point_classes_partition_group():
     scheme = cayley_wl(transposition_graph(sym5()))
-    pts = [x for cls in scheme.point_classes for x in cls]
+    pts = [x for cls in point_classes(scheme) for x in cls]
     assert sorted(pts) == list(range(120))
 
 
@@ -178,10 +188,10 @@ def test_symmetric_type_is_wreath_wrt_l():
     gamma = coset_graph(G)
     scheme = cayley_wl(gamma)
     sec = principal_section(scheme)
-    assert is_wreath_wrt(scheme.base, sec.l_class_of)
+    assert is_wreath_wrt(scheme_matrix(scheme), sec.l_class_of)
     # the normal-type transposition graph is not a wreath product over its L
     scheme_t = cayley_wl(transposition_graph(G))
-    assert not is_wreath_wrt(scheme_t.base, principal_section(scheme_t).l_class_of)
+    assert not is_wreath_wrt(scheme_matrix(scheme_t), principal_section(scheme_t).l_class_of)
 
 
 def test_index_bound_reported():

@@ -8,8 +8,8 @@ import pytest
 sympy_comb = pytest.importorskip("sympy.combinatorics")
 
 from cencay.iso import automorphisms
-from cencay.perm import PermutationGroup, d2_group, regular_representations
-from .fixture_groups import alt5, sym5
+from cencay.perm import PermutationGroup
+from .fixture_groups import alt5, d2_group, regular_representations, sym5
 from .test_iso import coset_graph, transposition_graph
 
 

@@ -45,9 +45,12 @@ def test_closure_orders():
     assert group_from_generators([], degree=1).order == 1
 
 
-def test_closure_cap():
+def test_closure_cap(monkeypatch):
+    import cencay.group as group_mod
+
+    monkeypatch.setattr(group_mod, "CLOSURE_CAP", 50)
     with pytest.raises(CapExceededError):
-        group_from_generators([(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)], cap=50)
+        group_from_generators([(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)])
 
 
 def test_closure_rejects_non_permutation():

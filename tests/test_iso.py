@@ -18,20 +18,18 @@ from cencay.iso import (
     quotient_isos,
     schemes_with_phi,
 )
-from cencay.perm import (
-    PermutationGroup,
-    d2_group,
-    full_d2_subgroup,
-    regular_representations,
-)
+from cencay.perm import PermutationGroup
 from .fixture_groups import (
     alt5,
     alt6,
     chain_d2_generators,
     cyclic,
     d2_chain,
+    d2_group,
+    full_d2_subgroup,
     pair_matrices,
     pgl27,
+    regular_representations,
     restricted_matrix,
     set_partitions,
     sym5,
@@ -424,13 +422,12 @@ def c0_by_enumeration(src, dst, psi_map):
     isomorphic to U that passes the colour check and conjugates D_U onto
     D_{U'}."""
     from cencay.group import group_isomorphisms
-    from cencay.iso import _abstract_group_of_regular
     from cencay.perm import inverse_perm, regular_subgroups
 
     d_u, d_u2 = src.d_u, dst.d_u
     want, colors_b = psi_map[restricted_matrix(src).colors], restricted_matrix(dst).colors
-    for V in regular_subgroups(d_u2, src.U):
-        beta0, auts = group_isomorphisms(src.U, _abstract_group_of_regular(V))
+    for V in regular_subgroups(d_u2, src.U):  # each as its multiplication table
+        beta0, auts = group_isomorphisms(src.U, V)
         for alpha in auts:
             f0 = alpha[beta0]
             if not np.array_equal(colors_b[f0[:, None], f0[None, :]], want):
@@ -818,7 +815,6 @@ def test_steps_build_no_nxn_scheme_matrix(monkeypatch):
     import cencay.cayley as cayley_mod
     import cencay.coherent as coherent_mod
     import cencay.iso as iso_mod
-    from cencay.cayley import CayleyScheme
     from cencay.coherent import AlgebraicIso, CoherentConfiguration
 
     from .fixture_groups import psl27
@@ -836,18 +832,10 @@ def test_steps_build_no_nxn_scheme_matrix(monkeypatch):
     targets += [(iso_mod, name) for name in ("cayley_matrix", "restriction")
                 if hasattr(iso_mod, name)]
     calls = [count_calls(monkeypatch, module, name) for module, name in targets]
-    base_calls = [0]
-    base = CayleyScheme.__dict__["base"].func
-
-    def counted_base(self):
-        base_calls[0] += 1
-        return base(self)
-
-    monkeypatch.setattr(CayleyScheme, "base", property(counted_base))
     for a, b in pairs:
         assert automorphisms(a).aut_order == automorphisms(b).aut_order
         assert iso_test(a, b).isomorphic
-    assert [c[0] for c in calls] + base_calls == [0] * (len(calls) + 1)
+    assert [c[0] for c in calls] == [0] * len(calls)
 
 
 def test_c_id_keeps_a_structural_inner_group():

@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 from cencay.cayley import build_central_cayley, partition_from_class_merge
 from cencay.errors import InternalError, InvalidInputError
 from cencay.fixtures import BUILTIN_NAMES, builtin_group
-from cencay.group import conjugacy_classes, group_from_generators, socle
+from cencay.group import (
+    FiniteGroup,
+    conjugacy_classes,
+    group_from_generators,
+    group_isomorphisms,
+    socle,
+)
 from cencay.iso import analyze
 from cencay.perm import (
     D2Subgroup,
@@ -17,20 +23,26 @@ from cencay.perm import (
     block_action_with_kernel,
     compose,
     conj_into_block,
-    d2_group,
-    full_d2_subgroup,
     identity_perm,
     inverse_perm,
     is_identity,
-    orbitals,
     reduce_generators,
-    regular_representations,
     regular_subgroups,
     symmetric_group_on,
-    uniform_cycle_length,
     wreath_group_on_blocks,
 )
-from .fixture_groups import DictChainGroup, DictLevel, alt5, chain_d2_generators, d2_chain, sym5
+from .fixture_groups import (
+    DictChainGroup,
+    DictLevel,
+    alt5,
+    chain_d2_generators,
+    d2_chain,
+    d2_group,
+    full_d2_subgroup,
+    orbitals,
+    regular_representations,
+    sym5,
+)
 
 
 def test_chain_order_s5():
@@ -541,44 +553,44 @@ def test_generators_out_of_the_int32_range_are_rejected():
             PermutationGroup([bad], 2)
 
 
+def closed_rows(gens, n):
+    """The group the permutations generate, closed breadth first from the
+    identity, as a matrix with its rows ordered by their image of 0."""
+    seen = {identity_perm(n).tobytes(): identity_perm(n)}
+    queue = [identity_perm(n)]
+    for e in queue:  # the queue grows while it is walked
+        for g in gens:
+            w = compose(e, g)
+            if w.tobytes() not in seen:
+                seen[w.tobytes()] = w
+                queue.append(w)
+    rows = np.array(queue)
+    return rows[np.argsort(rows[:, 0], kind="stable")]
+
+
 def test_regular_subgroups_d2_alt5():
     A5 = alt5()
     K = full_d2_subgroup(A5)
     subs = regular_subgroups(K, A5)
     assert len(subs) == 2
+    tables = set()
+    for V in subs:
+        rows = V.table.T  # row i: the member that takes 0 to i
+        group = closed_rows(list(rows), 60)
+        # the rows are exactly the group they generate, one per image of 0
+        assert np.array_equal(group[:, 0], np.arange(60))
+        assert np.array_equal(group, rows)
+        assert all(r in K for r in rows)
+        assert FiniteGroup(V.table) == V and group_isomorphisms(A5, V) is not None
+        tables.add(rows.tobytes())
     reps = regular_representations(A5)
-    right = PermutationGroup(reps.right_gens, 60)
-    left = PermutationGroup(reps.left_gens, 60)
-    def holds(sub, grp):
-        return all(g in sub for g in grp.generators)
-    assert any(holds(s, right) for s in subs)
-    assert any(holds(s, left) for s in subs)
-    for s in subs:
-        assert s.order == 60
-        rows = s.element_rows_cache
-        # regularity: base point images hit every point once
-        assert sorted(int(r[0]) for r in rows) == list(range(60))
-        for r in rows:
-            assert is_identity(r) or not np.any(r == np.arange(60))
-        # closed under composition (genuine subgroup)
-        byts = {r.tobytes() for r in rows}
-        for a in rows[:8]:
-            for b in rows[:8]:
-                assert compose(a, b).tobytes() in byts
+    right, left = closed_rows(reps.right_gens, 60), closed_rows(reps.left_gens, 60)
+    assert tables == {right.tobytes(), left.tobytes()}
+    assert [V.table.T.tobytes() for V in subs] == sorted(tables)
 
 
-def test_regular_subgroups_trivial_and_mismatch():
-    T = group_from_generators([], degree=1)
-    assert len(regular_subgroups(PermutationGroup([], 1), T)) == 1
-    S5 = sym5()
-    right = PermutationGroup(regular_representations(S5).right_gens, 120)
-    assert regular_subgroups(right, alt5()) == []
-
-
-def test_uniform_cycle_length():
-    assert uniform_cycle_length(np.array([1, 0, 3, 2], dtype=np.int32)) == 2
-    assert uniform_cycle_length(np.array([1, 0, 2, 3], dtype=np.int32)) is None
-    assert uniform_cycle_length(identity_perm(4)) == 1
+def test_regular_subgroups_degree_mismatch():
+    assert regular_subgroups(full_d2_subgroup(sym5()), alt5()) == []
 
 
 def test_reduce_generators():

@@ -25,12 +25,12 @@ from cencay.cayley import (
     partition_from_class_merge,
     principal_section,
 )
-from cencay.coherent import extend_algebraic_iso, is_boxplus_trivial, wl_closure
+from cencay.coherent import extend_algebraic_iso, wl_closure
 from cencay.fixtures import builtin_group
 from cencay.group import ClassPartition, FiniteGroup, conjugacy_classes, socle, subgroups_over_socle
 from cencay.iso import QuotientGraph, schemes_with_phi
 
-from .fixture_groups import pair_matrices
+from .fixture_groups import is_boxplus_trivial, pair_matrices, point_classes, scheme_matrix
 
 SMALL = ("alt5", "sym5", "psl27")
 LARGE = ("pgl27", "alt6")  # n = 336 and 360: the exact oracle takes seconds per closure
@@ -57,7 +57,7 @@ def oracle_H0(scheme):
     out = []
     for H in subgroups_over_socle(G, require_normal=False):
         cosets = H.right_cosets()
-        X = wl_closure([scheme.base.colors] + coset_indicators(G, cosets), G.order)
+        X = wl_closure([scheme_matrix(scheme).colors] + coset_indicators(G, cosets), G.order)
         if is_boxplus_trivial(X, cosets):
             out.append(H)
     return out
@@ -126,7 +126,7 @@ def check_closure_and_h0(gamma):
     n = gamma.group.order
     scheme = cayley_wl(gamma)
     oracle = wl_closure([gamma.arc_colors], n)
-    assert np.array_equal(scheme.base.colors, oracle.colors)
+    assert np.array_equal(scheme_matrix(scheme).colors, oracle.colors)
     assert [H.elements for H in compute_H0(scheme)] == [H.elements for H in oracle_H0(scheme)]
 
 
@@ -259,4 +259,4 @@ def test_cayley_wl_cyclic_1025():
     scheme = cayley_wl(gamma)
     assert scheme.rank == n // 2 + 1
     distance = np.minimum(idx, n - idx)
-    assert all(len(set(distance[list(cls)])) == 1 for cls in scheme.point_classes)
+    assert all(len(set(distance[list(cls)])) == 1 for cls in point_classes(scheme))
