@@ -88,7 +88,8 @@ def _report(result: iso.IsoResult, gamma, args, elapsed: float, sec=None) -> Non
         section_kind=sec.kind if sec is not None else None,
         elapsed=elapsed,
     )
-    # both outputs come from one report, so the emitted order is recounted once
+    # both outputs come from one report, so the emitted order is checked once,
+    # against the decision's own recount when it made one, else a new chain
     if args.output:
         payload = files.emit_report(result, args.output, **meta)
     elif args.json:

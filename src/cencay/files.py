@@ -152,26 +152,27 @@ def result_from_dict(data: dict) -> IsoResult:
 def verify_emitted_order(result: IsoResult, degree: int) -> str:
     """Recompute the order of the emitted generators before writing a report.
 
-    Small groups get a full independent stabilizer chain.  Beyond the recount
-    limit the chain is built with the claimed order as its stopping target:
-    reaching it proves the generators reach at least the claimed order (the
-    transversal product never exceeds the generated group's order), which is
-    the direction a fabricated order would break.
+    Small groups get a full stabilizer chain: the self-verification's
+    (``IsoResult.recounted_order``) for the very generators it counted, else
+    a new one.  Beyond the recount limit the chain is built with the claimed
+    order as its stopping target: reaching it proves the generators reach
+    at least the claimed order (the transversal product never exceeds the
+    generated group's order), which is the direction a fabricated order
+    would break.
     """
     if result.aut_order <= 1 or not result.aut_generators:
         if result.aut_order > 1:
             raise InternalError("nontrivial order with no generators")
         return "chain"
     if result.aut_order <= iso.CHAIN_RECOUNT_LIMIT:
-        got = PermutationGroup(result.aut_generators, degree).order
+        got = result.recounted_order(degree)
+        got = got or PermutationGroup(result.aut_generators, degree).order
         if got != result.aut_order:
             raise InternalError(
                 f"emitted aut_order {result.aut_order} but chain recount gives {got}"
             )
         return "chain"
-    got = PermutationGroup(
-        result.aut_generators, degree, known_order=result.aut_order
-    ).order
+    got = PermutationGroup(result.aut_generators, degree, known_order=result.aut_order).order
     if got != result.aut_order:
         raise InternalError("known-order chain failed to certify the emitted order")
     return "chain-lower-bound"

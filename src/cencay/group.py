@@ -614,10 +614,15 @@ def automorphism_group(G: FiniteGroup) -> list[np.ndarray]:
     search finds T, and the distinct rows of the conjugation table multiply
     it out in one gather.
     """
+    return _automorphisms(G, None)
+
+
+def _automorphisms(G: FiniteGroup, conj: Optional[np.ndarray]) -> list[np.ndarray]:
+    """``automorphism_group`` with G's conjugation table, if the caller has it."""
     if G.order > AUT_CAP:
         raise CapExceededError(f"automorphism search capped at order {AUT_CAP}")
     if G._aut_cache is None:
-        conj = _conjugation_table(G)
+        conj = _conjugation_table(G) if conj is None else conj
         _, first = np.unique(conj, axis=0, return_index=True)
         reps = np.array(_isomorphisms_mod_inner(G, G, conj))
         G._aut_cache = list(conj[np.sort(first)[:, None, None], reps].reshape(-1, G.order))
@@ -690,7 +695,8 @@ def group_isomorphisms(
     The full isomorphism set is the returned map composed with each
     automorphism of H.
     """
-    reps = _isomorphisms_mod_inner(G, H, _conjugation_table(H), first_only=True)
+    conj = _conjugation_table(H)
+    reps = _isomorphisms_mod_inner(G, H, conj, first_only=True)
     if not reps:
         return None
-    return reps[0], automorphism_group(H)
+    return reps[0], _automorphisms(H, conj)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -81,10 +81,27 @@ class IsoResult:
     aut_order: int
     decided_at_step: int
     aut_membership: Optional[Callable[[Sequence[int]], bool]] = field(default=None, repr=False)
+    # (degree, ``_snapshot`` of the generators, order) of ``_self_verify``'s recount
+    recount: Optional[tuple[int, bytes, int]] = field(default=None, repr=False)
 
     @property
     def isomorphic(self) -> bool:
         return self.verdict == "isomorphic"
+
+    def recounted_order(self, degree: int) -> Optional[int]:
+        """The order ``_self_verify`` recounted, if that was on this degree and
+        the generators are still, byte for byte, the ones it recounted."""
+        rec = self.recount
+        if rec and rec[0] == degree and rec[1] == _snapshot(self.aut_generators):
+            return rec[2]
+        return None
+
+
+def _snapshot(gens: Sequence) -> bytes:
+    """Each generator's dtype, shape and bytes: equal snapshots, equal generators."""
+    rows = [np.asarray(g) for g in gens]
+    shapes = repr([(r.dtype.str, r.shape) for r in rows]).encode()
+    return shapes + b"".join(r.tobytes() for r in rows)
 
 
 @dataclass
@@ -298,9 +315,7 @@ class Analysis:
     def negative(self, step: int) -> IsoResult:
         """A non-isomorphic verdict decided at a step, with this graph's Aut."""
         aut = self.aut
-        return IsoResult(
-            "non_isomorphic", None, aut.aut_generators, aut.aut_order, step, aut.aut_membership
-        )
+        return replace(aut, verdict="non_isomorphic", representative=None, decided_at_step=step)
 
 
 def analyze(gamma: ColorCayleyGraph) -> Analysis:
@@ -313,17 +328,20 @@ def analyze(gamma: ColorCayleyGraph) -> Analysis:
 
 def _self_verify(result: IsoResult, gamma: ColorCayleyGraph, cid: WreathProduct) -> None:
     """Unconditional checks on an automorphism group: every generator keeps
-    the arc colors and lies in C_id, and a stabilizer chain recounts the order."""
-    M = gamma.arc_colors
-    for g in result.aut_generators:
+    the arc colors and lies in C_id, and a stabilizer chain recounts the order,
+    kept on the result for the report with a snapshot of the generators (not
+    the chain: its transversals are n x n)."""
+    M, n, gens = gamma.arc_colors, gamma.group.order, result.aut_generators
+    for g in gens:
         if not np.array_equal(M[g[:, None], g[None, :]], M):
             raise InternalError("an automorphism generator fails the color check")
         if g not in cid:
             raise InternalError("an automorphism generator escapes the majorant")
-    if 1 < result.aut_order <= CHAIN_RECOUNT_LIMIT and result.aut_generators:
-        recount = PermutationGroup(result.aut_generators, gamma.group.order).order
+    if 1 < result.aut_order <= CHAIN_RECOUNT_LIMIT and gens:
+        recount = PermutationGroup(gens, n).order
         if recount != result.aut_order:
             raise InternalError("stabilizer chain recount disagrees with the order")
+        result.recount = (n, _snapshot(gens), recount)
 
 
 def automorphisms(gamma: ColorCayleyGraph) -> IsoResult:
@@ -507,11 +525,7 @@ def lift_and_intersect(
     for b in B:
         pre = src.action.get(fbar_inv[b].tobytes())  # cbar with cbar-then-fbar equal to b
         if pre is not None:
-            aut = src.aut
-            rep = compose(pre, maj.representative)
-            return IsoResult(
-                "isomorphic", rep, aut.aut_generators, aut.aut_order, 5, aut.aut_membership
-            )
+            return replace(src.aut, representative=compose(pre, maj.representative))
     return src.negative(4)
 
 

@@ -2,13 +2,14 @@
 
 Permutations are numpy int32 image arrays; ``compose(p, q)`` applies p first.
 Groups carry a deterministic stabilizer chain (base points are smallest moved
-points, transversals breadth-first), so orders, membership tests and element
-enumeration are reproducible across runs.  Each chain level holds its orbit,
-a point-to-orbit-index array and its inverse transversal as one int32 matrix
-with a row per orbit point.  Completion sifts Schreier generators 32 at a
-time, in the order of the textbook one-at-a-time loop, so the chain is the
-one that loop builds.  ``reduce_generators`` sifts its candidates one at a
-time through one chain and extends it for each generator it keeps.
+points, transversals breadth-first), so orders and membership tests are
+reproducible across runs.  Each chain level holds its orbit, a
+point-to-orbit-index array and its inverse transversal as one int32 matrix
+with a row per orbit point.  Completion sifts Schreier generators in batches
+of about 2**13 entries (never fewer than 32 rows), in the order of the
+textbook one-at-a-time loop, so the chain is the one that loop builds.
+``reduce_generators`` sifts its candidates one at a time through one chain
+and extends it for each generator it keeps.
 
 Three groups are kept structural instead: the symmetric group on a point
 set, the wreath product B wr T on a block system, and the subgroups of
@@ -32,7 +33,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -41,7 +42,6 @@ from .group import FiniteGroup, Subgroup, element_orders, greedy_generators
 
 Perm = np.ndarray
 
-ELEMENT_CAP = 10_000_000
 ACTION_CAP = 500_000  # induced maps ``action_closure`` may reach
 
 
@@ -106,9 +106,10 @@ def _member_candidate(p, degree: int) -> Optional[Perm]:
 
 # -- stabilizer chain ---------------------------------------------------------
 
-# Schreier generators are formed and sifted this many at a time, so the
-# temporaries of a completion step stay O(32 * degree)
-_CHUNK = 32
+# Schreier generators are formed and sifted max(32, _SIFT_BUDGET // degree)
+# rows at a time: wide enough that small degrees pay numpy's per-call cost
+# on few batches, and the temporaries of a step stay O(max(2**13, 32 * degree))
+_SIFT_BUDGET = 1 << 13
 
 
 class _Level:
@@ -153,7 +154,7 @@ def _rows_of(table: np.ndarray, which: np.ndarray, rows: np.ndarray) -> np.ndarr
     """table[which[r]][rows[r]] for every r: each row followed by a table row.
 
     One flat ``np.take``; a two-axis fancy index is several times slower on
-    the 32-row batches of the chain.
+    the row batches of the chain.
     """
     return np.take(table, which.astype(np.intp)[:, None] * table.shape[1] + rows)
 
@@ -176,8 +177,8 @@ class PermutationGroup:
     inverse transversal as one int32 matrix, one row per orbit point (see
     ``_Level``).  Schreier–Sims completion (Seress, *Permutation Group
     Algorithms*, 2003, ch. 4) walks each level's (orbit point, generator)
-    pairs in order, but forms their Schreier generators 32 at a time with
-    one gather and sifts them together; the first one with a nonidentity
+    pairs in order, but forms a batch of their Schreier generators with one
+    gather and sifts them together; the first one with a nonidentity
     residue becomes a strong generator, exactly as a one-at-a-time loop
     would choose.
 
@@ -208,10 +209,7 @@ class PermutationGroup:
     # -- chain construction ------------------------------------------------
 
     def _effective_gens(self, i: int) -> list[Perm]:
-        out = []
-        for lv in self._levels[i:]:
-            out.extend(lv.gens)
-        return out
+        return [g for lv in self._levels[i:] for g in lv.gens]
 
     def _extend_orbit(self, i: int, new_gen: Perm) -> None:
         """Breadth-first extension of the level orbit after new_gen arrived.
@@ -264,10 +262,7 @@ class PermutationGroup:
         return r, res[r], int(stop[r])
 
     def _chain_order(self) -> int:
-        o = 1
-        for lv in self._levels:
-            o *= len(lv.points)
-        return o
+        return math.prod(len(lv.points) for lv in self._levels)
 
     def _add_strong_gen(self, j: int, g: Perm) -> None:
         if j == len(self._levels):
@@ -283,9 +278,10 @@ class PermutationGroup:
         lv = self._levels[i]
         gens = np.stack(self._effective_gens(i))
         pairs = len(lv.points) * len(gens)
-        for lo in range(0, pairs, _CHUNK):
-            a, via = np.divmod(np.arange(lo, min(lo + _CHUNK, pairs)), len(gens))
-            u = _invert_rows(lv.inv[a[0] : a[-1] + 1])  # the chunk's few orbit points
+        batch = max(32, _SIFT_BUDGET // self.degree)
+        for lo in range(0, pairs, batch):
+            a, via = np.divmod(np.arange(lo, min(lo + batch, pairs)), len(gens))
+            u = _invert_rows(lv.inv[a[0] : a[-1] + 1])  # the batch's orbit points
             ug = _rows_of(gens, via, u[a - a[0]])  # u_a g
             sg = _rows_of(lv.inv, lv.pos[ug[:, lv.base]], ug)  # u_a g u_b^-1
             sg = sg[~_is_identity_rows(sg)]
@@ -320,16 +316,14 @@ class PermutationGroup:
             r, j = self._strip(g)
             if not is_identity(r):
                 self._add_strong_gen(j, r)
-        if target is not None:
-            if self._chain_order() == target:
-                self._order = target
-                return
-            # certified order: fill the chain by sifting pseudo-random
-            # products; every transversal entry is a genuine word in the
-            # generators, so reaching the target order proves completeness
-            if self._randomized_descent(target):
-                self._order = target
-                return
+        # certified order: fill the chain by sifting pseudo-random products;
+        # every transversal entry is a genuine word in the generators, so
+        # reaching the target order proves completeness
+        if target is not None and (
+            self._chain_order() == target or self._randomized_descent(target)
+        ):
+            self._order = target
+            return
         if self._complete(len(self._levels) - 1, target):
             self._order = target
             return
@@ -384,23 +378,6 @@ class PermutationGroup:
             return False
         self._ensure_chain()
         return is_identity(self._strip(r)[0])
-
-    def elements(self) -> Iterator[Perm]:
-        """All elements, deterministically ordered by transversal digits."""
-        self._ensure_chain()
-        if self.order > ELEMENT_CAP:
-            raise CapExceededError(f"group of order {self.order} exceeds element cap")
-        levels = self._levels
-        forward = [_invert_rows(lv.inv) for lv in levels]
-
-        def rec(i: int) -> Iterator[Perm]:
-            if i == len(levels):
-                yield identity_perm(self.degree)
-                return
-            for e in rec(i + 1):
-                yield from forward[i][:, e]  # e u for every transversal row u
-
-        yield from rec(0)
 
     def __repr__(self) -> str:
         return f"PermutationGroup(degree={self.degree}, gens={len(self.generators)})"

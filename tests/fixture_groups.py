@@ -2,7 +2,8 @@
 closure rows that the pipeline keeps, the per-element group primitives
 and dict-based stabilizer chain that the array-native ones replaced, and
 the constructors only the tests use: the regular representations, D(2,G)
-as a chain and in parametric form, orbitals and the direct-sum test."""
+as a chain and in parametric form, orbitals, the direct-sum test and the
+enumeration of a chain's elements."""
 
 from dataclasses import dataclass
 from functools import lru_cache
@@ -23,10 +24,10 @@ from cencay.group import (
 )
 from cencay.errors import CapExceededError, InternalError, InvalidInputError
 from cencay.perm import (
-    ELEMENT_CAP,
     D2Subgroup,
     Perm,
     PermutationGroup,
+    _invert_rows,
     _member_candidate,
     as_perm,
     compose,
@@ -362,6 +363,27 @@ def is_boxplus_trivial(X: CoherentConfiguration, parts: Sequence[Sequence[int]])
 
 
 # -- the dict-based stabilizer chain ---------------------------------------------
+
+ELEMENT_CAP = 10_000_000  # the largest group an enumeration lists
+
+
+def chain_elements(group: PermutationGroup) -> Iterator[Perm]:
+    """Every element of a ``PermutationGroup``, read off its chain's levels
+    in transversal-digit order, the order ``DictChainGroup.elements`` uses."""
+    group._ensure_chain()
+    if group.order > ELEMENT_CAP:
+        raise CapExceededError(f"group of order {group.order} exceeds element cap")
+    levels = group._levels
+    forward = [_invert_rows(lv.inv) for lv in levels]
+
+    def rec(i: int) -> Iterator[Perm]:
+        if i == len(levels):
+            yield identity_perm(group.degree)
+            return
+        for e in rec(i + 1):
+            yield from forward[i][:, e]  # e u for every transversal row u
+
+    yield from rec(0)
 
 
 class DictLevel:

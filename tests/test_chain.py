@@ -6,7 +6,7 @@ The batched chain sifts its Schreier generators in the old loop's order and
 adds the first nonidentity residue, so the two chains must agree level by
 level: bases, strong generators, orbits in discovery order and inverse
 transversals.  Everything derived from the chain (order, membership, the
-order of ``elements()``, the kept list of ``reduce_generators``) follows.
+order of ``chain_elements``, the kept list of ``reduce_generators``) follows.
 """
 
 import math
@@ -21,9 +21,10 @@ from cencay.errors import InternalError, InvalidInputError
 from cencay.fixtures import builtin_group
 from cencay.group import conjugacy_classes
 from cencay.iso import analyze, automorphisms
+from cencay import perm
 from cencay.perm import PermutationGroup, compose, identity_perm, reduce_generators
 
-from .fixture_groups import DictChainGroup, dict_reduce_generators
+from .fixture_groups import DictChainGroup, chain_elements, dict_reduce_generators
 
 try:
     from sympy.combinatorics import Permutation as SymPerm
@@ -83,7 +84,7 @@ def check_against_oracles(gens, degree, rng, element_limit=2000):
         with pytest.raises(InvalidInputError):
             bad in old
     if new.order <= element_limit:
-        rows = [e.tobytes() for e in new.elements()]
+        rows = [e.tobytes() for e in chain_elements(new)]
         assert rows == [e.tobytes() for e in old.elements()]
         assert len(set(rows)) == new.order
     kept = reduce_generators(gens, degree)
@@ -159,6 +160,60 @@ def test_chain_matches_the_dict_chain_on_full_colouring_auts(name):
     rng = np.random.default_rng(7)
     group = check_against_oracles(result.aut_generators, n, rng, element_limit=0)
     assert group.order == result.aut_order
+
+
+# 32 rows a batch (the floor), the default budget, and one batch per level
+SIFT_BUDGETS = (0, perm._SIFT_BUDGET, 1 << 18)
+
+
+@pytest.mark.parametrize("name", ["alt5", "sym5", "psl27", "pgl27", "alt6"])
+def test_sift_batch_size_keeps_the_chain(name, monkeypatch):
+    gamma = full_colouring(name)
+    gens, n = automorphisms(gamma).aut_generators, gamma.group.order
+    old = DictChainGroup(gens, n)
+    old._ensure_chain()
+    for budget in SIFT_BUDGETS:
+        monkeypatch.setattr(perm, "_SIFT_BUDGET", budget)
+        new = PermutationGroup(gens, n)
+        new._ensure_chain()
+        assert_same_chain(new, old)
+
+
+def test_sift_batch_size_keeps_a_residue_past_row_32(monkeypatch):
+    # c = (0 1)(41 42) and the transpositions t_i = (2i+2 2i+3), i < 20, each
+    # on a level of its own; at level 0 every Schreier generator sifts to the
+    # identity but the one of (point 1, t_19), c t_19 c = (40 42), which is
+    # row 41 of the 42: past the first 32-row batch
+    k, degree = 20, 43
+    c = np.arange(degree, dtype=np.int32)
+    c[[0, 1, 41, 42]] = [1, 0, 42, 41]
+    gens = [c]
+    for i in range(k):
+        t = np.arange(degree, dtype=np.int32)
+        t[[2 * i + 2, 2 * i + 3]] = [2 * i + 3, 2 * i + 2]
+        gens.append(t)
+    old = DictChainGroup(gens, degree)
+    old._ensure_chain()
+    first = PermutationGroup._first_residue
+    for budget in SIFT_BUDGETS:
+        monkeypatch.setattr(perm, "_SIFT_BUDGET", budget)
+        hits = []
+
+        def recording(self, rows, start):
+            hit = first(self, rows, start)
+            hits.append(None if hit is None else hit[0])
+            return hit
+
+        monkeypatch.setattr(PermutationGroup, "_first_residue", recording)
+        new = PermutationGroup(gens, degree)
+        new._ensure_chain()
+        monkeypatch.undo()
+        assert_same_chain(new, old)
+        assert new.order == 2**19 * 12  # <t_0..t_18> x <c, t_19>, c t_19 of order 6
+        # row 41 of the 42 is row 39 of the non-identity ones that reach the
+        # sift: a batch that holds all 42 reports it there, and 32-row
+        # batches report it from the second batch
+        assert (39 in hits) == (max(32, budget // degree) >= 42)
 
 
 @pytest.mark.parametrize("name", ["alt5", "psl27"])

@@ -164,19 +164,32 @@ def test_automorphism_group_matches_backtracking_oracle(make):
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES[:-1])
-def test_group_isomorphisms_random_relabelling(name):
+def test_group_isomorphisms_random_relabelling(name, monkeypatch):
+    import cencay.group as group_mod
+
     G = builtin_group(name)
     n = G.order
     p = np.concatenate(([0], 1 + np.random.default_rng(7).permutation(n - 1))).astype(np.int32)
     tab = np.empty_like(G.table)
     tab[p[:, None], p[None, :]] = p[G.table]  # p is an isomorphism G -> H
     H = FiniteGroup(tab)
+    tables, conjugation_table = [], group_mod._conjugation_table
+
+    def counted(K):
+        tables.append(K)
+        return conjugation_table(K)
+
+    monkeypatch.setattr(group_mod, "_conjugation_table", counted)
     res = group_isomorphisms(G, H)
+    monkeypatch.undo()
+    # Aut(H) is not cached yet: the search's conjugation table serves it too
+    assert sum(K is H for K in tables) == 1
     assert res is not None
     beta, auts = res
     assert np.array_equal(np.sort(beta), np.arange(n))
     assert _is_table_map(beta, G, H)
     assert len(auts) == len(automorphism_group(G))
+    assert {a.tobytes() for a in auts} == {a.tobytes() for a in automorphism_group(FiniteGroup(tab))}
 
 
 def test_group_isomorphisms_none_for_same_order_non_isomorphic():

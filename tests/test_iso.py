@@ -1,10 +1,19 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
 from cencay.cayley import build_central_cayley, partition_from_class_merge
-from cencay.errors import InvalidInputError
+from cencay.errors import InternalError, InvalidInputError
+from cencay.files import (
+    emit_report,
+    report_to_dict,
+    result_from_dict,
+    result_to_dict,
+    verify_emitted_order,
+)
 from cencay.group import ClassPartition, FiniteGroup, conjugacy_classes, element_orders, socle
 from cencay.iso import (
     IsoResult,
@@ -770,6 +779,74 @@ def test_normal_aut_builds_chains_only_for_the_recount_and_the_quotient(monkeypa
         monkeypatch.undo()
         assert degrees.count(120) == recounted and set(degrees) - {120} == {2}
     assert recounted  # the transposition graph's order is recounted
+
+
+def counted_degrees(monkeypatch) -> list[int]:
+    """The degree of every ``PermutationGroup`` built from here on."""
+    degrees = []
+    init = PermutationGroup.__init__
+
+    def counted_init(self, generators, degree, *args, **kwargs):
+        degrees.append(int(degree))
+        init(self, generators, degree, *args, **kwargs)
+
+    monkeypatch.setattr(PermutationGroup, "__init__", counted_init)
+    return degrees
+
+
+def test_a_decision_that_emits_its_report_builds_one_chain(monkeypatch, tmp_path):
+    # the self-verification keeps its recount on the result, so the emitted
+    # order is checked against it and the report builds no chain of its own
+    gam = transposition_graph()
+    others = {"positive": relabelled_graph(gam, 1), "negative": coset_graph()}
+    degrees = counted_degrees(monkeypatch)
+    for kind in ("aut", "positive", "negative"):
+        degrees.clear()
+        res = automorphisms(gam) if kind == "aut" else iso_test(gam, others[kind])
+        assert res.isomorphic == (kind != "negative")
+        assert degrees.count(120) == 1
+        payload = emit_report(res, tmp_path / f"{kind}.json", n=120, m=2, section_kind="normal")
+        assert degrees.count(120) == 1
+        assert (payload["aut_order"], payload["order_verification"]) == ("28800", "chain")
+        # the payload of a recount from scratch, and the same file
+        fresh = dataclasses.replace(res, recount=None)
+        assert report_to_dict(fresh, n=120, m=2, section_kind="normal") == payload
+        assert degrees.count(120) == 2
+        assert json.loads((tmp_path / f"{kind}.json").read_text()) == payload
+        # a wrong claimed order is still caught against the kept recount
+        with pytest.raises(InternalError):
+            verify_emitted_order(dataclasses.replace(res, aut_order=28801), 120)
+        assert degrees.count(120) == 2
+
+
+def test_generators_other_than_the_recounted_ones_are_recounted(monkeypatch):
+    gam = transposition_graph()
+    res = automorphisms(gam)
+    gens = res.aut_generators
+    assert res.recounted_order(120) == 28800
+    assert res.recounted_order(60) is None
+    for changed in (
+        gens + [gens[0].copy()],
+        gens[:-1],
+        [g.astype(np.int64) for g in gens],
+    ):
+        assert dataclasses.replace(res, aut_generators=changed).recounted_order(120) is None
+    loaded = result_from_dict(result_to_dict(res))
+    by_hand = IsoResult(res.verdict, res.representative, gens, res.aut_order, 5)
+    degrees = counted_degrees(monkeypatch)
+    for other in (loaded, by_hand):
+        assert other.recount is None
+        degrees.clear()
+        assert verify_emitted_order(other, 120) == "chain"
+        assert degrees == [120]
+    # overwritten in place after the recount: the stored order would pass,
+    # a recount from scratch finds the trivial group
+    for g in gens:
+        g[:] = np.arange(120)
+    degrees.clear()
+    with pytest.raises(InternalError):
+        verify_emitted_order(res, 120)
+    assert degrees == [120]
 
 
 def test_aut_generators_span_the_group_of_the_chain_kernel():
