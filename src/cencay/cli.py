@@ -89,7 +89,7 @@ def _report(result: iso.IsoResult, gamma, args, elapsed: float, sec=None) -> Non
         elapsed=elapsed,
     )
     # both outputs come from one report, so the emitted order is checked once,
-    # against the decision's own recount when it made one, else a new chain
+    # against the order the decision certified when it kept one, else a new chain
     if args.output:
         payload = files.emit_report(result, args.output, **meta)
     elif args.json:

@@ -152,13 +152,16 @@ def result_from_dict(data: dict) -> IsoResult:
 def verify_emitted_order(result: IsoResult, degree: int) -> str:
     """Recompute the order of the emitted generators before writing a report.
 
-    Small groups get a full stabilizer chain: the self-verification's
-    (``IsoResult.recounted_order``) for the very generators it counted, else
-    a new one.  Beyond the recount limit the chain is built with the claimed
-    order as its stopping target: reaching it proves the generators reach
-    at least the claimed order (the transversal product never exceeds the
-    generated group's order), which is the direction a fabricated order
-    would break.
+    Up to the recount limit, the order is the one the self-verification
+    certified for the very same generators (``IsoResult.recounted_order``):
+    the majorant bounds it from above, and a chain that reaches it bounds it
+    from below.  Without that certificate (a result loaded from a file, for
+    instance) there is no upper bound, so a deterministic chain recounts the
+    order from scratch.  Beyond the recount limit the chain is built with
+    the claimed order as its stopping target: reaching it proves the
+    generators reach at least the claimed order (the transversal product
+    never exceeds the generated group's order), which is the direction a
+    fabricated order would break.
     """
     if result.aut_order <= 1 or not result.aut_generators:
         if result.aut_order > 1:

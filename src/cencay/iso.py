@@ -81,7 +81,7 @@ class IsoResult:
     aut_order: int
     decided_at_step: int
     aut_membership: Optional[Callable[[Sequence[int]], bool]] = field(default=None, repr=False)
-    # (degree, ``_snapshot`` of the generators, order) of ``_self_verify``'s recount
+    # (degree, ``_snapshot`` of the generators, order) that ``_self_verify`` certified
     recount: Optional[tuple[int, bytes, int]] = field(default=None, repr=False)
 
     @property
@@ -89,8 +89,8 @@ class IsoResult:
         return self.verdict == "isomorphic"
 
     def recounted_order(self, degree: int) -> Optional[int]:
-        """The order ``_self_verify`` recounted, if that was on this degree and
-        the generators are still, byte for byte, the ones it recounted."""
+        """The order ``_self_verify`` certified, if that was on this degree and
+        the generators are still, byte for byte, the ones it certified."""
         rec = self.recount
         if rec and rec[0] == degree and rec[1] == _snapshot(self.aut_generators):
             return rec[2]
@@ -280,6 +280,10 @@ class Analysis:
         U/soc trivially (eps = +1) or by inversion (eps = -1)
         (``D2Subgroup.coset_kernel``).  The check |N_0| = |C_id| / |action|
         certifies that closed form on every run.
+
+        The self-verification gets its upper bound from C_id and the action
+        alone: |C_id| / |action| * |D_0|, the order of the group of maps
+        ``aut_membership`` accepts.
         """
         n, m, cls = self.gamma.group.order, self.sec.m, self.sec.l_class_of
         cid, blocks, reach = self.cid, self.blocks, self.action
@@ -309,7 +313,7 @@ class Analysis:
         result = IsoResult(
             "isomorphic", identity_perm(n), aut_gens, n0_order * len(d0_rows), 5, aut_membership
         )
-        _self_verify(result, self.gamma, cid)
+        _self_verify(result, self.gamma, cid.order // len(reach) * len(d0_rows))
         return result
 
     def negative(self, step: int) -> IsoResult:
@@ -326,22 +330,34 @@ def analyze(gamma: ColorCayleyGraph) -> Analysis:
     return Analysis(gamma, scheme, principal_section(scheme))
 
 
-def _self_verify(result: IsoResult, gamma: ColorCayleyGraph, cid: WreathProduct) -> None:
+def _self_verify(result: IsoResult, gamma: ColorCayleyGraph, bound: int) -> None:
     """Unconditional checks on an automorphism group: every generator keeps
-    the arc colors and lies in C_id, and a stabilizer chain recounts the order,
-    kept on the result for the report with a snapshot of the generators (not
-    the chain: its transversals are n x n)."""
+    the arc colors, and a two-sided certificate proves |<gens>| = aut_order.
+
+    Upper side: every generator passes ``result.aut_membership``, whose
+    accepted maps form a group of order at most ``bound`` (C_id's membership
+    rebuilds each map from its parameters, so it accepts no more than
+    |C_id| maps; D_0, the label-preserving part of the action, is the
+    intersection of two groups), and the claimed order must equal ``bound``.
+    Lower side: a chain with the claimed order as its target reaches it only
+    if |<gens>| is at least that (the transversal product never exceeds the
+    group order); a claim too high stalls the descent, and the deterministic
+    completion then raises.  Up to ``CHAIN_RECOUNT_LIMIT`` the certified
+    order is kept on the result for the report, with a snapshot of the
+    generators (not the chain: its transversals are n x n).
+    """
     M, n, gens = gamma.arc_colors, gamma.group.order, result.aut_generators
     for g in gens:
         if not np.array_equal(M[g[:, None], g[None, :]], M):
             raise InternalError("an automorphism generator fails the color check")
-        if g not in cid:
+        if not result.aut_membership(g):
             raise InternalError("an automorphism generator escapes the majorant")
-    if 1 < result.aut_order <= CHAIN_RECOUNT_LIMIT and gens:
-        recount = PermutationGroup(gens, n).order
-        if recount != result.aut_order:
-            raise InternalError("stabilizer chain recount disagrees with the order")
-        result.recount = (n, _snapshot(gens), recount)
+    if result.aut_order != bound:
+        raise InternalError("the claimed order differs from the majorant's bound")
+    if 1 < result.aut_order <= CHAIN_RECOUNT_LIMIT:
+        # raises unless the chain reaches the claimed order
+        PermutationGroup(gens, n, known_order=result.aut_order).order
+        result.recount = (n, _snapshot(gens), result.aut_order)
 
 
 def automorphisms(gamma: ColorCayleyGraph) -> IsoResult:

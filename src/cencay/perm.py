@@ -182,10 +182,16 @@ class PermutationGroup:
     residue becomes a strong generator, exactly as a one-at-a-time loop
     would choose.
 
-    ``known_order`` is an optional externally certified order: chain
-    construction stops as soon as the transversal product reaches it.  The
-    product of transversal sizes never exceeds the true order of the
-    generated group, so reaching the target proves the chain is complete.
+    ``known_order`` is an optional target order: chain construction stops as
+    soon as the transversal product reaches it.  The product of transversal
+    sizes never exceeds the true order of the generated group, so reaching
+    the target proves |<gens>| >= known_order, and a target above the true
+    order raises ``InternalError`` once the deterministic completion ends
+    below it.  The chain is complete only if the target is also an upper
+    bound on |<gens>|, which the caller must certify: below the true order
+    the chain stops early, and both ``order`` and membership are wrong.  The
+    Aut generators of the full S5 colouring generate a group of order
+    28,800, yet with ``known_order=14400`` the order reads 14,400.
     """
 
     def __init__(

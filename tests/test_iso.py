@@ -16,8 +16,10 @@ from cencay.files import (
 )
 from cencay.group import ClassPartition, FiniteGroup, conjugacy_classes, element_orders, socle
 from cencay.iso import (
+    CHAIN_RECOUNT_LIMIT,
     IsoResult,
     QuotientGraph,
+    _self_verify,
     analyze,
     brute_force_oracle,
     iso_test,
@@ -38,12 +40,19 @@ from .fixture_groups import (
     full_d2_subgroup,
     pair_matrices,
     pgl27,
+    psl27,
     regular_representations,
     restricted_matrix,
     set_partitions,
     sym5,
     sym6,
 )
+
+try:
+    from sympy.combinatorics import Permutation as SymPerm
+    from sympy.combinatorics import PermutationGroup as SymGroup
+except ImportError:  # sympy is an optional test dependency
+    SymGroup = None
 
 
 def class_id(G, size, order):
@@ -488,8 +497,6 @@ def relabelled_graph(gam, seed):
 def test_cheap_c0_lies_in_the_enumerated_coset(monkeypatch):
     from cencay.perm import inverse_perm
 
-    from .fixture_groups import psl27
-
     A5 = alt5()
     a5_graphs = [
         build_central_cayley(A5, partition_from_class_merge(A5, merge))
@@ -759,8 +766,6 @@ def test_normal_aut_builds_chains_only_for_the_recount_and_the_quotient(monkeypa
     # the only groups built are the degree-n recount (when |Aut| is small
     # enough) and the degree-m quotient reduction; on S5 with U = L = A5
     # none has degree |U| = 60
-    from cencay.iso import CHAIN_RECOUNT_LIMIT
-
     S5 = sym5()
     coset_a5 = build_central_cayley(S5, partition_from_class_merge(S5, [[0], [2, 5], [1, 3, 4, 6]]))
     degrees = []
@@ -849,6 +854,94 @@ def test_generators_other_than_the_recounted_ones_are_recounted(monkeypatch):
     assert degrees == [120]
 
 
+RECOUNT_CASES = {
+    "alt5": lambda: full_graph(alt5()),
+    "sym5": lambda: full_graph(sym5()),
+    "psl27": lambda: full_graph(psl27()),
+    "pgl27": lambda: full_graph(pgl27()),
+    "alt6": lambda: full_graph(alt6()),
+    "transpositions": transposition_graph,
+    "cosets": coset_graph,
+}
+
+
+@pytest.mark.parametrize("name", list(RECOUNT_CASES))
+def test_kept_recount_is_the_order_of_a_chain_without_target(name):
+    gam = RECOUNT_CASES[name]()
+    res = automorphisms(gam)
+    n, gens = gam.group.order, res.aut_generators
+    if name == "cosets":
+        # |Aut| = 2 * (60!)^2: no recount is kept, and the report takes the
+        # known-order path; test_cross_checks recounts this order with sympy
+        # (a chain without target takes over a minute here)
+        assert res.aut_order > CHAIN_RECOUNT_LIMIT and res.recount is None
+        assert verify_emitted_order(res, n) == "chain-lower-bound"
+        return
+    assert res.recounted_order(n) == res.aut_order == PermutationGroup(gens, n).order
+    if SymGroup is not None:
+        perms = [SymPerm([int(x) for x in g], size=n) for g in gens]
+        assert SymGroup(perms).order() == res.aut_order
+
+
+def test_self_verification_rejects_a_tampered_s5_result():
+    gam = full_graph(sym5())
+    res = automorphisms(gam)
+    order, gens = res.aut_order, res.aut_generators
+    assert order == 28_800  # the bound the verification accepted
+    tampered = dataclasses.replace(res, recount=None)
+
+    # a claim below the bound: the known-order chain alone would accept it
+    assert PermutationGroup(gens, 120, known_order=order // 2).order == order // 2
+    with pytest.raises(InternalError, match="bound"):
+        _self_verify(dataclasses.replace(tampered, aut_order=order // 2), gam, order)
+
+    # a claim above the bound; above it with the bound raised too, the
+    # descent stalls and the completed chain ends at the true order
+    with pytest.raises(InternalError, match="bound"):
+        _self_verify(dataclasses.replace(tampered, aut_order=2 * order), gam, order)
+    with pytest.raises(InternalError, match="disagrees with certified order"):
+        _self_verify(dataclasses.replace(tampered, aut_order=2 * order), gam, 2 * order)
+
+    # a generator outside C_id: an automorphism of the coarser coset graph,
+    # checked against that graph's colors so that only the majorant rejects
+    # it; the known-order chain alone would accept it
+    stray = automorphisms(coset_graph()).aut_generators[0]
+    assert not res.aut_membership(stray)
+    assert PermutationGroup(gens + [stray], 120, known_order=order).order == order
+    with pytest.raises(InternalError, match="escapes the majorant"):
+        _self_verify(dataclasses.replace(tampered, aut_generators=gens + [stray]),
+                     coset_graph(), order)
+    assert tampered.recount is None
+
+
+@pytest.mark.parametrize("group", [alt5, sym5, psl27])
+def test_self_verification_completes_no_chain(group, monkeypatch):
+    # the recount reaches the certified order by its randomized descent, so
+    # no deterministic Schreier-Sims pass runs while verifying
+    import cencay.iso as iso_mod
+
+    verifying, completions = [False], [0]
+    verify, complete = iso_mod._self_verify, PermutationGroup._complete
+
+    def counted_verify(*args):
+        verifying[0] = True
+        try:
+            verify(*args)
+        finally:
+            verifying[0] = False
+
+    def counted_complete(self, *args):
+        completions[0] += verifying[0]
+        return complete(self, *args)
+
+    monkeypatch.setattr(iso_mod, "_self_verify", counted_verify)
+    monkeypatch.setattr(PermutationGroup, "_complete", counted_complete)
+    gam = full_graph(group())
+    res = automorphisms(gam)
+    assert res.recounted_order(gam.group.order) == res.aut_order
+    assert completions == [0]
+
+
 def test_aut_generators_span_the_group_of_the_chain_kernel():
     # Aut's generators from the closed-form kernel span the group that the
     # chain kernel's generators (plus the same quotient preimages) spanned
@@ -893,8 +986,6 @@ def test_steps_build_no_nxn_scheme_matrix(monkeypatch):
     import cencay.coherent as coherent_mod
     import cencay.iso as iso_mod
     from cencay.coherent import AlgebraicIso, CoherentConfiguration
-
-    from .fixture_groups import psl27
 
     pairs = [(full_graph(G), relabelled_graph(full_graph(G), 1)) for G in (sym5(), psl27())]
     for pair in pairs:
