@@ -2,8 +2,10 @@
 
 Permutations are 0-based image arrays; group orders are decimal strings so
 that exact big integers survive the round trip.  Loading accepts only JSON
-integers (no bools, no floats) in lists of the right shape, and re-validates
-every invariant (table laws, centrality, almost simplicity).
+integers (no bools, no floats) in lists of the right shape, checks a table
+as one numpy array, and re-validates every invariant (table laws,
+centrality, almost simplicity).  Writing gives the compact sorted-key text
+of ``json.dumps``, from the C encoder, one table row at a time.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 from pathlib import Path
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
@@ -33,26 +35,53 @@ def _read_json(path: PathLike) -> dict:
         raise InvalidInputError(f"cannot read JSON from {path}: {exc}") from exc
 
 
+_ENCODE = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
+
+
+def _json_chunks(value) -> Iterator[str]:
+    """``value`` as compact sorted-key JSON text, exactly as ``json.dumps``
+    writes it, in pieces from the C encoder: one per row of a list of lists,
+    so no piece holds a whole table.  Dict keys are strings."""
+    if isinstance(value, dict) and value:
+        for i, key in enumerate(sorted(value)):
+            yield ("," if i else "{") + _ENCODE(key) + ":"
+            yield from _json_chunks(value[key])
+        yield "}"
+    elif isinstance(value, list) and value and all(isinstance(row, list) for row in value):
+        for i, row in enumerate(value):
+            yield ("," if i else "[") + _ENCODE(row)
+        yield "]"
+    else:
+        yield _ENCODE(value)
+
+
 def _write_json(path: PathLike, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, separators=(",", ":"), sort_keys=True)
+        fh.writelines(_json_chunks(payload))
         fh.write("\n")
 
 
-def _int_rows(value, what: str, bound: int, width: Optional[int] = None) -> list[list[int]]:
-    """``value`` as lists of JSON integers in 0..bound-1, each of length
-    ``width`` when one is given; anything else is invalid input."""
+def _int_array(value, what: str, bound: int, width: Optional[int] = None) -> np.ndarray:
+    """``value``, lists of JSON integers in 0..bound-1, as one int64 array:
+    the ``width`` x ``width`` matrix when a width is given, else the lists
+    end to end.  Anything else is invalid input.  The type check reads the
+    lists, since numpy would take a bool among ints for 0 or 1."""
     if not isinstance(value, list) or not all(
         isinstance(r, list) and width in (None, len(r)) for r in value
     ):
         shape = "a list of lists" if width is None else f"{width} lists of {width}"
         raise InvalidInputError(f"{what} must be {shape}")
-    flat = list(itertools.chain.from_iterable(value))
-    if set(map(type, flat)) - {int}:  # a bool's type is not int
+    entries = itertools.chain.from_iterable
+    if set(map(type, entries(value))) - {int}:  # a bool's type is not int
         raise InvalidInputError(f"{what} may hold JSON integers only")
-    if flat and not 0 <= min(flat) <= max(flat) < bound:
+    try:
+        arr = np.fromiter(entries(value), dtype=np.int64)
+        in_range = not arr.size or 0 <= arr.min() <= arr.max() < bound
+    except OverflowError:  # beyond int64
+        in_range = False
+    if not in_range:
         raise InvalidInputError(f"{what} has an entry outside 0..{bound - 1}")
-    return value
+    return arr if width is None else arr.reshape(width, width)
 
 
 # -- groups -----------------------------------------------------------------
@@ -70,7 +99,7 @@ def group_from_dict(data: dict) -> FiniteGroup:
         raise InvalidInputError("group file needs a 'table' field")
     table = data["table"]
     n = len(table) if isinstance(table, list) else 0
-    table = _int_rows(table, "the table", n, width=n)
+    table = _int_array(table, "the table", n, width=n)
     if "order" in data and (type(data["order"]) is not int or data["order"] != n):
         raise InvalidInputError("declared order does not match the table")
     names = data.get("names")
@@ -108,7 +137,8 @@ def graph_from_dict(data: dict, base_dir: Optional[Path] = None) -> ColorCayleyG
         G = load_group(path)
     else:
         G = group_from_dict(grp)
-    colors = _int_rows(data["colors"], "the colors", G.order)
+    colors = data["colors"]
+    _int_array(colors, "the colors", G.order)
     if not colors or colors[0] != [0]:
         raise InvalidInputError("color class 0 must be exactly [0]")
     partition = ClassPartition(tuple(tuple(c) for c in colors))

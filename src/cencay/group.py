@@ -371,16 +371,6 @@ def normal_closure(G: FiniteGroup, x: int) -> tuple[int, ...]:
     return closure(G, (int(v) for v in cls))
 
 
-def _is_simple_group(H: FiniteGroup) -> bool:
-    if H.order == 1:
-        return False
-    part = conjugacy_classes(H)
-    for cls in part.classes[1:]:
-        if len(normal_closure(H, cls[0])) != H.order:
-            return False
-    return True
-
-
 def socle(G: FiniteGroup) -> Subgroup:
     """Product of all minimal normal subgroups.
 
@@ -409,12 +399,25 @@ def socle(G: FiniteGroup) -> Subgroup:
 
 
 def is_almost_simple(G: FiniteGroup) -> bool:
-    """True iff soc(G) is a nonabelian simple group (memoized on the instance)."""
+    """True iff N = soc(G) is a nonabelian simple group (memoized on the
+    instance).
+
+    Read on G's own table: N is nonabelian iff its block of the table is
+    not symmetric, and simple iff each nontrivial N-class generates N.  One
+    element per G-class inside N suffices, since conjugation by G carries
+    N-classes, and the subgroups they generate, to N-classes and theirs.
+    """
     if G.order == 1:
         return False
     if G._almost_simple_cache is None:
-        H, _ = socle(G).as_group()
-        G._almost_simple_cache = not H.is_abelian and _is_simple_group(H)
+        soc = socle(G)
+        N = np.asarray(soc.elements)
+        block = G.table[np.ix_(N, N)]
+        G._almost_simple_cache = not np.array_equal(block, block.T) and all(
+            len(closure(G, G.table[G.table[G.inverse[N], cls[0]], N])) == len(N)
+            for cls in conjugacy_classes(G).classes[1:]
+            if cls[0] in soc
+        )
     return G._almost_simple_cache
 
 

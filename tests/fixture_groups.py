@@ -1,9 +1,10 @@
 """Shared test groups, built once per session, n x n views of the
-closure rows that the pipeline keeps, the per-element group primitives
-and dict-based stabilizer chain that the array-native ones replaced, and
-the constructors only the tests use: the regular representations, D(2,G)
-as a chain and in parametric form, orbitals, the direct-sum test and the
-enumeration of a chain's elements."""
+closure rows that the pipeline keeps, the per-element group primitives,
+almost-simplicity test on a copy of the socle and dict-based stabilizer
+chain that the array-native ones replaced, and the constructors only the
+tests use: the regular representations, D(2,G) as a chain and in
+parametric form, orbitals, the direct-sum test and the enumeration of a
+chain's elements."""
 
 from dataclasses import dataclass
 from functools import lru_cache
@@ -19,8 +20,11 @@ from cencay.group import (
     _class_fingerprints,
     _extend_partial_map,
     automorphism_group,
+    conjugacy_classes,
     greedy_generators,
     group_from_generators,
+    normal_closure,
+    socle,
 )
 from cencay.errors import CapExceededError, InternalError, InvalidInputError
 from cencay.perm import (
@@ -287,6 +291,24 @@ def greedy_generators_by_bfs(G: FiniteGroup) -> list[int]:
         gens.append(best_x)
         current = closure_by_bfs(G, gens)
     return gens
+
+
+def is_simple_group(H: FiniteGroup) -> bool:
+    """Whether H is simple: the normal closure of one element per nontrivial
+    conjugacy class is all of H."""
+    return H.order > 1 and all(
+        len(normal_closure(H, cls[0])) == H.order for cls in conjugacy_classes(H).classes[1:]
+    )
+
+
+def is_almost_simple_by_copy(G: FiniteGroup) -> bool:
+    """The socle copied out as a standalone group, then tested for being
+    nonabelian and simple on its own classes: the oracle for
+    ``is_almost_simple``."""
+    if G.order == 1:
+        return False
+    N, _ = socle(G).as_group()
+    return not N.is_abelian and is_simple_group(N)
 
 
 def row_matrix(G: FiniteGroup, row: np.ndarray) -> CoherentConfiguration:

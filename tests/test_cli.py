@@ -273,6 +273,8 @@ MALFORMED = {
     "ragged table": _set(("group", "table", 3), lambda row: row[:-1]),
     "string entry": _set(("group", "table", 2, 5), lambda x: str(x)),
     "huge entry": _set(("group", "table", 2, 5), 2**40),
+    "entry beyond int64": _set(("group", "table", 2, 5), 2**70),
+    "negative entry": _set(("group", "table", 2, 5), -1),
     "float table": _set(("group", "table"), lambda t: [[x + 0.0 for x in r] for r in t]),
     "bool entry": _set(("group", "table", 0, 1), True),
     "string order": _set(("group", "order"), "60"),
@@ -280,6 +282,7 @@ MALFORMED = {
     "colors not a list": _set(("colors",), 7),
     "string color element": _set(("colors", 1, 0), lambda x: str(x)),
     "nested color element": _set(("colors", 1, 0), lambda x: [x]),
+    "bool color element": _set(("colors", 1, 0), True),
     "names not a list": _set(("group", "names"), 5),
 }
 

@@ -34,6 +34,7 @@ from .fixture_groups import (
     cyclic,
     element_order_by_powers,
     greedy_generators_by_bfs,
+    is_almost_simple_by_copy,
     isomorphisms_all,
     sym5,
 )
@@ -112,6 +113,31 @@ def test_almost_simple_flags():
     assert is_almost_simple(alt5())
     assert not is_almost_simple(c2_x_alt5())
     assert not is_almost_simple(cyclic(6))
+
+
+def alt5_x_alt5() -> FiniteGroup:
+    """A5 x A5 (n = 3600), the product of A5's table with itself, so valid
+    without a check: its socle is the whole group, nonabelian, not simple."""
+    a, n = alt5().table, 60
+    return FiniteGroup((a[:, None, :, None] * n + a[None, :, None, :]).reshape(n * n, n * n),
+                       check=False)
+
+
+ALMOST_SIMPLE_CASES = {name: lambda name=name: builtin_group(name) for name in BUILTIN_NAMES}
+ALMOST_SIMPLE_CASES.update({
+    "c2_x_alt5": c2_x_alt5,
+    "cyclic6": lambda: cyclic(6),
+    "sym4": lambda: group_from_generators([(1, 2, 3, 0), (1, 0, 2, 3)]),
+    "alt4": lambda: group_from_generators([(1, 2, 0, 3), (0, 2, 3, 1)]),
+    "alt5_x_alt5": alt5_x_alt5,
+})
+
+
+@pytest.mark.parametrize("build", ALMOST_SIMPLE_CASES.values(), ids=list(ALMOST_SIMPLE_CASES))
+def test_almost_simplicity_agrees_with_the_socle_copy_oracle(build):
+    G = build()
+    fresh = FiniteGroup(G.table, check=False)  # nothing memoized yet
+    assert is_almost_simple(fresh) == is_almost_simple_by_copy(G)
 
 
 def test_subgroups_over_socle_sym5():

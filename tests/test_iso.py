@@ -361,15 +361,31 @@ def test_relabelled_tables_agree_with_oracle(seed):
         assert res.aut_order == oracle.aut_order
 
 
-def same_group(gens_a, order_a, gens_b, order_b, degree):
-    """<gens_a> == <gens_b>: equal orders and membership in both directions."""
-    chain_a = PermutationGroup(gens_a, degree, known_order=order_a)
+def same_group(gens_a, order_a, gens_b, order_b, degree, upper_bound=None):
+    """<gens_a> == <gens_b>, and both claimed orders are its order.
+
+    No claim sets a chain target: side a's order comes from a chain without
+    one, or, when the caller certifies an independent upper bound on
+    |<gens_a>|, from a chain that reaches that bound (a chain's transversal
+    product is a lower bound, so the order is then the bound exactly).
+    Membership in an early-stopped chain is sound when it holds, so side
+    b's chain may stop at its claim.
+    """
+    chain_a = PermutationGroup(gens_a, degree, known_order=upper_bound)
     chain_b = PermutationGroup(gens_b, degree, known_order=order_b)
     return (
-        order_a == order_b
+        chain_a.order == order_a == order_b
         and all(g in chain_b for g in gens_a)
         and all(g in chain_a for g in gens_b)
     )
+
+
+def test_same_group_checks_the_claims_against_the_true_order():
+    gens = automorphisms(full_graph(sym5())).aut_generators
+    assert PermutationGroup(gens, 120).order == 28_800
+    assert same_group(gens, 28_800, gens, 28_800, 120)
+    assert not same_group(gens, 14_400, gens, 14_400, 120)
+    assert not same_group(gens, 28_800, gens, 14_400, 120)
 
 
 def full_graph(G):
@@ -396,8 +412,16 @@ def test_record_path_agrees_with_pair_path_and_oracle():
         # the pair path returns the source's Aut, so its generators are the record's
         assert len(pair.aut_generators) == len(record.aut_generators)
         assert all(np.array_equal(g, h) for g, h in zip(pair.aut_generators, record.aut_generators))
+        bound = None
+        if record.aut_order > CHAIN_RECOUNT_LIMIT:
+            # a chain without target takes 16 s (complete A5 graph) and 77 s (coset
+            # graph) on a 2-core host; the generators keep the arc colours, so the
+            # oracle's exhaustive count of Aut bounds their group from above instead
+            MA = gam.arc_colors
+            assert all(np.array_equal(MA[g[:, None], g[None, :]], MA) for g in record.aut_generators)
+            bound = oracle.aut_order
         assert same_group(record.aut_generators, record.aut_order,
-                          oracle.aut_generators, oracle.aut_order, n)
+                          oracle.aut_generators, oracle.aut_order, n, upper_bound=bound)
 
 
 def test_each_graph_is_analysed_once(monkeypatch):
