@@ -88,8 +88,8 @@ def _report(result: iso.IsoResult, gamma, args, elapsed: float, sec=None) -> Non
         section_kind=sec.kind if sec is not None else None,
         elapsed=elapsed,
     )
-    # both outputs come from one report, so the emitted order is checked once,
-    # against the order the decision certified when it kept one, else a new chain
+    # both outputs come from one report, so the emitted order is checked once:
+    # by the decision's certificate, or by a chain for an oracle result
     if args.output:
         payload = files.emit_report(result, args.output, **meta)
     elif args.json:

@@ -20,11 +20,11 @@ import numpy as np
 from .cayley import ColorCayleyGraph, build_central_cayley
 from .errors import InternalError, InvalidInputError
 from .group import ClassPartition, FiniteGroup
-from . import iso
 from .iso import IsoResult
 from .perm import PermutationGroup
 
 PathLike = Union[str, Path]
+CHAIN_RECOUNT_LIMIT = 10**8
 
 
 def _read_json(path: PathLike) -> dict:
@@ -180,32 +180,35 @@ def result_from_dict(data: dict) -> IsoResult:
 
 
 def verify_emitted_order(result: IsoResult, degree: int) -> str:
-    """Recompute the order of the emitted generators before writing a report.
+    """Check the emitted order of the emitted generators before writing a report.
 
-    Up to the recount limit, the order is the one the self-verification
-    certified for the very same generators (``IsoResult.recounted_order``):
-    the majorant bounds it from above, and a chain that reaches it bounds it
-    from below.  Without that certificate (a result loaded from a file, for
-    instance) there is no upper bound, so a deterministic chain recounts the
-    order from scratch.  Beyond the recount limit the chain is built with
-    the claimed order as its stopping target: reaching it proves the
-    generators reach at least the claimed order (the transversal product
+    A pipeline result carries its certificate (``IsoResult.certify``), which
+    proves the order of the generators as emitted from both sides, at every
+    order.  Without one (an oracle result, or one loaded from a file or built
+    by hand) there is no upper bound, so up to ``CHAIN_RECOUNT_LIMIT`` a
+    deterministic chain recounts the order from scratch.  Beyond it the chain
+    is built with the claimed order as its stopping target: reaching it proves
+    the generators reach at least the claimed order (the transversal product
     never exceeds the generated group's order), which is the direction a
     fabricated order would break.
     """
-    if result.aut_order <= 1 or not result.aut_generators:
+    gens = result.aut_generators
+    if result.certify is not None:
+        if any(np.shape(g) != (degree,) for g in gens) or result.certify(gens) != result.aut_order:
+            raise InternalError(f"uncertified order {result.aut_order} on degree {degree}")
+        return "certificate"
+    if result.aut_order <= 1 or not gens:
         if result.aut_order > 1:
             raise InternalError("nontrivial order with no generators")
         return "chain"
-    if result.aut_order <= iso.CHAIN_RECOUNT_LIMIT:
-        got = result.recounted_order(degree)
-        got = got or PermutationGroup(result.aut_generators, degree).order
+    if result.aut_order <= CHAIN_RECOUNT_LIMIT:
+        got = PermutationGroup(gens, degree).order
         if got != result.aut_order:
             raise InternalError(
                 f"emitted aut_order {result.aut_order} but chain recount gives {got}"
             )
         return "chain"
-    got = PermutationGroup(result.aut_generators, degree, known_order=result.aut_order).order
+    got = PermutationGroup(gens, degree, known_order=result.aut_order).order
     if got != result.aut_order:
         raise InternalError("known-order chain failed to certify the emitted order")
     return "chain-lower-bound"
@@ -220,7 +223,7 @@ def report_to_dict(
     fixture: Optional[dict] = None,
     elapsed: Optional[float] = None,
 ) -> dict:
-    recount = verify_emitted_order(result, n)
+    verification = verify_emitted_order(result, n)
     out = result_to_dict(result)
     out.update(
         {
@@ -228,7 +231,7 @@ def report_to_dict(
             "m": m,
             "type": section_kind,
             "timing_seconds": round(elapsed, 6) if elapsed is not None else None,
-            "order_verification": recount,
+            "order_verification": verification,
             "fixture": fixture or {},
         }
     )

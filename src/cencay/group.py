@@ -93,9 +93,6 @@ class FiniteGroup:
     def mul(self, a: int, b: int) -> int:
         return int(self.table[a, b])
 
-    def inv(self, a: int) -> int:
-        return int(self.inverse[a])
-
     def conj(self, x: int, g: int) -> int:
         """g^-1 * x * g."""
         return int(self.table[self.table[self.inverse[g], x], g])

@@ -47,7 +47,6 @@ from .group import (
 from .perm import (
     D2Subgroup,
     Perm,
-    PermutationGroup,
     WreathProduct,
     action_closure,
     compose,
@@ -64,7 +63,6 @@ from .perm import (
 from .perm import block_action_with_kernel  # noqa: F401  (bound here only for bench/tracing.py WRAPS)
 
 QUOTIENT_CAP = 12
-CHAIN_RECOUNT_LIMIT = 10**8
 ORACLE_CAP = 200
 
 
@@ -81,27 +79,12 @@ class IsoResult:
     aut_order: int
     decided_at_step: int
     aut_membership: Optional[Callable[[Sequence[int]], bool]] = field(default=None, repr=False)
-    # (degree, ``_snapshot`` of the generators, order) that ``_self_verify`` certified
-    recount: Optional[tuple[int, bytes, int]] = field(default=None, repr=False)
+    # |<gens>| for generators of Aut, or InternalError (``Analysis.aut``)
+    certify: Optional[Callable[[Sequence[np.ndarray]], int]] = field(default=None, repr=False)
 
     @property
     def isomorphic(self) -> bool:
         return self.verdict == "isomorphic"
-
-    def recounted_order(self, degree: int) -> Optional[int]:
-        """The order ``_self_verify`` certified, if that was on this degree and
-        the generators are still, byte for byte, the ones it certified."""
-        rec = self.recount
-        if rec and rec[0] == degree and rec[1] == _snapshot(self.aut_generators):
-            return rec[2]
-        return None
-
-
-def _snapshot(gens: Sequence) -> bytes:
-    """Each generator's dtype, shape and bytes: equal snapshots, equal generators."""
-    rows = [np.asarray(g) for g in gens]
-    shapes = repr([(r.dtype.str, r.shape) for r in rows]).encode()
-    return shapes + b"".join(r.tobytes() for r in rows)
 
 
 @dataclass
@@ -267,23 +250,47 @@ class Analysis:
             raise InternalError("the L-cosets are not blocks of C_id")
         return reach
 
+    def _structural_order(self, n0_gens: list[Perm], top: list[Perm], kernel) -> int:
+        """|<n0_gens + top>| from below, read off the generators' shape.
+
+        The kernel generators must fix every L-coset and be, block by block,
+        positional copies of the block group's generators: in the symmetric
+        type the |U|-cycle and adjacent swap of ``symmetric_group_on``, which
+        generate Sym(U) (Dixon & Mortimer, *Permutation Groups*, 1996), and in
+        the normal type ``kernel.generators``, which generate the kernel by
+        construction (T's generators and the closure of the plain rows are
+        checked as they are built).  Copies on disjoint blocks commute, so
+        they span |block group|^blocks maps fixing every L-coset, and ``top``
+        induces its maps on the L-cosets on top of those.
+        """
+        n, cls, b = self.gamma.group.order, self.sec.l_class_of, len(self.blocks[0])
+        want = symmetric_group_on(range(b), b) if self.sec.kind == "symmetric" else kernel
+        copies = [conj_into_block(g, blk, n) for blk in self.blocks for g in want.generators]
+        if not (np.array_equal(n0_gens, copies) and (cls[np.array(n0_gens)] == cls).all()):
+            raise InternalError("the kernel generators are not block copies fixing the L-cosets")
+        induced = action_closure(top, cls, self.sec.m)
+        if induced is None:
+            raise InternalError("a top generator splits an L-coset")
+        return want.order ** len(self.blocks) * len(induced)
+
     @cached_property
     def aut(self) -> IsoResult:
-        """Aut(gamma), verified by ``_self_verify``.
+        """Aut(gamma), certified by ``_self_verify``.
 
         Generators of the kernel N_0 of C_id on the L-cosets, plus one
-        preimage per generator of the quotient stabilizer; the order is
-        |N_0| * |quotient stabilizer| exactly.  N_0 is, on every block, the
-        kernel of D_U on the L-cosets inside U, in closed form: D_U itself
-        in the symmetric type (L = U), and in the normal type (L = soc) the
-        maps x -> (alpha(x) t)^eps of D_U with t in soc and alpha acting on
-        U/soc trivially (eps = +1) or by inversion (eps = -1)
-        (``D2Subgroup.coset_kernel``).  The check |N_0| = |C_id| / |action|
-        certifies that closed form on every run.
+        preimage per generator of the quotient stabilizer D_0 (``top``).
+        N_0 is, on every block, the kernel of D_U on the L-cosets inside U,
+        in closed form: D_U itself in the symmetric type (L = U), and in the
+        normal type (L = soc) the maps x -> (alpha(x) t)^eps of D_U with t in
+        soc and alpha acting on U/soc trivially (eps = +1) or by inversion
+        (eps = -1) (``D2Subgroup.coset_kernel``).
 
-        The self-verification gets its upper bound from C_id and the action
-        alone: |C_id| / |action| * |D_0|, the order of the group of maps
-        ``aut_membership`` accepts.
+        ``certify`` proves the order of any generators that keep the arc
+        colors and include these, at every order.  From above: each passes
+        ``aut_membership``, whose accepted maps form a group of order at most
+        |C_id| / |action| * |D_0| (C_id's membership rebuilds each map from its
+        parameters; D_0, the label-preserving part of the action, is the
+        intersection of two groups).  From below: ``_structural_order``.
         """
         n, m, cls = self.gamma.group.order, self.sec.m, self.sec.l_class_of
         cid, blocks, reach = self.cid, self.blocks, self.action
@@ -292,16 +299,13 @@ class Analysis:
         if self.sec.kind == "normal":
             kernel = self.d_u.coset_kernel(cls[blocks[0]])  # L-coset of each position of U
         n0_gens = [conj_into_block(g, blk, n) for blk in blocks for g in kernel.generators]
-        n0_order = kernel.order ** len(blocks)
-        if cid.order % len(reach) or cid.order // len(reach) != n0_order:
-            raise InternalError("kernel order mismatch in the lift")
 
         # the part of the action that fixes the quotient graph
         b_self = {b.tobytes() for b in quotient_isos(self.quotient, self.quotient)}
         d0_rows = [np.frombuffer(k, dtype=np.int32) for k in sorted(reach) if k in b_self]
         if not d0_rows:
             raise InternalError("quotient stabilizer lost the identity")
-        aut_gens = n0_gens + [reach[r.tobytes()] for r in reduce_generators(d0_rows, m)]
+        top = [reach[r.tobytes()] for r in reduce_generators(d0_rows, m)]
         d0_set = {r.tobytes() for r in d0_rows}
 
         def aut_membership(f: Sequence[int]) -> bool:
@@ -310,10 +314,27 @@ class Analysis:
             tau = induced_block_map(np.asarray(f, dtype=np.int32), cls, cls, m)
             return tau is not None and tau.tobytes() in d0_set
 
+        M, upper = self.gamma.arc_colors, cid.order // len(reach) * len(d0_rows)
+        lower = self._structural_order(n0_gens, top, kernel)
+        structural = {g.tobytes() for g in n0_gens + top}
+
+        def certify(gens: Sequence[np.ndarray]) -> int:
+            rows = [np.asarray(g) for g in gens]
+            for g in rows:
+                if g.shape != (n,) or not aut_membership(g):  # first: no stray index below
+                    raise InternalError("an automorphism generator escapes the majorant")
+                if not np.array_equal(M[g[:, None], g[None, :]], M):
+                    raise InternalError("an automorphism generator fails the color check")
+            if structural - {g.astype(np.int32).tobytes() for g in rows}:
+                raise InternalError("a structural generator of Aut is missing")
+            if lower != upper:
+                raise InternalError("the structural order differs from the majorant's bound")
+            return lower
+
         result = IsoResult(
-            "isomorphic", identity_perm(n), aut_gens, n0_order * len(d0_rows), 5, aut_membership
+            "isomorphic", identity_perm(n), n0_gens + top, lower, 5, aut_membership, certify
         )
-        _self_verify(result, self.gamma, cid.order // len(reach) * len(d0_rows))
+        _self_verify(result)
         return result
 
     def negative(self, step: int) -> IsoResult:
@@ -330,34 +351,12 @@ def analyze(gamma: ColorCayleyGraph) -> Analysis:
     return Analysis(gamma, scheme, principal_section(scheme))
 
 
-def _self_verify(result: IsoResult, gamma: ColorCayleyGraph, bound: int) -> None:
-    """Unconditional checks on an automorphism group: every generator keeps
-    the arc colors, and a two-sided certificate proves |<gens>| = aut_order.
-
-    Upper side: every generator passes ``result.aut_membership``, whose
-    accepted maps form a group of order at most ``bound`` (C_id's membership
-    rebuilds each map from its parameters, so it accepts no more than
-    |C_id| maps; D_0, the label-preserving part of the action, is the
-    intersection of two groups), and the claimed order must equal ``bound``.
-    Lower side: a chain with the claimed order as its target reaches it only
-    if |<gens>| is at least that (the transversal product never exceeds the
-    group order); a claim too high stalls the descent, and the deterministic
-    completion then raises.  Up to ``CHAIN_RECOUNT_LIMIT`` the certified
-    order is kept on the result for the report, with a snapshot of the
-    generators (not the chain: its transversals are n x n).
-    """
-    M, n, gens = gamma.arc_colors, gamma.group.order, result.aut_generators
-    for g in gens:
-        if not np.array_equal(M[g[:, None], g[None, :]], M):
-            raise InternalError("an automorphism generator fails the color check")
-        if not result.aut_membership(g):
-            raise InternalError("an automorphism generator escapes the majorant")
-    if result.aut_order != bound:
-        raise InternalError("the claimed order differs from the majorant's bound")
-    if 1 < result.aut_order <= CHAIN_RECOUNT_LIMIT:
-        # raises unless the chain reaches the claimed order
-        PermutationGroup(gens, n, known_order=result.aut_order).order
-        result.recount = (n, _snapshot(gens), result.aut_order)
+def _self_verify(result: IsoResult) -> None:
+    """The unconditional check on an automorphism group: the certificate of
+    ``Analysis.aut`` must accept the emitted generators and prove exactly the
+    claimed order."""
+    if result.certify(result.aut_generators) != result.aut_order:
+        raise InternalError("the claimed order differs from the certified order")
 
 
 def automorphisms(gamma: ColorCayleyGraph) -> IsoResult:

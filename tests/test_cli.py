@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -109,8 +110,10 @@ def test_emitted_order_verification(tmp_path, sym5_transp_file):
     res = automorphisms(gamma)
     payload = emit_report(res, tmp_path / "report.json", n=120, m=2, section_kind="normal")
     assert payload["aut_order"] == "28800"
-    assert payload["order_verification"] == "chain"
-    # a corrupted order must be caught on emit
+    assert payload["order_verification"] == "certificate"
+    # a corrupted order must be caught on emit, with the certificate and without
+    with pytest.raises(InternalError):
+        verify_emitted_order(dataclasses.replace(res, aut_order=28801), 120)
     bad = IsoResult(res.verdict, res.representative, res.aut_generators, 28801, 5)
     with pytest.raises(Exception):
         verify_emitted_order(bad, 120)
@@ -199,7 +202,7 @@ def test_cli_json_and_report(sym5_transp_file, tmp_path, capsys):
 def test_cli_json_alone_is_certified(sym5_transp_file, capsys):
     assert main(["aut", str(sym5_transp_file), "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["order_verification"] == "chain"
+    assert payload["order_verification"] == "certificate"
     assert payload["type"] == "normal"
     assert payload["timing_seconds"] > 0
 

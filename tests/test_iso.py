@@ -8,6 +8,7 @@ import pytest
 from cencay.cayley import build_central_cayley, partition_from_class_merge
 from cencay.errors import InternalError, InvalidInputError
 from cencay.files import (
+    CHAIN_RECOUNT_LIMIT,
     emit_report,
     report_to_dict,
     result_from_dict,
@@ -16,7 +17,6 @@ from cencay.files import (
 )
 from cencay.group import ClassPartition, FiniteGroup, conjugacy_classes, element_orders, socle
 from cencay.iso import (
-    CHAIN_RECOUNT_LIMIT,
     IsoResult,
     QuotientGraph,
     _self_verify,
@@ -83,6 +83,12 @@ def coset_graph():
     even = [i for i, c in enumerate(cc.classes) if i and c[0] in soc_set]
     odd = [i for i, c in enumerate(cc.classes) if i and c[0] not in soc_set]
     return build_central_cayley(G, partition_from_class_merge(G, [[0], even, odd]))
+
+
+def a5_coset_graph():
+    """A normal-type S5 graph with U = L = A5: two U-cosets."""
+    S5 = sym5()
+    return build_central_cayley(S5, partition_from_class_merge(S5, [[0], [2, 5], [1, 3, 4, 6]]))
 
 
 def swap_pair():
@@ -786,28 +792,20 @@ def test_d_u_and_kernel_generators_are_the_chain_reductions():
 
 
 def test_normal_aut_builds_chains_only_for_the_recount_and_the_quotient(monkeypatch):
-    # D_U and its coset kernel take their generators from the closure, so
-    # the only groups built are the degree-n recount (when |Aut| is small
-    # enough) and the degree-m quotient reduction; on S5 with U = L = A5
-    # none has degree |U| = 60
-    S5 = sym5()
-    coset_a5 = build_central_cayley(S5, partition_from_class_merge(S5, [[0], [2, 5], [1, 3, 4, 6]]))
-    degrees = []
-    init = PermutationGroup.__init__
-
-    def counted_init(self, generators, degree, *args, **kwargs):
-        degrees.append(int(degree))
-        init(self, generators, degree, *args, **kwargs)
-
-    for gam, u_order in ((coset_a5, 60), (transposition_graph(), 120)):
+    # D_U and its coset kernel take their generators from the closure, and
+    # the order certificate reads the generators' shape instead of a
+    # recount, so the only groups built are the degree-m quotient
+    # reduction; on S5 with U = L = A5 none has degree |U| = 60, and none
+    # has degree n = 120
+    degrees = counted_degrees(monkeypatch)
+    for gam, u_order in ((a5_coset_graph(), 60), (transposition_graph(), 120)):
         rec = analyze(gam)
         assert (rec.sec.kind, rec.sec.U.order, rec.sec.m) == ("normal", u_order, 2)
         degrees.clear()
-        monkeypatch.setattr(PermutationGroup, "__init__", counted_init)
-        recounted = 1 < rec.aut.aut_order <= CHAIN_RECOUNT_LIMIT
-        monkeypatch.undo()
-        assert degrees.count(120) == recounted and set(degrees) - {120} == {2}
-    assert recounted  # the transposition graph's order is recounted
+        res = rec.aut
+        assert set(degrees) == {2}
+        assert res.certify(res.aut_generators) == res.aut_order
+    assert res.aut_order == 28_800  # the transposition graph's order, certified
 
 
 def counted_degrees(monkeypatch) -> list[int]:
@@ -824,8 +822,9 @@ def counted_degrees(monkeypatch) -> list[int]:
 
 
 def test_a_decision_that_emits_its_report_builds_one_chain(monkeypatch, tmp_path):
-    # the self-verification keeps its recount on the result, so the emitted
-    # order is checked against it and the report builds no chain of its own
+    # the decision's certificate goes with its result, so neither the
+    # decision nor its report builds a chain of degree n; the one chain is
+    # the recount of the same result without its certificate
     gam = transposition_graph()
     others = {"positive": relabelled_graph(gam, 1), "negative": coset_graph()}
     degrees = counted_degrees(monkeypatch)
@@ -833,49 +832,57 @@ def test_a_decision_that_emits_its_report_builds_one_chain(monkeypatch, tmp_path
         degrees.clear()
         res = automorphisms(gam) if kind == "aut" else iso_test(gam, others[kind])
         assert res.isomorphic == (kind != "negative")
-        assert degrees.count(120) == 1
         payload = emit_report(res, tmp_path / f"{kind}.json", n=120, m=2, section_kind="normal")
+        assert 120 not in degrees
+        assert (payload["aut_order"], payload["order_verification"]) == ("28800", "certificate")
+        # the payload of a recount from scratch differs in its label only
+        fresh = dataclasses.replace(res, certify=None)
+        recounted = report_to_dict(fresh, n=120, m=2, section_kind="normal")
+        assert recounted == dict(payload, order_verification="chain")
         assert degrees.count(120) == 1
-        assert (payload["aut_order"], payload["order_verification"]) == ("28800", "chain")
-        # the payload of a recount from scratch, and the same file
-        fresh = dataclasses.replace(res, recount=None)
-        assert report_to_dict(fresh, n=120, m=2, section_kind="normal") == payload
-        assert degrees.count(120) == 2
         assert json.loads((tmp_path / f"{kind}.json").read_text()) == payload
-        # a wrong claimed order is still caught against the kept recount
+        # a wrong claimed order is caught by the certificate
         with pytest.raises(InternalError):
             verify_emitted_order(dataclasses.replace(res, aut_order=28801), 120)
-        assert degrees.count(120) == 2
+        assert degrees.count(120) == 1
 
 
 def test_generators_other_than_the_recounted_ones_are_recounted(monkeypatch):
+    # the certificate runs on the generators as they are emitted: a change
+    # is certified again (an extra generator, another dtype) or rejected (a
+    # structural generator missing, another degree, an overwritten array);
+    # a result without a certificate is recounted by a chain from scratch
     gam = transposition_graph()
     res = automorphisms(gam)
     gens = res.aut_generators
-    assert res.recounted_order(120) == 28800
-    assert res.recounted_order(60) is None
-    for changed in (
-        gens + [gens[0].copy()],
-        gens[:-1],
-        [g.astype(np.int64) for g in gens],
-    ):
-        assert dataclasses.replace(res, aut_generators=changed).recounted_order(120) is None
+    degrees = counted_degrees(monkeypatch)
+    for changed in (gens + [gens[0].copy()], [g.astype(np.int64) for g in gens]):
+        other = dataclasses.replace(res, aut_generators=changed)
+        assert other.certify(changed) == 28800
+        assert verify_emitted_order(other, 120) == "certificate"
+    dropped = dataclasses.replace(res, aut_generators=gens[:-1])
+    for check in (_self_verify, lambda r: verify_emitted_order(r, 120)):
+        with pytest.raises(InternalError, match="structural generator"):
+            check(dropped)
+    with pytest.raises(InternalError, match="degree 60"):
+        verify_emitted_order(res, 60)
+    assert degrees == []
     loaded = result_from_dict(result_to_dict(res))
     by_hand = IsoResult(res.verdict, res.representative, gens, res.aut_order, 5)
-    degrees = counted_degrees(monkeypatch)
     for other in (loaded, by_hand):
-        assert other.recount is None
+        assert other.certify is None
         degrees.clear()
         assert verify_emitted_order(other, 120) == "chain"
         assert degrees == [120]
-    # overwritten in place after the recount: the stored order would pass,
-    # a recount from scratch finds the trivial group
+    # overwritten in place after the decision: the certificate holds what
+    # it certified, not the arrays, and finds it missing
     for g in gens:
         g[:] = np.arange(120)
     degrees.clear()
-    with pytest.raises(InternalError):
-        verify_emitted_order(res, 120)
-    assert degrees == [120]
+    for check in (_self_verify, lambda r: verify_emitted_order(r, 120)):
+        with pytest.raises(InternalError, match="structural generator"):
+            check(res)
+    assert degrees == []
 
 
 RECOUNT_CASES = {
@@ -891,17 +898,21 @@ RECOUNT_CASES = {
 
 @pytest.mark.parametrize("name", list(RECOUNT_CASES))
 def test_kept_recount_is_the_order_of_a_chain_without_target(name):
+    # the certified order against independent counts of the same generators
     gam = RECOUNT_CASES[name]()
     res = automorphisms(gam)
     n, gens = gam.group.order, res.aut_generators
+    assert res.certify(gens) == res.aut_order
+    assert verify_emitted_order(res, n) == "certificate"
     if name == "cosets":
-        # |Aut| = 2 * (60!)^2: no recount is kept, and the report takes the
+        # |Aut| = 2 * (60!)^2: without its certificate the report takes the
         # known-order path; test_cross_checks recounts this order with sympy
         # (a chain without target takes over a minute here)
-        assert res.aut_order > CHAIN_RECOUNT_LIMIT and res.recount is None
-        assert verify_emitted_order(res, n) == "chain-lower-bound"
+        assert res.aut_order > CHAIN_RECOUNT_LIMIT
+        uncertified = dataclasses.replace(res, certify=None)
+        assert verify_emitted_order(uncertified, n) == "chain-lower-bound"
         return
-    assert res.recounted_order(n) == res.aut_order == PermutationGroup(gens, n).order
+    assert res.aut_order == PermutationGroup(gens, n).order
     if SymGroup is not None:
         perms = [SymPerm([int(x) for x in g], size=n) for g in gens]
         assert SymGroup(perms).order() == res.aut_order
@@ -911,37 +922,100 @@ def test_self_verification_rejects_a_tampered_s5_result():
     gam = full_graph(sym5())
     res = automorphisms(gam)
     order, gens = res.aut_order, res.aut_generators
-    assert order == 28_800  # the bound the verification accepted
-    tampered = dataclasses.replace(res, recount=None)
+    assert order == 28_800  # the order the certificate proved
 
-    # a claim below the bound: the known-order chain alone would accept it
+    # a claim below the certified order (a known-order chain alone would
+    # accept it), and one above it
     assert PermutationGroup(gens, 120, known_order=order // 2).order == order // 2
-    with pytest.raises(InternalError, match="bound"):
-        _self_verify(dataclasses.replace(tampered, aut_order=order // 2), gam, order)
+    for claim in (order // 2, 2 * order):
+        with pytest.raises(InternalError, match="certified order"):
+            _self_verify(dataclasses.replace(res, aut_order=claim))
 
-    # a claim above the bound; above it with the bound raised too, the
-    # descent stalls and the completed chain ends at the true order
-    with pytest.raises(InternalError, match="bound"):
-        _self_verify(dataclasses.replace(tampered, aut_order=2 * order), gam, order)
-    with pytest.raises(InternalError, match="disagrees with certified order"):
-        _self_verify(dataclasses.replace(tampered, aut_order=2 * order), gam, 2 * order)
+    # an upper side raised to twice the order: the generators' shape still
+    # bounds the order from below by the true order, so the sides do not meet
+    rec = analyze(gam)
+    rec.cid.order *= 2
+    with pytest.raises(InternalError, match="majorant's bound"):
+        rec.aut
 
     # a generator outside C_id: an automorphism of the coarser coset graph,
-    # checked against that graph's colors so that only the majorant rejects
-    # it; the known-order chain alone would accept it
+    # which the majorant rejects before any color is read; the known-order
+    # chain alone would accept it
     stray = automorphisms(coset_graph()).aut_generators[0]
     assert not res.aut_membership(stray)
     assert PermutationGroup(gens + [stray], 120, known_order=order).order == order
     with pytest.raises(InternalError, match="escapes the majorant"):
-        _self_verify(dataclasses.replace(tampered, aut_generators=gens + [stray]),
-                     coset_graph(), order)
-    assert tampered.recount is None
+        _self_verify(dataclasses.replace(res, aut_generators=gens + [stray]))
+
+
+def _tampered(kind, rec):
+    """Aut's kernel generators and top preimages, with one kernel generator
+    changed as ``kind`` says."""
+    gens, k = rec.aut.aut_generators, 2 * len(rec.blocks)  # a cycle and a swap per block
+    kernel, top = [g.copy() for g in gens[:k]], gens[k:]
+    if kind == "dropped_swap":
+        del kernel[1]
+    elif kind == "shorter_cycle":
+        blk = rec.blocks[0][:-1]
+        kernel[0] = np.arange(len(kernel[0]), dtype=np.int32)
+        kernel[0][blk] = blk[1:] + blk[:1]
+    elif kind == "two_blocks":  # the swaps of blocks 0 and 1 at once
+        kernel[1] = kernel[1][kernel[3]]
+    return kernel, top
+
+
+@pytest.mark.parametrize("kind", ["dropped_swap", "shorter_cycle", "two_blocks"])
+def test_certificate_rejects_a_tampered_symmetric_block(kind):
+    # on the S5 coset graph (symmetric type, two blocks of 60) the kernel
+    # generators are a 60-cycle and an adjacent swap per block; the map
+    # below keeps the arc colors and C_id, so only the structure rejects it
+    rec = analyze(coset_graph())
+    assert rec.sec.kind == "symmetric" and len(rec.blocks) == 2
+    kernel, top = _tampered(kind, rec)
+    assert all(rec.aut.aut_membership(g) for g in kernel)
+    tampered = dataclasses.replace(rec.aut, aut_generators=kernel + top)
+    for check in (_self_verify, lambda r: verify_emitted_order(r, 120)):
+        with pytest.raises(InternalError, match="structural generator"):
+            check(tampered)
+    # the shape check itself: these kernel generators prove no lower bound
+    with pytest.raises(InternalError, match="block copies"):
+        rec._structural_order(kernel, top, rec.d_u)
+
+
+def test_certificate_rejects_a_doubled_claim_and_another_degree():
+    res = automorphisms(coset_graph())
+    assert res.aut_order == 2 * math.factorial(60) ** 2
+    doubled = dataclasses.replace(res, aut_order=2 * res.aut_order)
+    with pytest.raises(InternalError, match="certified order"):
+        _self_verify(doubled)
+    with pytest.raises(InternalError, match="uncertified order"):
+        verify_emitted_order(doubled, 120)
+    for degree in (60, 240):
+        with pytest.raises(InternalError, match=f"degree {degree}"):
+            verify_emitted_order(res, degree)
+    assert verify_emitted_order(res, 120) == "certificate"
+
+
+def test_normal_kernel_shape_is_checked():
+    # normal type with U = L = A5 in S5, two blocks: kernel generators that
+    # are dropped, swapped between the blocks or span both prove no bound
+    rec = analyze(a5_coset_graph())
+    kernel = rec.d_u.coset_kernel(rec.sec.l_class_of[rec.blocks[0]])
+    half = len(kernel.generators)
+    k, gens = 2 * half, rec.aut.aut_generators
+    assert (rec.sec.kind, len(rec.blocks)) == ("normal", 2)
+    assert rec._structural_order(gens[:k], gens[k:], kernel) == rec.aut.aut_order
+    spanning = [gens[0][gens[half]]] + gens[1:k]
+    for bad in (gens[1:k], gens[half:k] + gens[:half], spanning):
+        with pytest.raises(InternalError, match="block copies"):
+            rec._structural_order(bad, gens[k:], kernel)
 
 
 @pytest.mark.parametrize("group", [alt5, sym5, psl27])
 def test_self_verification_completes_no_chain(group, monkeypatch):
-    # the recount reaches the certified order by its randomized descent, so
-    # no deterministic Schreier-Sims pass runs while verifying
+    # the certificate reads the order off the generators' shape, so no
+    # Schreier-Sims pass runs while verifying, and no chain of degree n is
+    # built at all
     import cencay.iso as iso_mod
 
     verifying, completions = [False], [0]
@@ -960,10 +1034,21 @@ def test_self_verification_completes_no_chain(group, monkeypatch):
 
     monkeypatch.setattr(iso_mod, "_self_verify", counted_verify)
     monkeypatch.setattr(PermutationGroup, "_complete", counted_complete)
+    degrees = counted_degrees(monkeypatch)
     gam = full_graph(group())
     res = automorphisms(gam)
-    assert res.recounted_order(gam.group.order) == res.aut_order
+    assert res.certify(res.aut_generators) == res.aut_order
     assert completions == [0]
+    assert gam.group.order not in degrees
+
+
+def test_complete_a6_graph_and_its_report_build_no_chain_of_degree_n(monkeypatch, tmp_path):
+    degrees = counted_degrees(monkeypatch)
+    res = automorphisms(complete_graph(alt6()))
+    payload = emit_report(res, tmp_path / "a6.json", n=360)
+    assert payload["aut_order"] == str(math.factorial(360))
+    assert payload["order_verification"] == "certificate"
+    assert 360 not in degrees
 
 
 def test_aut_generators_span_the_group_of_the_chain_kernel():
