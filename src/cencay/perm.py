@@ -423,7 +423,7 @@ class SymmetricGroup:
         self.degree = int(degree)
         self.order = math.factorial(len(pts))
         ident = identity_perm(self.degree)
-        self._fixed = np.setdiff1d(ident, pts)
+        self._fixed = np.delete(ident, pts)  # ident[i] = i: drop the points by position
         self.generators: list[Perm] = []
         if len(pts) >= 2:
             cyc, tr = ident.copy(), ident.copy()

@@ -967,8 +967,9 @@ def _tampered(kind, rec):
 @pytest.mark.parametrize("kind", ["dropped_swap", "shorter_cycle", "two_blocks"])
 def test_certificate_rejects_a_tampered_symmetric_block(kind):
     # on the S5 coset graph (symmetric type, two blocks of 60) the kernel
-    # generators are a 60-cycle and an adjacent swap per block; the map
-    # below keeps the arc colors and C_id, so only the structure rejects it
+    # generators are a 60-cycle and an adjacent swap per block; every
+    # tampered generator keeps the arc colors and lies in C_id, so only the
+    # structure rejects it
     rec = analyze(coset_graph())
     assert rec.sec.kind == "symmetric" and len(rec.blocks) == 2
     kernel, top = _tampered(kind, rec)
