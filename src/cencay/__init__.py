@@ -9,7 +9,6 @@ from types import ModuleType as _ModuleType
 from .errors import CapExceededError, CencayError, InternalError, InvalidInputError
 from .group import (
     ClassPartition,
-    Epimorphism,
     FiniteGroup,
     Subgroup,
     automorphism_group,
@@ -17,7 +16,6 @@ from .group import (
     group_from_generators,
     group_isomorphisms,
     is_almost_simple,
-    quotient_with_epimorphism,
     socle,
     subgroups_over_socle,
 )

@@ -2,7 +2,8 @@
 
 The identity always has index 0.  All derived orderings (conjugacy classes,
 subgroups, cosets) are deterministic by (size, smallest member), so every
-computation downstream is reproducible.
+computation downstream is reproducible.  Every subgroup is a sorted element
+tuple of its parent's table, closed inside it; no quotient group is built.
 """
 
 from __future__ import annotations
@@ -421,89 +422,37 @@ def is_almost_simple(G: FiniteGroup) -> bool:
 # -- subgroups over the socle ------------------------------------------------
 
 
-def _all_subgroups_small(Q: FiniteGroup) -> list[tuple[int, ...]]:
-    """All subgroups of a small group, by closing one added element at a time."""
-    found = {(0,)}
-    frontier = [(0,)]
-    while frontier:
-        H = frontier.pop()
-        mem = set(H)
-        for x in range(1, Q.order):
-            if x in mem:
-                continue
-            ext = closure(Q, list(H) + [x])
-            if ext not in found:
-                found.add(ext)
-                frontier.append(ext)
-    return sorted(found, key=lambda h: (len(h), h))
-
-
 def subgroups_over_socle(G: FiniteGroup, require_normal: bool) -> list[Subgroup]:
-    """All H with soc(G) <= H <= G, via subgroups of G/soc(G) pulled back.
+    """All H with soc(G) <= H <= G, ordered by (order, elements).
 
-    The element sets and their normality are memoized on the instance, like
-    the socle; each call hands out new ``Subgroup`` objects.
+    Closed from the socle one coset representative at a time: since
+    soc <= H, the closure of H and r depends only on the coset r*soc, so
+    one representative per right coset of the socle suffices.  The element
+    sets and their normality are memoized on the instance, like the socle;
+    each call hands out new ``Subgroup`` objects.
     """
     if G._over_socle_cache is None:
-        Q, pi = quotient_with_epimorphism(G, socle(G))
-        subs = [Subgroup(G, tuple(np.flatnonzero(np.isin(pi.map, hq)).tolist()))
-                for hq in _all_subgroups_small(Q)]
-        subs.sort(key=lambda H: (H.order, H.elements))
-        G._over_socle_cache = [(H.elements, H.is_normal) for H in subs]
+        soc = socle(G)
+        reps = [c[0] for c in soc.right_cosets()[1:]]
+        found = {soc.elements}
+        frontier = [soc.elements]
+        while frontier:
+            H = frontier.pop()
+            for r in reps:
+                if r not in H:
+                    ext = closure(G, H + (r,))
+                    if ext not in found:
+                        found.add(ext)
+                        frontier.append(ext)
+        G._over_socle_cache = [
+            (elems, Subgroup(G, elems).is_normal)
+            for elems in sorted(found, key=lambda h: (len(h), h))
+        ]
     return [
         Subgroup(G, elems, _is_normal=normal)
         for elems, normal in G._over_socle_cache
         if normal or not require_normal
     ]
-
-
-# -- quotients ---------------------------------------------------------------
-
-
-@dataclass
-class Epimorphism:
-    """Surjective homomorphism onto a quotient, as an index map array."""
-
-    source: FiniteGroup
-    target: FiniteGroup
-    map: np.ndarray
-    kernel_fibers: list[tuple[int, ...]]
-
-    def __post_init__(self):
-        m = np.asarray(self.map, dtype=np.int32)
-        self.map = m
-        src, tgt = self.source.table, self.target.table
-        if not np.array_equal(m[src], tgt[m[:, None], m[None, :]]):
-            raise InvalidInputError("map is not a homomorphism")
-        if len(np.unique(m)) != self.target.order:
-            raise InvalidInputError("map is not surjective")
-
-
-def quotient_with_epimorphism(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, Epimorphism]:
-    """Quotient G/N on smallest-index coset representatives, N normal."""
-    if N.parent is not G and N.parent != G:
-        raise InvalidInputError("subgroup does not belong to this group")
-    if not N.is_normal:
-        raise InvalidInputError("subgroup is not normal")
-    n = G.order
-    coset_id = np.full(n, -1, dtype=np.int32)
-    reps: list[int] = []
-    fibers: list[tuple[int, ...]] = []
-    helems = np.asarray(N.elements, dtype=np.int32)
-    for g in range(n):
-        if coset_id[g] < 0:
-            members = G.table[helems, g]
-            coset_id[members] = len(reps)
-            reps.append(g)
-            fibers.append(tuple(int(v) for v in np.sort(members)))
-    m = len(reps)
-    reps_arr = np.asarray(reps, dtype=np.int32)
-    qtab = coset_id[G.table[np.ix_(reps_arr, reps_arr)]]
-    names = None
-    if G.names is not None:
-        names = [G.names[r] for r in reps]
-    Q = FiniteGroup(qtab, names=names, check=False)
-    return Q, Epimorphism(G, Q, coset_id, fibers)
 
 
 # -- automorphisms and isomorphisms -------------------------------------------
@@ -534,7 +483,7 @@ def greedy_generators(G: FiniteGroup) -> list[int]:
     return list(G._generators_cache)
 
 
-def _class_fingerprints(G: FiniteGroup) -> tuple[np.ndarray, dict]:
+def _class_fingerprints(G: FiniteGroup) -> list[tuple]:
     """Isomorphism-invariant fingerprint per element.
 
     Combines element order, class size, and power-map data; used to prune
@@ -554,8 +503,7 @@ def _class_fingerprints(G: FiniteGroup) -> tuple[np.ndarray, dict]:
             powers.append(base[int(cls_of[y])])
             y = G.mul(y, x)
         fps[i] = (orders[i], sizes[i], tuple(powers))
-    elem_fp = [fps[int(cls_of[x])] for x in range(G.order)]
-    return cls_of, {"elem": elem_fp, "class": fps}
+    return [fps[int(cls_of[x])] for x in range(G.order)]
 
 
 def _extend_partial_map(
@@ -647,15 +595,15 @@ def _isomorphisms_mod_inner(
     if G.order == 1:
         return [np.zeros(1, dtype=np.int32)]
     conjugacy_classes(H, conj)  # H's classes from the table in hand
-    _, fp_g = _class_fingerprints(G)
-    _, fp_h = _class_fingerprints(H)
-    if sorted(fp_g["elem"]) != sorted(fp_h["elem"]):
+    fp_g = _class_fingerprints(G)
+    fp_h = _class_fingerprints(H)
+    if sorted(fp_g) != sorted(fp_h):
         return []
     gens = greedy_generators(G)
     pools = []
     for g in gens:
-        fp = fp_g["elem"][g]
-        pools.append([x for x in range(H.order) if fp_h["elem"][x] == fp])
+        fp = fp_g[g]
+        pools.append([x for x in range(H.order) if fp_h[x] == fp])
     class_min = conj.min(axis=0)
     pools[0] = [x for x in pools[0] if class_min[x] == x]
     inner = {row.tobytes() for row in conj}
@@ -681,8 +629,8 @@ def _isomorphisms_mod_inner(
             pool = [x for x in pool if orbit_min[x] == x]
         if depth > 0:
             # quick order-of-product prune using the previous image
-            fp = fp_g["elem"][G.mul(gens[depth - 1], gens[depth])]
-            pool = [x for x in pool if fp_h["elem"][H.mul(images[-1], x)] == fp]
+            fp = fp_g[G.mul(gens[depth - 1], gens[depth])]
+            pool = [x for x in pool if fp_h[H.mul(images[-1], x)] == fp]
         stack.extend(images + [x] for x in reversed(pool))
     return out
 

@@ -219,7 +219,7 @@ class Analysis:
         if self.sec.kind == "symmetric":
             if self.u_row.max() > 1:
                 raise InternalError("symmetric type restricted scheme must be trivial")
-            return symmetric_group_on(range(self.U.order), self.U.order)
+            return symmetric_group_on(self.U.order)
         return d_u_subgroup(self.u_row, self.U)
 
     @cached_property
@@ -234,9 +234,7 @@ class Analysis:
         """C_id: D_U wr Sym(U-cosets) on the full domain, kept structural:
         order |D_U|^m * m!, and membership tested blockwise in O(n) by D_U's
         own membership.  Its kernel on the L-cosets has a closed form (``aut``)."""
-        m = len(self.blocks)
-        top = symmetric_group_on(range(m), m)
-        return wreath_group_on_blocks(self.d_u, self.blocks, top, self.gamma.group.order)
+        return wreath_group_on_blocks(self.d_u, self.blocks, self.gamma.group.order)
 
     @cached_property
     def quotient(self) -> QuotientGraph:
@@ -264,7 +262,7 @@ class Analysis:
         induces its maps on the L-cosets on top of those.
         """
         n, cls, b = self.gamma.group.order, self.sec.l_class_of, len(self.blocks[0])
-        want = symmetric_group_on(range(b), b) if self.sec.kind == "symmetric" else kernel
+        want = symmetric_group_on(b) if self.sec.kind == "symmetric" else kernel
         copies = [conj_into_block(g, blk, n) for blk in self.blocks for g in want.generators]
         if not (np.array_equal(n0_gens, copies) and (cls[np.array(n0_gens)] == cls).all()):
             raise InternalError("the kernel generators are not block copies fixing the L-cosets")
@@ -701,7 +699,7 @@ def brute_force_oracle(gamma_a: ColorCayleyGraph, gamma_b: ColorCayleyGraph) -> 
     MA, MB = gamma_a.arc_colors, gamma_b.arc_colors
     if gamma_a.k == 2:
         # complete graph: arcs are diagonal vs everything else
-        sym = symmetric_group_on(range(n), n)
+        sym = symmetric_group_on(n)
         verdict = "isomorphic" if gamma_b.k == 2 and MB.shape[0] == n else "non_isomorphic"
         rep = np.arange(n, dtype=np.int32) if verdict == "isomorphic" else None
         return IsoResult(verdict, rep, list(sym.generators), math.factorial(n), 5)

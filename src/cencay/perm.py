@@ -11,9 +11,10 @@ textbook one-at-a-time loop, so the chain is the one that loop builds.
 ``reduce_generators`` sifts its candidates one at a time through one chain
 and extends it for each generator it keeps.
 
-Three groups are kept structural instead: the symmetric group on a point
-set, the wreath product B wr T on a block system, and the subgroups of
-D(2,G) given by their parameters (automorphism, translation, inversion).
+Three groups are kept structural instead: the symmetric group of a whole
+domain, the wreath product B wr Sym(m) on a system of m blocks, and the
+subgroups of D(2,G) given by their parameters (automorphism, translation,
+inversion).
 Each answers its order and membership from its definition, so neither the
 huge groups of symmetric-type Cayley schemes (orders like (168!)^2) nor the
 block group of the normal type ever builds a chain: its automorphisms are
@@ -33,7 +34,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -411,38 +412,29 @@ def reduce_generators(gens: Iterable[Sequence[int]], degree: int) -> list[Perm]:
 
 
 class SymmetricGroup:
-    """Sym(points) inside Sym(degree), answered from its definition.
-
-    A permutation of the domain is a member iff it fixes every point outside
-    ``points``; the order is k!.  The generators are a k-cycle along
-    ``points`` and the transposition of its first two points.
+    """Sym(degree) on the whole domain 0..degree-1, answered from its
+    definition: every permutation of the domain is a member, and the order
+    is degree!.  The generators are the cycle i -> i+1 (mod degree) and the
+    transposition of 0 and 1.
     """
 
-    def __init__(self, points: Sequence[int], degree: int):
-        pts = [int(x) for x in points]
+    def __init__(self, degree: int):
         self.degree = int(degree)
-        self.order = math.factorial(len(pts))
+        self.order = math.factorial(self.degree)
         ident = identity_perm(self.degree)
-        self._fixed = np.delete(ident, pts)  # ident[i] = i: drop the points by position
         self.generators: list[Perm] = []
-        if len(pts) >= 2:
-            cyc, tr = ident.copy(), ident.copy()
-            cyc[pts] = pts[1:] + pts[:1]
-            tr[pts[:2]] = pts[1::-1]
-            self.generators = [cyc, tr] if len(pts) > 2 else [tr]
+        if self.degree >= 2:
+            cyc, tr = np.roll(ident, -1), ident.copy()
+            tr[:2] = 1, 0
+            self.generators = [cyc, tr] if self.degree > 2 else [tr]
 
     def __contains__(self, p) -> bool:
-        r = _member_candidate(p, self.degree)
-        return r is not None and bool(np.array_equal(r[self._fixed], self._fixed))
+        return _member_candidate(p, self.degree) is not None
 
 
-def symmetric_group_on(points: Sequence[int], degree: int) -> SymmetricGroup:
-    """Sym(points) inside Sym(degree)."""
-    return SymmetricGroup(points, degree)
-
-
-# every group type with degree, order, generators and membership
-AnyGroup = Union[PermutationGroup, SymmetricGroup, "WreathProduct", "D2Subgroup"]
+def symmetric_group_on(degree: int) -> SymmetricGroup:
+    """Sym(degree) on the domain 0..degree-1."""
+    return SymmetricGroup(degree)
 
 
 def conj_into_block(d: Perm, blk: Sequence[int], degree: int) -> Perm:
@@ -454,35 +446,31 @@ def conj_into_block(d: Perm, blk: Sequence[int], degree: int) -> Perm:
 
 
 class WreathProduct:
-    """inner wr top on a block system, answered blockwise from its definition.
+    """inner wr Sym(m) on a system of m blocks, answered blockwise from its
+    definition.
 
-    ``inner`` acts on positions 0..b-1; block i is the point list blocks[i],
-    identified positionwise.  ``top`` acts on block indices.  The group is
-    {f : f permutes blocks by some tau in top, and every block component,
-    pulled back to positions, lies in inner}, of order |inner|^m * |top|;
-    membership tests exactly that (Seress, *Permutation Group Algorithms*,
-    2003, sec. 2.4).  The generators are inner's on the first block of each
-    orbit of top, followed by top's lifted positionwise.
+    ``inner`` is any group with ``degree``, ``order``, ``generators`` and
+    membership, acting on positions 0..b-1; block i is the point list
+    blocks[i], identified positionwise.  The group is {f : f maps every
+    block into one block, and every block component, pulled back to
+    positions, lies in inner}, of order |inner|^m * m!; membership tests
+    exactly that (Seress, *Permutation Group Algorithms*, 2003, sec. 2.4).
+    A bijection that keeps every block inside one block permutes the
+    blocks, so the block map needs no test of its own.  The generators are
+    inner's on block 0, followed by those of Sym(m) lifted positionwise.
     """
 
-    inner: AnyGroup
-    top: AnyGroup
-
-    def __init__(self, inner: AnyGroup, blocks: np.ndarray, top: AnyGroup, degree: int):
+    def __init__(self, inner, blocks: np.ndarray, degree: int):
         m, b = blocks.shape
         self.degree = int(degree)
-        self.inner, self.blocks, self.top = inner, blocks, top
-        self.order = inner.order**m * top.order
+        self.inner, self.blocks = inner, blocks
+        self.order = inner.order**m * math.factorial(m)
         self._block_of = np.empty(self.degree, dtype=np.int32)
         self._block_of[blocks] = np.arange(m, dtype=np.int32)[:, None]
         self._pos_of = np.empty(self.degree, dtype=np.int32)
         self._pos_of[blocks] = np.arange(b, dtype=np.int32)[None, :]
-        self.generators = [
-            conj_into_block(g, blocks[i], degree)
-            for i in _orbit_minima(top.generators, m)
-            for g in inner.generators
-        ]
-        for t in top.generators:
+        self.generators = [conj_into_block(g, blocks[0], degree) for g in inner.generators]
+        for t in SymmetricGroup(m).generators:
             lift = identity_perm(self.degree)
             lift[blocks] = blocks[t]
             self.generators.append(lift)
@@ -493,33 +481,22 @@ class WreathProduct:
             return False
         img = f[self.blocks]
         landed = self._block_of[img]
-        tau = landed[:, 0]
-        if np.any(landed != tau[:, None]) or tau not in self.top:
+        if np.any(landed != landed[:, :1]):
             return False
         return all(c in self.inner for c in self._pos_of[img])
 
 
-def _orbit_minima(gens: Sequence[Perm], m: int) -> np.ndarray:
-    """The smallest point of each orbit of <gens> on 0..m-1, ascending."""
-    low = np.arange(m)
-    for _ in range(m):  # after k rounds: the minimum within k steps along gens
-        low = np.min([low] + [low[g] for g in gens], axis=0)
-    return np.flatnonzero(low == np.arange(m))
-
-
-def wreath_group_on_blocks(
-    inner: AnyGroup, blocks: list[list[int]], top: AnyGroup, degree: int
-) -> WreathProduct:
-    """The wreath product inner wr top on a block system (see ``WreathProduct``)."""
+def wreath_group_on_blocks(inner, blocks: list[list[int]], degree: int) -> WreathProduct:
+    """The wreath product inner wr Sym(m) on m blocks (see ``WreathProduct``)."""
     b = len(blocks[0]) if blocks else 0
     if not b or any(len(blk) != b for blk in blocks):
         raise InvalidInputError("blocks must be nonempty and of equal size")
     arr = np.asarray(blocks, dtype=np.int32)
     if arr.size != degree or not is_permutation(arr.ravel()):
         raise InvalidInputError("blocks must partition the domain")
-    if inner.degree != b or top.degree != len(blocks):
-        raise InvalidInputError("inner must act on block positions and top on block indices")
-    return WreathProduct(inner, arr, top, degree)
+    if inner.degree != b:
+        raise InvalidInputError("inner must act on block positions")
+    return WreathProduct(inner, arr, degree)
 
 
 # -- subgroups of D(2,G) ----------------------------------------------------------

@@ -205,12 +205,12 @@ def isomorphisms_all(G: FiniteGroup, H: FiniteGroup) -> list[np.ndarray]:
         return []
     if G.order == 1:
         return [np.zeros(1, dtype=np.int32)]
-    _, fp_g = _class_fingerprints(G)
-    _, fp_h = _class_fingerprints(H)
-    if sorted(fp_g["elem"]) != sorted(fp_h["elem"]):
+    fp_g = _class_fingerprints(G)
+    fp_h = _class_fingerprints(H)
+    if sorted(fp_g) != sorted(fp_h):
         return []
     gens = greedy_generators(G)
-    pools = [[x for x in range(H.order) if fp_h["elem"][x] == fp_g["elem"][g]] for g in gens]
+    pools = [[x for x in range(H.order) if fp_h[x] == fp_g[g]] for g in gens]
     out = []
 
     def rec(depth: int, images: list[int]) -> None:
@@ -223,7 +223,7 @@ def isomorphisms_all(G: FiniteGroup, H: FiniteGroup) -> list[np.ndarray]:
             if depth > 0:
                 a = G.mul(gens[depth - 1], gens[depth])
                 b = H.mul(images[-1], cand)
-                if fp_g["elem"][a] != fp_h["elem"][b]:
+                if fp_g[a] != fp_h[b]:
                     continue
             rec(depth + 1, images + [cand])
 

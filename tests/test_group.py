@@ -22,7 +22,6 @@ from cencay.group import (
     group_isomorphisms,
     is_almost_simple,
     is_central,
-    quotient_with_epimorphism,
     socle,
     subgroups_over_socle,
 )
@@ -253,32 +252,6 @@ def test_isomorphism_count_equals_aut_order():
     assert len(res[1]) == len(automorphism_group(G))
 
 
-def test_quotient_sym5_by_socle():
-    G = sym5()
-    Q, pi = quotient_with_epimorphism(G, socle(G))
-    assert Q.order == 2
-    assert sorted(len(f) for f in pi.kernel_fibers) == [60, 60]
-
-
-def test_quotient_by_whole_group_and_trivial():
-    G = alt5()
-    Q, _ = quotient_with_epimorphism(G, Subgroup(G, tuple(range(G.order))))
-    assert Q.order == 1
-    Q2, pi2 = quotient_with_epimorphism(G, Subgroup(G, (0,)))
-    assert Q2.order == G.order
-    assert np.array_equal(pi2.map, np.arange(G.order))
-
-
-def test_quotient_requires_normal():
-    G = sym5()
-    # point stabilizer of S5 is not normal
-    stab = closure(G, [x for x in range(G.order) if G.names and "4" not in G.names[x]][:8])
-    H = Subgroup(G, stab)
-    if not H.is_normal:
-        with pytest.raises(InvalidInputError):
-            quotient_with_epimorphism(G, H)
-
-
 def test_normal_subgroups_contain_socle_when_almost_simple():
     G = sym5()
     soc = set(socle(G).elements)
@@ -403,17 +376,19 @@ def test_subgroups_over_socle_are_memoised(monkeypatch):
     import cencay.group as group_mod
 
     calls = [0]
-    original = group_mod.quotient_with_epimorphism
+    original = group_mod.closure
 
     def counted(*args):
         calls[0] += 1
         return original(*args)
 
-    monkeypatch.setattr(group_mod, "quotient_with_epimorphism", counted)
+    monkeypatch.setattr(group_mod, "closure", counted)
     G = group_from_generators([(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)])  # S5, nothing cached yet
     every = subgroups_over_socle(G, require_normal=False)
+    assert calls[0] >= 1
+    calls[0] = 0
     normal = subgroups_over_socle(G, require_normal=True)
-    assert calls == [1]
+    assert calls == [0]
     assert [H.order for H in every] == [60, 120]
     assert [H.elements for H in normal] == [H.elements for H in every if normal_by_definition(H)]
     assert all(H.is_normal == normal_by_definition(H) for H in every)
@@ -568,3 +543,25 @@ def test_associativity_is_checked_exactly_above_order_1000():
     for _ in range(2):
         with pytest.raises(InvalidInputError, match="associativity"):
             FiniteGroup(tab)
+
+
+def test_subgroups_over_socle_match_the_subset_closures():
+    # oracle: the closure of soc and S for every subset S of the socle's
+    # nontrivial right coset representatives
+    cases = {name: builtin_group(name) for name in BUILTIN_NAMES if name != "trivial"}
+    cases["s4"] = group_from_generators([(1, 2, 3, 0), (1, 0, 2, 3)])
+    cases["a4"] = group_from_generators([(1, 2, 0, 3), (0, 2, 3, 1)])
+    cases["c2_x_alt5"] = c2_x_alt5()
+    for name, G in cases.items():
+        soc = socle(G)
+        reps = [c[0] for c in soc.right_cosets()[1:]]
+        want = {
+            closure(G, soc.elements + S)
+            for k in range(len(reps) + 1)
+            for S in itertools.combinations(reps, k)
+        }
+        got = subgroups_over_socle(G, require_normal=False)
+        assert [H.elements for H in got] == sorted(want, key=lambda h: (len(h), h)), name
+        assert all(H.is_normal == normal_by_definition(H) for H in got), name
+    s4 = [(H.order, H.is_normal) for H in subgroups_over_socle(cases["s4"], require_normal=False)]
+    assert s4 == [(4, True), (8, False), (8, False), (8, False), (12, True), (24, True)]

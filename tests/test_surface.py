@@ -10,9 +10,9 @@ EXPORTS = {
     # errors
     "CapExceededError", "CencayError", "InternalError", "InvalidInputError",
     # group
-    "ClassPartition", "Epimorphism", "FiniteGroup", "Subgroup", "automorphism_group",
-    "conjugacy_classes", "group_from_generators", "group_isomorphisms", "is_almost_simple",
-    "quotient_with_epimorphism", "socle", "subgroups_over_socle",
+    "ClassPartition", "FiniteGroup", "Subgroup", "automorphism_group", "conjugacy_classes",
+    "group_from_generators", "group_isomorphisms", "is_almost_simple", "socle",
+    "subgroups_over_socle",
     # perm
     "D2Subgroup", "PermutationGroup", "regular_subgroups", "symmetric_group_on",
     "wreath_group_on_blocks",
