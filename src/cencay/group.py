@@ -194,20 +194,23 @@ class Subgroup:
         """Reindex the subgroup as a standalone group.
 
         Returns the group and the list mapping new indices to parent indices.
+        The whole group is a copy with the parent's table, and keeps the
+        parent's class and generator memos (immutable tuples).
         """
         elems = list(self.elements)
-        pos = {e: i for i, e in enumerate(elems)}
-        tab = self.parent.table[np.ix_(elems, elems)]
         relabel = np.full(self.parent.order, -1, dtype=np.int32)
-        for e, i in pos.items():
-            relabel[e] = i
-        sub_tab = relabel[tab]
+        relabel[elems] = np.arange(len(elems))
+        sub_tab = relabel[self.parent.table[np.ix_(elems, elems)]]
         if np.any(sub_tab < 0):
             raise InvalidInputError("element set is not closed under multiplication")
         names = None
         if self.parent.names is not None:
             names = [self.parent.names[e] for e in elems]
-        return FiniteGroup(sub_tab, names=names, check=False), elems
+        H = FiniteGroup(sub_tab, names=names, check=False)
+        if self.order == self.parent.order:
+            H._classes_cache = self.parent._classes_cache
+            H._generators_cache = self.parent._generators_cache
+        return H, elems
 
     def generators(self) -> list[int]:
         """Greedy short generating sequence of the subgroup (parent indices);
@@ -519,20 +522,18 @@ def _extend_partial_map(
     completed map a genuine isomorphism of the tables.
     """
     n = src.order
-    m = np.full(n, -1, dtype=np.int32)
-    used = np.zeros(dst.order, dtype=bool)
+    # right multiplication by each generator and its image, as plain lists:
+    # one numpy column each instead of a numpy scalar read per edge
+    steps = [(src.table[:, g].tolist(), dst.table[:, h].tolist()) for g, h in zip(gens, images)]
+    m = [-1] * n
+    used = [False] * dst.order
     m[0] = 0
     used[0] = True
     queue = [0]
-    head = 0
-    ts, td = src.table, dst.table
-    while head < len(queue):
-        a = queue[head]
-        head += 1
+    for a in queue:  # breadth first: the queue grows while it is read
         ma = m[a]
-        for g, h in zip(gens, images):
-            x = int(ts[a, g])
-            y = int(td[ma, h])
+        for step_s, step_d in steps:
+            x, y = step_s[a], step_d[ma]
             if m[x] < 0:
                 if used[y]:
                     return None
@@ -543,7 +544,7 @@ def _extend_partial_map(
                 return None
     if len(queue) < n:
         return None
-    return m
+    return np.array(m, dtype=np.int32)
 
 
 def _conjugation_table(G: FiniteGroup) -> np.ndarray:
@@ -559,21 +560,25 @@ def automorphism_group(G: FiniteGroup) -> list[np.ndarray]:
     """All automorphisms of G as permutations of {0..n-1} fixing 0.
 
     Aut(G) is Inn(G)·T for one automorphism t per coset of Inn(G); the
-    search finds T, and the distinct rows of the conjugation table multiply
-    it out in one gather.
+    search finds T, and one conjugation row per coset of the centre
+    multiplies it out in one gather.
     """
     return _automorphisms(G, None)
 
 
 def _automorphisms(G: FiniteGroup, conj: Optional[np.ndarray]) -> list[np.ndarray]:
-    """``automorphism_group`` with G's conjugation table, if the caller has it."""
+    """``automorphism_group`` with G's conjugation table, if the caller has it.
+    Rows h and h' of it agree iff h'h^-1 is central, so the least member of
+    each centre coset gives one row per inner automorphism, ascending."""
     if G.order > AUT_CAP:
         raise CapExceededError(f"automorphism search capped at order {AUT_CAP}")
     if G._aut_cache is None:
         conj = _conjugation_table(G) if conj is None else conj
-        _, first = np.unique(conj, axis=0, return_index=True)
+        idx = np.arange(G.order)
+        centre = np.flatnonzero((conj == idx).all(axis=1))
+        first = np.flatnonzero(G.table[centre].min(axis=0) == idx)
         reps = np.array(_isomorphisms_mod_inner(G, G, conj))
-        G._aut_cache = list(conj[np.sort(first)[:, None, None], reps].reshape(-1, G.order))
+        G._aut_cache = list(conj[first[:, None, None], reps].reshape(-1, G.order))
     return list(G._aut_cache)
 
 
@@ -596,7 +601,7 @@ def _isomorphisms_mod_inner(
         return [np.zeros(1, dtype=np.int32)]
     conjugacy_classes(H, conj)  # H's classes from the table in hand
     fp_g = _class_fingerprints(G)
-    fp_h = _class_fingerprints(H)
+    fp_h = fp_g if H is G else _class_fingerprints(H)
     if sorted(fp_g) != sorted(fp_h):
         return []
     gens = greedy_generators(G)

@@ -219,7 +219,7 @@ class Analysis:
         if self.sec.kind == "symmetric":
             if self.u_row.max() > 1:
                 raise InternalError("symmetric type restricted scheme must be trivial")
-            return symmetric_group_on(self.U.order)
+            return symmetric_group_on(self.sec.U.order)
         return d_u_subgroup(self.u_row, self.U)
 
     @cached_property
@@ -455,15 +455,15 @@ def c0_search(src: Analysis, dst: Analysis, psi_map: np.ndarray) -> tuple[IsoCos
     of (1, f_0(y * x^-1)) there, and f_0 maps every pair along psi iff it
     maps the pairs (1, y).
     """
-    U_a, d_u, d_u2 = src.U, src.d_u, dst.d_u
-    b = U_a.order
-    if dst.U.order != b or d_u.order != d_u2.order:
+    d_u, d_u2 = src.d_u, dst.d_u
+    b = src.sec.U.order
+    if dst.sec.U.order != b or d_u.order != d_u2.order:
         return IsoCoset(None, empty=True), d_u
     if src.sec.kind == "symmetric":
         return IsoCoset(np.arange(b, dtype=np.int32)), d_u
     d_u_gens = d_u.generators
     u_row_b, want = dst.u_row, psi_map[src.u_row]
-    for f0 in _c0_candidates(U_a, dst.U, d_u2):
+    for f0 in _c0_candidates(src.U, dst.U, d_u2):
         if not np.array_equal(u_row_b[f0], want):
             continue
         f0_inv = inverse_perm(f0)

@@ -188,6 +188,45 @@ def test_automorphism_group_matches_backtracking_oracle(make):
     assert all(_is_table_map(a, G, G) for a in auts)
 
 
+@pytest.mark.parametrize("make", [m for _, m in ORACLE_GROUPS], ids=[n for n, _ in ORACLE_GROUPS])
+def test_inner_rows_are_the_first_distinct_conjugation_rows(make):
+    # the oracle: the first occurrence of each distinct row, by a row sort
+    import cencay.group as group_mod
+
+    G = FiniteGroup(make().table)  # a fresh instance: Aut(G) not cached yet
+    conj = group_mod._conjugation_table(G)
+    _, first = np.unique(conj, axis=0, return_index=True)
+    first = np.sort(first)
+    centre = np.flatnonzero((conj == np.arange(G.order)).all(axis=1))
+    assert len(first) * len(centre) == G.order  # |Inn(G)| = |G| / |Z(G)|
+    reps = np.array(group_mod._isomorphisms_mod_inner(G, G, conj))
+    expect = conj[first[:, None, None], reps].reshape(-1, G.order)
+    # the same maps in the same order: the rows taken are exactly ``first``
+    assert np.array_equal(np.array(automorphism_group(G)), expect)
+
+
+def test_fingerprints_are_computed_once_per_group(monkeypatch):
+    import cencay.group as group_mod
+
+    seen, fingerprints = [], group_mod._class_fingerprints
+
+    def counted(K):
+        seen.append(K)
+        return fingerprints(K)
+
+    monkeypatch.setattr(group_mod, "_class_fingerprints", counted)
+    gens = [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)]
+    G = group_from_generators(gens)  # S5, nothing cached yet
+    assert len(automorphism_group(G)) == 120
+    assert seen == [G]
+    H = group_from_generators(gens[::-1])  # another labelling of S5
+    automorphism_group(H)
+    seen.clear()
+    # Aut(H) is cached: the search alone fingerprints each side once
+    assert group_isomorphisms(G, H) is not None
+    assert len(seen) == 2 and seen[0] is G and seen[1] is H
+
+
 @pytest.mark.parametrize("name", BUILTIN_NAMES[:-1])
 def test_group_isomorphisms_random_relabelling(name, monkeypatch):
     import cencay.group as group_mod
@@ -457,6 +496,10 @@ def test_classes_generators_and_centrality_are_memoised(monkeypatch):
     assert greedy_generators(G) == gens
     assert is_central(G, row) == central
     assert Subgroup(G, tuple(range(G.order))).generators() == gens  # the whole group's
+    # the whole group as a standalone copy: the same table, and G's memos
+    H, elems = Subgroup(G, tuple(range(G.order))).as_group()
+    assert H is not G and elems == list(range(G.order)) and np.array_equal(H.table, G.table)
+    assert conjugacy_classes(H) == classes and greedy_generators(H) == gens
     assert calls == {"conj": 0, "closure": 0}
     # a caller's change to a handed-out list does not reach the memo
     gens.append(7)
@@ -468,6 +511,17 @@ def test_classes_generators_and_centrality_are_memoised(monkeypatch):
     parent = weakref.ref(G)
     del G, classes
     assert parent() is None
+
+
+def test_as_group_relabels_a_proper_subgroup():
+    G = group_from_generators([(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)])  # S5, nothing cached yet
+    conjugacy_classes(G), greedy_generators(G)
+    A, elems = socle(G).as_group()
+    assert np.array_equal(np.asarray(elems)[A.table], G.table[np.ix_(elems, elems)])
+    # only the whole group's copy takes over the parent's memos
+    assert A._classes_cache is None and A._generators_cache is None
+    with pytest.raises(InvalidInputError, match="not closed"):
+        Subgroup(G, (0, 1)).as_group()
 
 
 def test_one_conjugation_table_per_group(monkeypatch):

@@ -248,6 +248,38 @@ def test_aut_symmetric_fixture():
     assert all(res.aut_membership(g) for g in reps.star_gens)
 
 
+def test_symmetric_type_builds_no_standalone_u(monkeypatch):
+    # D_U is Sym(U), sized from the section: U is never copied out of G
+    import cencay.group as group_mod
+
+    calls = [0]
+    as_group = group_mod.Subgroup.as_group
+
+    def counted(self):
+        calls[0] += 1
+        return as_group(self)
+
+    monkeypatch.setattr(group_mod.Subgroup, "as_group", counted)
+    gam = coset_graph()
+    assert automorphisms(gam).aut_order == 2 * math.factorial(60) ** 2
+    assert iso_test(gam, gam).isomorphic
+    assert calls == [0]
+
+
+def test_whole_group_u_keeps_aut_off_the_input_group():
+    # U = G is a copy that shares G's class and generator memos; Aut(U)
+    # lives on the copy, so it goes with the analysis, not with the input
+    G = FiniteGroup(sym5().table)  # a fresh instance: nothing cached yet
+    gam = full_graph(G)
+    rec = analyze(gam)
+    assert rec.sec.kind == "normal" and rec.sec.U.order == G.order
+    assert G._classes_cache is not None and G._generators_cache is not None
+    assert rec.U is not G and rec.U._classes_cache is G._classes_cache
+    assert rec.U._generators_cache is G._generators_cache
+    assert automorphisms(gam).aut_order == automorphisms(full_graph(sym5())).aut_order
+    assert G._aut_cache is None
+
+
 def test_iso_swap_pair_step2():
     a, b = swap_pair()
     res = iso_test(a, b)
