@@ -4,9 +4,8 @@ A colored Cayley graph is a partition of the group with class 0 = {identity};
 the arc (g, h) carries the color of h*g^-1.  Centrality (classes closed under
 conjugation) makes both right and left translations color automorphisms.
 
-Every seed the pipeline refines (the arc colors, and the equivalences of the
-normal subgroups U and L) is invariant under right translation and constant
-on conjugacy classes, so its coherent closure is a Cayley scheme, fixed by
+The arc colors are invariant under right translation and constant on
+conjugacy classes, so their coherent closure is a Cayley scheme, fixed by
 its identity row (the Schur-ring view: Wielandt, Finite Permutation Groups,
 ch. IV).  ``closure_rows`` refines that row one conjugacy class at a time,
 and the row is the only form in which the pipeline holds a scheme: the one
@@ -18,7 +17,10 @@ the group itself: a direct-sum criterion on the closure row decides the
 symmetric case and yields L = U as the largest subgroup meeting it;
 otherwise L is the socle and U is the smallest normal subgroup over the
 socle whose one-sided partial translations preserve every basis relation,
-that is, on whose cosets outside itself the row is constant.
+that is, on whose cosets outside itself the row is constant.  U and L are
+then checked to be unions of colors of the row (S-subgroups), so the
+closure seeded with their indicators as well is the same row: that row is
+coherent and refines every such seed, and the seeded closure refines it.
 """
 
 from __future__ import annotations
@@ -382,7 +384,8 @@ def principal_section(scheme: CayleyScheme) -> PrincipalSection:
     Symmetric type iff the socle passes the direct-sum test; then L = U is
     the largest subgroup passing it.  Otherwise L is the socle and U is the
     smallest subgroup passing the one-sided translation test (which cannot
-    be empty: the full group always passes by centrality).
+    be empty: the full group always passes by centrality).  Raises
+    InternalError unless U and L are unions of colors of the row.
     """
     G = scheme.group
     if not scheme.central:
@@ -409,12 +412,8 @@ def principal_section(scheme: CayleyScheme) -> PrincipalSection:
         kind = "normal"
     l_cosets = L.right_cosets()
     u_cosets = U.right_cosets()
-    return PrincipalSection(
-        kind,
-        L,
-        U,
-        l_cosets,
-        u_cosets,
-        coset_class_array(G, l_cosets),
-        coset_class_array(G, u_cosets),
-    )
+    l_class_of, u_class_of = coset_class_array(G, l_cosets), coset_class_array(G, u_cosets)
+    for inside in (u_class_of == 0, l_class_of == 0):
+        if np.isin(scheme.row[~inside], scheme.row[inside]).any():
+            raise InternalError("U or L is not a union of colors of the closure")
+    return PrincipalSection(kind, L, U, l_cosets, u_cosets, l_class_of, u_class_of)

@@ -1,16 +1,17 @@
 """The central Cayley graph isomorphism test and its certificate machinery.
 
-Each graph is analysed once (``analyze``): its closure scheme, principal
-section and, on first use, the group part C_id of its majorant, a wreath
-product over the U-cosets whose block group is either the full symmetric
-group or the translation-inversion group cut down to the restricted scheme.
-Aut(Gamma) is cut out of C_id by the quotient-graph automorphisms on the
-L-cosets.  ``iso_test`` combines two analyses: one algebraic isomorphism
-matching colors and section equivalences (or a proof none exists), the seed
-coset C_0 and with it the majorant's representative, the quotient-graph
-isomorphisms, and the final lift, which pulls the answer back through the
-source's action of C_id on its L-cosets.  The answer is the coset
-Aut(Gamma) * f.
+Each graph is analysed once (``analyze``): the closure of its arc colors
+(one ``closure_rows`` call), its principal section and, on first use, the
+group part C_id of its majorant, a wreath product over the U-cosets whose
+block group is either the full symmetric group or the translation-inversion
+group cut down to the restricted scheme.  Aut(Gamma) is cut out of C_id by
+the quotient-graph automorphisms on the L-cosets.  ``iso_test`` combines two
+analyses: one algebraic isomorphism matching colors and section
+equivalences (or a proof none exists), from one lockstep refinement of the
+two arc colorings; the seed coset C_0 and with it the majorant's
+representative; the quotient-graph isomorphisms; and the final lift, which
+pulls the answer back through the source's action of C_id on its L-cosets.
+The answer is the coset Aut(Gamma) * f.
 
 Every positive answer is re-verified unconditionally against the arc colors,
 so the theory is never trusted blindly.  A brute-force backtracking oracle,
@@ -182,28 +183,20 @@ class Analysis:
     sec: PrincipalSection
 
     @property
-    def seeds(self) -> tuple[FiniteGroup, list[np.ndarray]]:
-        """The seed rows of the closure: arc colors, U- and L-indicators."""
-        sec = self.sec
-        return self.gamma.group, [self.gamma.class_of, sec.u_class_of == 0, sec.l_class_of == 0]
-
-    @cached_property
     def row(self) -> np.ndarray:
-        """The identity row of the seeds' coherent closure, checked for (C1)
-        and (C2); the fixed point of ``closure_rows`` certified (C3)."""
-        (row,), _ = closure_rows([self.seeds])
-        return CayleyScheme(self.gamma.group, row).row
+        """The identity row of the graph's coherent closure, ``scheme.row``.
+        U and L are unions of its colors (``principal_section`` checks it),
+        so the closure seeded with their indicators as well is this row."""
+        return self.scheme.row
 
     @cached_property
     def u_row(self) -> np.ndarray:
         """The closure restricted to U, as the identity row of a Cayley scheme
         on ``U``: the row at ``sec.U.elements``, renumbered by first
-        occurrence.  U is a seed, so no color of the row on U appears
-        outside U; that is checked."""
-        row, inside = self.row, self.sec.u_class_of == 0
-        if np.isin(row[~inside], row[inside]).any():
-            raise InternalError("U is not a union of colors of the closure")
-        _, first, inverse = np.unique(row[inside], return_index=True, return_inverse=True)
+        occurrence.  U is a union of colors of the row, so no color of the
+        row on U appears outside U."""
+        row = self.row[self.sec.u_class_of == 0]
+        _, first, inverse = np.unique(row, return_index=True, return_inverse=True)
         number = np.empty(len(first), dtype=np.int32)
         number[np.argsort(first)] = np.arange(len(first))
         return number[inverse]
@@ -278,10 +271,11 @@ class Analysis:
         Generators of the kernel N_0 of C_id on the L-cosets, plus one
         preimage per generator of the quotient stabilizer D_0 (``top``).
         N_0 is, on every block, the kernel of D_U on the L-cosets inside U,
-        in closed form: D_U itself in the symmetric type (L = U), and in the
-        normal type (L = soc) the maps x -> (alpha(x) t)^eps of D_U with t in
-        soc and alpha acting on U/soc trivially (eps = +1) or by inversion
-        (eps = -1) (``D2Subgroup.coset_kernel``).
+        in closed form: D_U itself when L = U (the symmetric type, and the
+        normal type with U = soc), and otherwise (L = soc < U) the maps
+        x -> (alpha(x) t)^eps of D_U with t in soc and alpha acting on U/soc
+        trivially (eps = +1) or by inversion (eps = -1)
+        (``D2Subgroup.coset_kernel``).
 
         ``certify`` proves the order of any generators that keep the arc
         colors and include these, at every order.  From above: each passes
@@ -294,7 +288,7 @@ class Analysis:
         cid, blocks, reach = self.cid, self.blocks, self.action
 
         kernel = self.d_u
-        if self.sec.kind == "normal":
+        if self.sec.L.order != self.sec.U.order:
             kernel = self.d_u.coset_kernel(cls[blocks[0]])  # L-coset of each position of U
         n0_gens = [conj_into_block(g, blk, n) for blk in blocks for g in kernel.generators]
 
@@ -379,12 +373,16 @@ def _schemes_with_phi(src: Analysis, dst: Analysis) -> Optional[SchemesWithPhi]:
     ga, gb = src.gamma, dst.gamma
     if ga.group.order != gb.group.order or ga.k != gb.k or src.sec.kind != dst.sec.kind:
         return None
-    res = closure_rows([src.seeds, dst.seeds])
+    res = closure_rows([(ga.group, [ga.class_of]), (gb.group, [gb.class_of])])
     if res is None:
         return None
     (row_a, row_b), _ = res
     if not np.array_equal(row_a, src.row):
         raise InternalError("the lockstep renumbered the source closure")
+    for cls_a, cls_b in ((src.sec.u_class_of, dst.sec.u_class_of),
+                         (src.sec.l_class_of, dst.sec.l_class_of)):
+        if not np.array_equal(np.unique(row_a[cls_a == 0]), np.unique(row_b[cls_b == 0])):
+            return None
     row_b = CayleyScheme(gb.group, row_b).row
     if color_keys(ga.group, row_a) != color_keys(gb.group, row_b):
         raise InternalError("the color map fails the intersection numbers")
@@ -396,13 +394,15 @@ def schemes_with_phi(
 ) -> Optional[SchemesWithPhi]:
     """Analyses of both sides plus the unique color-matching algebraic iso.
 
-    The closures of the arc colors plus the U- and L-equivalences (seeded by
-    the identity rows: the indicators of U and L) are refined in lockstep
-    with one shared key table (``closure_rows``), so phi is the identity on
-    the shared colors; it is checked against the intersection numbers of
-    both rows (``color_keys``).  Returns None when no algebraic isomorphism
-    matches the graph colors and the section equivalences (in particular
-    when the section types differ).
+    The closures of the two arc colorings are refined in lockstep with one
+    shared key table (``closure_rows``), so phi is the identity on the
+    shared colors; it is checked against the intersection numbers of both
+    rows (``color_keys``).  U, L, U' and L' are unions of colors
+    (``principal_section``), so phi matches the section equivalences iff U
+    and U' carry the same colors, and L and L' too: the lockstep seeded with
+    their indicators gives the same rows then, and diverges otherwise.
+    Returns None when no algebraic isomorphism matches the graph colors and
+    the section equivalences (in particular when the section types differ).
     """
     return _schemes_with_phi(analyze(gamma_a), analyze(gamma_b))
 

@@ -11,7 +11,7 @@ from cencay.cayley import (
     partition_from_class_merge,
     principal_section,
 )
-from cencay.errors import InvalidInputError
+from cencay.errors import InternalError, InvalidInputError
 from cencay.group import ClassPartition, conjugacy_classes, element_orders, is_central, socle
 from cencay.perm import PermutationGroup
 from .fixture_groups import (
@@ -153,6 +153,18 @@ def test_principal_section_symmetric_type():
     assert sec.kind == "symmetric"
     assert sec.L.order == 60 and sec.U.order == 60
     assert sec.m == 2
+
+
+def test_principal_section_certifies_u_and_l_as_unions_of_colors(monkeypatch):
+    # with no direct-sum subgroup the complete S5 graph is forced to the
+    # normal type with L = U = A5, which is not a union of the rank-2 row
+    import cencay.cayley
+
+    scheme = cayley_wl(build_central_cayley(sym5(), merge_partition(sym5(), [[0], list(range(1, 7))])))
+    assert scheme.rank == 2
+    monkeypatch.setattr(cencay.cayley, "compute_H0", lambda scheme: [])
+    with pytest.raises(InternalError, match="union of colors"):
+        principal_section(scheme)
 
 
 def test_principal_section_alt5_full_classes():

@@ -493,6 +493,89 @@ def test_each_graph_is_analysed_once(monkeypatch):
     assert res.aut_order == automorphisms(a).aut_order == 28_800
 
 
+def test_each_graph_is_closed_once(monkeypatch):
+    # the analysis closes the arc colours alone, and a pair adds one lockstep
+    # of the two arc colourings: one closure per automorphisms, three per iso_test
+    import cencay.cayley
+    import cencay.iso as iso_mod
+
+    counters = [count_calls(monkeypatch, m, "closure_rows") for m in (cencay.cayley, iso_mod)]
+
+    def closures(run, *graphs):
+        for c in counters:
+            c[0] = 0
+        verdict = run(*graphs).verdict
+        return sum(c[0] for c in counters), verdict
+
+    for gam in (transposition_graph(), coset_graph(), a5_coset_graph(), full_graph(psl27())):
+        assert closures(automorphisms, gam) == (1, "isomorphic")
+    a, b = swap_pair()
+    s5 = transposition_graph()
+    for x, y, verdict in ((a, b, "non_isomorphic"), (s5, relabelled_graph(s5, 3), "isomorphic"),
+                          (coset_graph(), coset_graph(), "isomorphic")):
+        assert closures(iso_test, x, y) == (3, verdict)
+
+
+def test_d_u_is_its_own_kernel_when_l_equals_u(monkeypatch):
+    # with L = U every position of U lies in one L-coset, so D_U's kernel on
+    # the L-cosets is D_U itself, with the same rows and generators
+    from cencay.perm import D2Subgroup
+
+    for gam, l_equals_u in ((full_graph(psl27()), True), (a5_coset_graph(), True),
+                            (transposition_graph(), False)):
+        rec = analyze(gam)
+        assert rec.sec.kind == "normal"
+        assert (rec.sec.L.order == rec.sec.U.order) == l_equals_u
+        if l_equals_u:
+            kernel = rec.d_u.coset_kernel(rec.sec.l_class_of[rec.blocks[0]])
+            assert kernel.order == rec.d_u.order
+            assert [g.tobytes() for g in kernel.generators] == [
+                g.tobytes() for g in rec.d_u.generators
+            ]
+    calls = count_calls(monkeypatch, D2Subgroup, "coset_kernel")
+    for gam, want in ((full_graph(psl27()), 0), (a5_coset_graph(), 0), (transposition_graph(), 1)):
+        calls[0] = 0
+        automorphisms(gam)
+        assert calls == [want]
+
+
+def test_lockstep_checks_that_phi_maps_u_onto_u(monkeypatch):
+    # the transposition graph has U = S5 and L = A5; a hand-built normal
+    # section with L = U = A5 on one side has the same L but another U, and
+    # the colours on S5 are not those on A5, so no phi matches the sections
+    from cencay.cayley import PrincipalSection, coset_class_array
+    from cencay.iso import _schemes_with_phi
+
+    gam = transposition_graph()
+    src = analyze(gam)
+    soc = socle(gam.group)
+    cosets = soc.right_cosets()
+    cls = coset_class_array(gam.group, cosets)
+    dst = dataclasses.replace(
+        analyze(gam), sec=PrincipalSection("normal", soc, soc, cosets, cosets, cls, cls)
+    )
+    assert _schemes_with_phi(src, analyze(gam)) is not None
+    assert _schemes_with_phi(src, dst) is None
+
+
+def test_a_natural_pgl27_pair_reaches_the_c0_fallback(monkeypatch):
+    # these colourings pass step 2, and every group-isomorphism candidate for
+    # C0 fails; the full regular-subgroup enumeration then finds no C0 either
+    # (about 33 s a direction on a 2-core host), so the answer is a negative
+    # at step 3.  The enumeration is stubbed out here, counted.
+    import cencay.iso as iso_mod
+
+    calls = []
+    monkeypatch.setattr(iso_mod, "regular_subgroups", lambda d_u2, U: calls.append(U) or [])
+    G = pgl27()
+    a = build_central_cayley(G, partition_from_class_merge(G, [[0], [1, 6], [2, 5], [3, 4, 8], [7]]))
+    b = build_central_cayley(G, partition_from_class_merge(G, [[0], [1, 6], [2, 3], [4, 5, 8], [7]]))
+    for x, y in ((a, b), (b, a)):
+        calls.clear()
+        res = iso_test(x, y)
+        assert (res.verdict, res.decided_at_step, len(calls)) == ("non_isomorphic", 3, 1)
+
+
 # -- C0: the cheap candidates against the full enumeration ----------------------------
 
 

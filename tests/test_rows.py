@@ -8,7 +8,10 @@ code: ``wl_closure``, the coset-indicator direct-sum test,
 quotient labels read off the arc-color matrix.
 """
 
+import itertools
+
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -28,9 +31,15 @@ from cencay.cayley import (
 from cencay.coherent import extend_algebraic_iso, wl_closure
 from cencay.fixtures import builtin_group
 from cencay.group import ClassPartition, FiniteGroup, conjugacy_classes, socle, subgroups_over_socle
-from cencay.iso import QuotientGraph, schemes_with_phi
+from cencay.iso import QuotientGraph, _schemes_with_phi, analyze, schemes_with_phi
 
-from .fixture_groups import is_boxplus_trivial, pair_matrices, point_classes, scheme_matrix
+from .fixture_groups import (
+    is_boxplus_trivial,
+    pair_matrices,
+    point_classes,
+    scheme_matrix,
+    set_partitions,
+)
 
 SMALL = ("alt5", "sym5", "psl27")
 LARGE = ("pgl27", "alt6")  # n = 336 and 360: the exact oracle takes seconds per closure
@@ -95,6 +104,16 @@ def oracle_quotient(gamma, l_class_of, m):
         i, j = divmod(cell, m)
         label_sets[i][j].add(color)
     return QuotientGraph(m, [[frozenset(s) for s in row] for row in label_sets])
+
+
+def seeded_rows(*recs):
+    """The closure rows of the arc colors seeded with the U- and L-indicators
+    too, in lockstep over the analyses: the closure the pipeline ran before
+    U and L were certified as unions of colors of the unseeded row."""
+    return closure_rows([
+        (rec.gamma.group, [rec.gamma.class_of, rec.sec.u_class_of == 0, rec.sec.l_class_of == 0])
+        for rec in recs
+    ])
 
 
 def equivalence_matrix(class_of):
@@ -260,3 +279,36 @@ def test_cayley_wl_cyclic_1025():
     assert scheme.rank == n // 2 + 1
     distance = np.minimum(idx, n - idx)
     assert all(len(set(distance[list(cls)])) == 1 for cls in point_classes(scheme))
+
+
+@pytest.mark.parametrize("name", SMALL)
+def test_seeding_u_and_l_gives_back_the_closure_row(name):
+    # every central colouring: the analysis closes the arc colors alone, and
+    # its row equals the closure seeded with the U- and L-indicators as well;
+    # on every ordered pair with equal part sizes, phi from the unseeded
+    # lockstep and the U/L color check gives the seeded lockstep's rows, and
+    # None exactly when the seeded lockstep diverges
+    G = builtin_group(name)
+    recs = []
+    for parts in set_partitions(list(range(1, conjugacy_classes(G).k))):
+        merge = [[0]] + sorted(sorted(p) for p in parts)
+        recs.append(analyze(build_central_cayley(G, partition_from_class_merge(G, merge))))
+    for rec in recs:
+        (row,), rank = seeded_rows(rec)
+        assert np.array_equal(rec.row, row) and rank == rec.scheme.rank
+    sizes = [sorted(len(c) for c in rec.gamma.partition.classes) for rec in recs]
+    pairs = positives = 0
+    for src, dst in itertools.permutations(range(len(recs)), 2):
+        if sizes[src] != sizes[dst]:
+            continue
+        src, dst = recs[src], recs[dst]
+        seeded = seeded_rows(src, dst) if src.sec.kind == dst.sec.kind else None
+        swp = _schemes_with_phi(src, dst)
+        assert (swp is None) == (seeded is None)
+        if swp is not None:
+            (row_a, row_b), _ = seeded
+            assert np.array_equal(swp.src.row, row_a) and np.array_equal(swp.row_b, row_b)
+            positives += 1
+        pairs += 1
+    assert (len(recs), pairs, positives) == {
+        "alt5": (15, 8, 0), "psl27": (52, 32, 20), "sym5": (203, 232, 0)}[name]
