@@ -160,7 +160,8 @@ def test_principal_section_certifies_u_and_l_as_unions_of_colors(monkeypatch):
     # normal type with L = U = A5, which is not a union of the rank-2 row
     import cencay.cayley
 
-    scheme = cayley_wl(build_central_cayley(sym5(), merge_partition(sym5(), [[0], list(range(1, 7))])))
+    S5 = sym5()
+    scheme = cayley_wl(build_central_cayley(S5, merge_partition(S5, [[0], list(range(1, 7))])))
     assert scheme.rank == 2
     monkeypatch.setattr(cencay.cayley, "compute_H0", lambda scheme: [])
     with pytest.raises(InternalError, match="union of colors"):

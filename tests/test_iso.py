@@ -539,7 +539,7 @@ def test_d_u_is_its_own_kernel_when_l_equals_u(monkeypatch):
         assert calls == [want]
 
 
-def test_lockstep_checks_that_phi_maps_u_onto_u(monkeypatch):
+def test_lockstep_checks_that_phi_maps_u_onto_u():
     # the transposition graph has U = S5 and L = A5; a hand-built normal
     # section with L = U = A5 on one side has the same L but another U, and
     # the colours on S5 are not those on A5, so no phi matches the sections
@@ -561,15 +561,17 @@ def test_lockstep_checks_that_phi_maps_u_onto_u(monkeypatch):
 def test_a_natural_pgl27_pair_reaches_the_c0_fallback(monkeypatch):
     # these colourings pass step 2, and every group-isomorphism candidate for
     # C0 fails; the full regular-subgroup enumeration then finds no C0 either
-    # (about 33 s a direction on a 2-core host), so the answer is a negative
+    # (24-31 s a direction on a 2-core host), so the answer is a negative
     # at step 3.  The enumeration is stubbed out here, counted.
     import cencay.iso as iso_mod
 
     calls = []
     monkeypatch.setattr(iso_mod, "regular_subgroups", lambda d_u2, U: calls.append(U) or [])
     G = pgl27()
-    a = build_central_cayley(G, partition_from_class_merge(G, [[0], [1, 6], [2, 5], [3, 4, 8], [7]]))
-    b = build_central_cayley(G, partition_from_class_merge(G, [[0], [1, 6], [2, 3], [4, 5, 8], [7]]))
+    a, b = (
+        build_central_cayley(G, partition_from_class_merge(G, merge))
+        for merge in ([[0], [1, 6], [2, 5], [3, 4, 8], [7]], [[0], [1, 6], [2, 3], [4, 5, 8], [7]])
+    )
     for x, y in ((a, b), (b, a)):
         calls.clear()
         res = iso_test(x, y)
