@@ -26,9 +26,10 @@ class FiniteGroup:
     Instances are immutable after construction and safe to share.  Each
     instance memoizes what is derived from it once: the conjugacy classes,
     ``greedy_generators``, the socle, the subgroups over it, almost
-    simplicity and Aut(G).  The memos hold element tuples and arrays only,
-    never a ``Subgroup``, so they make no reference cycle.  Subgroups are
-    closed breadth first with one gather per layer (``closure``).
+    simplicity and Aut(G), with the conjugation table that Aut(G) and the
+    isomorphisms onto G read.  The memos hold element tuples and arrays
+    only, never a ``Subgroup``, so they make no reference cycle.  Subgroups
+    are closed breadth first with one gather per layer (``closure``).
     """
 
     def __init__(self, table, names: Optional[Sequence[str]] = None, check: bool = True):
@@ -49,6 +50,7 @@ class FiniteGroup:
         self.table.setflags(write=False)
         self.inverse.setflags(write=False)
         self._aut_cache: Optional[list[np.ndarray]] = None
+        self._conj_cache: Optional[np.ndarray] = None
         self._classes_cache: Optional[tuple[tuple[int, ...], ...]] = None
         self._generators_cache: Optional[tuple[int, ...]] = None
         # the socle's elements, not a Subgroup: that would point back here
@@ -307,13 +309,13 @@ def perm_cycle_string(p: Sequence[int]) -> str:
 # -- conjugacy structure ----------------------------------------------------
 
 
-def conjugacy_classes(G: FiniteGroup, conj: Optional[np.ndarray] = None) -> ClassPartition:
-    """Conjugacy classes, ordered by (size, smallest member); each element's
-    class is labelled by its smallest conjugate, one column minimum of the
-    conjugation table (memoized on the instance).  A caller that holds the
-    table passes it as ``conj``, so it is not built twice."""
+def conjugacy_classes(G: FiniteGroup) -> ClassPartition:
+    """Conjugacy classes (memoized), ordered by (size, smallest member); each
+    element's class is labelled by its smallest conjugate, a column minimum
+    of the conjugation table: G's memo if any, else one built and dropped."""
     if G._classes_cache is None:
-        label = (_conjugation_table(G) if conj is None else conj).min(axis=0)
+        conj = _conjugation_table(G) if G._conj_cache is None else G._conj_cache
+        label = conj.min(axis=0)
         members = np.argsort(label, kind="stable")  # grouped by label, ascending
         reps, sizes = np.unique(label, return_counts=True)
         classes = np.split(members, np.cumsum(sizes)[:-1])
@@ -549,11 +551,21 @@ def _extend_partial_map(
 
 def _conjugation_table(G: FiniteGroup) -> np.ndarray:
     """conj[h, x] = h^-1 x h: row h is the inner automorphism by h, read
-    as table[h^-1 x, h] in one flat gather."""
-    flat = G.table[G.inverse].astype(np.intp)
-    flat *= G.order
-    flat += np.arange(G.order)[:, None]
-    return np.take(G.table, flat)
+    as table[h^-1 x, h] in one flat gather.  The flat index stays int32
+    while n^2 fits, and indexing (unlike ``np.take``) does not widen it."""
+    n = G.order
+    flat = G.table[G.inverse].astype(np.int32 if n * n < 2**31 else np.intp, copy=False)
+    flat *= n
+    flat += np.arange(n, dtype=flat.dtype)[:, None]
+    return G.table.ravel()[flat]
+
+
+def _conjugation(G: FiniteGroup) -> np.ndarray:
+    """G's conjugation table, built once and memoized on the instance."""
+    if G._conj_cache is None:
+        G._conj_cache = _conjugation_table(G)
+        G._conj_cache.setflags(write=False)
+    return G._conj_cache
 
 
 def automorphism_group(G: FiniteGroup) -> list[np.ndarray]:
@@ -561,32 +573,27 @@ def automorphism_group(G: FiniteGroup) -> list[np.ndarray]:
 
     Aut(G) is Inn(G)·T for one automorphism t per coset of Inn(G); the
     search finds T, and one conjugation row per coset of the centre
-    multiplies it out in one gather.
+    multiplies it out in one gather: rows h and h' of the conjugation table
+    agree iff h'h^-1 is central, so the least member of each centre coset
+    gives one row per inner automorphism, ascending.
     """
-    return _automorphisms(G, None)
-
-
-def _automorphisms(G: FiniteGroup, conj: Optional[np.ndarray]) -> list[np.ndarray]:
-    """``automorphism_group`` with G's conjugation table, if the caller has it.
-    Rows h and h' of it agree iff h'h^-1 is central, so the least member of
-    each centre coset gives one row per inner automorphism, ascending."""
     if G.order > AUT_CAP:
         raise CapExceededError(f"automorphism search capped at order {AUT_CAP}")
     if G._aut_cache is None:
-        conj = _conjugation_table(G) if conj is None else conj
+        conj = _conjugation(G)
         idx = np.arange(G.order)
         centre = np.flatnonzero((conj == idx).all(axis=1))
         first = np.flatnonzero(G.table[centre].min(axis=0) == idx)
-        reps = np.array(_isomorphisms_mod_inner(G, G, conj))
+        reps = np.array(_isomorphisms_mod_inner(G, G))
         G._aut_cache = list(conj[first[:, None, None], reps].reshape(-1, G.order))
     return list(G._aut_cache)
 
 
 def _isomorphisms_mod_inner(
-    G: FiniteGroup, H: FiniteGroup, conj: np.ndarray, first_only: bool = False
+    G: FiniteGroup, H: FiniteGroup, first_only: bool = False
 ) -> list[np.ndarray]:
     """One isomorphism G -> H in every coset Inn(H)·phi (only the first found
-    with ``first_only``); ``conj`` is H's conjugation table.
+    with ``first_only``).
 
     Backtracking over images of a greedy generating sequence, pruned by
     class fingerprints (order, class size, power classes).  An inner
@@ -599,7 +606,7 @@ def _isomorphisms_mod_inner(
         return []
     if G.order == 1:
         return [np.zeros(1, dtype=np.int32)]
-    conjugacy_classes(H, conj)  # H's classes from the table in hand
+    conj = _conjugation(H)
     fp_g = _class_fingerprints(G)
     fp_h = fp_g if H is G else _class_fingerprints(H)
     if sorted(fp_g) != sorted(fp_h):
@@ -648,8 +655,7 @@ def group_isomorphisms(
     The full isomorphism set is the returned map composed with each
     automorphism of H.
     """
-    conj = _conjugation_table(H)
-    reps = _isomorphisms_mod_inner(G, H, conj, first_only=True)
+    reps = _isomorphisms_mod_inner(G, H, first_only=True)
     if not reps:
         return None
-    return reps[0], _automorphisms(H, conj)
+    return reps[0], automorphism_group(H)

@@ -418,8 +418,8 @@ def _c0_candidates(U_a: FiniteGroup, U_b: FiniteGroup, d_u2) -> Iterator[Perm]:
     was built from, so these cost no search beyond one isomorphism.  Only
     then come the isomorphisms onto every regular subgroup of D_{U'}
     isomorphic to U, which reach C_0 whenever it is nonempty: a valid f_0
-    conjugates U_right onto such a subgroup.  Nothing is built before the
-    caller asks for it.
+    conjugates U_right onto such a subgroup (``regular_subgroups``).
+    Nothing is built before the caller asks for it.
     """
     res = group_isomorphisms(U_a, U_b)
     if res is not None:
@@ -443,11 +443,12 @@ def c0_search(src: Analysis, dst: Analysis, psi_map: np.ndarray) -> tuple[IsoCos
     Symmetric type: D_U is the full symmetric group and any size-matched
     bijection works.  Normal type: the first of ``_c0_candidates`` (the
     group isomorphisms U -> U', then the same after inversion on U, then,
-    as the fallback, the full regular-subgroup enumeration) that maps
-    every basis relation along psi and conjugates D_U onto D_{U'} (checked
-    on generators) wins.  Any f_0 of C_0 gives the same coset, and an
-    empty answer has exhausted the full enumeration.  Both D_U come from
-    the analyses.
+    as the fallback, the regular subgroups of D_{U'} built on T'_r or T'_l)
+    that maps every basis relation along psi and conjugates D_U onto D_{U'}
+    (checked on generators) wins.  Any f_0 of C_0 gives the same coset.  An
+    empty answer is complete: f_0 carries soc(D_U) = T_r x T_l onto
+    soc(D_{U'}), so f_0 U_right f_0^-1 contains T'_r or T'_l, and the
+    fallback lists every such subgroup.  Both D_U come from the analyses.
 
     The relations are compared on the identity rows alone: every candidate
     fixes 1 and conjugates U_right into D_{U'}, a group of automorphisms of

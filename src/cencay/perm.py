@@ -22,15 +22,14 @@ rows keyed by their images of a generating set, and its generators come
 from a breadth-first closure over them.  The action of a group on a block
 system, with one preimage per induced map, is ``action_closure``; its
 kernel, through a stabilizer chain, is ``block_action_with_kernel``, which
-only the tests' oracles call.  ``regular_subgroups`` enumerates the regular
-subgroups of a parametric D(2,G) subgroup isomorphic to a given group, the
-fallback of the seed coset search, and hands each back as a
-multiplication table.
+only the tests' oracles call.  ``regular_subgroups``, the fallback of the
+seed coset search, builds the regular subgroups of a parametric D(2,G)
+subgroup that contain the right or left translations by soc(G), and hands
+each back as a multiplication table.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -39,7 +38,8 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import CapExceededError, InternalError, InvalidInputError
-from .group import FiniteGroup, Subgroup, element_orders, greedy_generators
+from .group import (FiniteGroup, Subgroup, greedy_generators, group_isomorphisms,
+                    is_almost_simple, socle)
 
 Perm = np.ndarray
 
@@ -729,146 +729,79 @@ def block_action_with_kernel(K: PermutationGroup, partition: Sequence[Sequence[i
 # -- regular subgroups -------------------------------------------------------------
 
 
-def _candidate_pools_parametric(K: D2Subgroup, needed: set[int]) -> dict[int, list[Perm]]:
-    """Uniform-cycle-type elements of a parametric D(2,G)-subgroup, per order.
-
-    For each (automorphism, kind) the rows over its translations t form the
-    columns of one matrix; column-wise powers are taken together, so the
-    uniform-type test is vectorized over t: the smallest cycle length is the
-    first power with a fixed point, and the cycles agree iff that power is
-    the identity.
-    """
-    n = K.degree
-    T = K.group.table
-    inv = K.group.inverse
-    ts = np.asarray(K.translations.elements, dtype=np.int32)[None, :]
-    ident_col = np.arange(n, dtype=np.int32)[:, None]
-    cols = np.arange(ts.shape[1], dtype=np.int32)[None, :]
-    pools: dict[int, list[Perm]] = {o: [] for o in needed}
-
-    def scan(M: np.ndarray) -> None:
-        # M[x, t] is the image of x under candidate t; length[t] is its
-        # uniform cycle length, 0 before its first fixed point, -1 if none
-        length = np.zeros(M.shape[1], dtype=np.int64)
-        for k in range(1, max(needed) + 1):
-            P = M if k == 1 else M[P, cols]
-            fixed = P == ident_col
-            first = (length == 0) & fixed.any(axis=0)
-            length[first] = np.where(fixed.all(axis=0)[first], k, -1)
-        for o in needed:
-            pools[o].extend(np.ascontiguousarray(M[:, t]) for t in np.flatnonzero(length == o))
-
-    for alpha in K.auts_plain:
-        scan(T[alpha[:, None], ts])
-    for alpha in K.auts_inv:
-        scan(inv[T[alpha[:, None], ts]])
-    return pools
-
-
-def _bfs_tree(H: FiniteGroup, gens: list[int]) -> list[tuple[int, int, int]]:
-    """Edges (parent, gen slot, child) of a BFS spanning tree of the Cayley graph."""
-    seen, edges, queue = {0}, [], [0]
-    for a in queue:  # the queue grows while it is walked
-        for gi, g in enumerate(gens):
-            b = int(H.table[a, g])
-            if b not in seen:
-                seen.add(b)
-                edges.append((a, gi, b))
-                queue.append(b)
-    if len(seen) < H.order:
-        raise InternalError("generating sequence does not generate")
-    return edges
+def _close_rows(rows: np.ndarray, have: np.ndarray, gens: Sequence[Perm]) -> bool:
+    """Close the members ``rows[have]`` (row p takes 0 to p) under right
+    multiplication by gens, in place; False once two take 0 to one point."""
+    frontier = np.flatnonzero(have)
+    while len(frontier):
+        new = np.concatenate([g[rows[frontier]] for g in gens])
+        keys = new[:, 0]
+        fresh = ~have[keys]
+        rows[keys[fresh]] = new[fresh]
+        if not np.array_equal(rows[keys], new):
+            return False
+        have[keys] = True
+        frontier = np.unique(keys[fresh])
+    return True
 
 
 def regular_subgroups(K: D2Subgroup, H: FiniteGroup) -> list[FiniteGroup]:
-    """All regular subgroups of K isomorphic to H, each as its abstract group,
-    in order of their member rows' bytes: column i of the table is the
-    member that takes 0 to i, so a * b is the image of a under member b.
+    """The regular subgroups of K isomorphic to H that contain S = T_r or
+    S = T_l, the right or left translations by T = soc(G) of the almost
+    simple G = K.group, each as its abstract group, in order of their
+    member rows' bytes: column i of the table is the member that takes 0 to
+    i, so a * b is the image of a under member b.
 
-    A regular subgroup V is recovered from the images (c_1..c_k) of a short
-    generating sequence of H: the base-point orbit map b(h) = 0^phi(h) is
-    filled along a BFS tree of H's Cayley graph, then the candidate is kept
-    iff b is a bijection, conjugating H_right by b reproduces the c_i, and
-    every conjugated translation lies in K.  Candidate images are restricted
-    to elements whose cycles all have the generator's order: nonidentity
-    elements of a regular group are fixed-point-free with uniform cycle type.
+    For H almost simple with a socle of T's order, as U in the C0 search,
+    that is every such subgroup R.  soc(R) lies in T_r x T_l, over which
+    D(2,G) is solvable (its factors there are G/T twice, Aut(G)/Inn(T) <=
+    Out(T) and the inversion).  A copy of T there other than T_r and T_l
+    is a twisted diagonal x -> phi(t) x t^-1, which fixes 1 wherever
+    phi(t) = t, and every automorphism of a nonsolvable group fixes some
+    t != 1 (P. Rowley, J. Algebra 174, 1995), so R is not semiregular.
+
+    So R = S<sigma_1, ...>, where sigma_i is R's one member that takes 0 to
+    the smallest point c outside the orbit of S<sigma_1, ..., sigma_i-1>:
+    a member of K that normalizes S, read off K's parameters (alpha(x) t
+    with t = c, or (alpha(x) t)^-1 with t = c^-1).  The rows are closed
+    keyed by their image of 0, so they lie in K by construction, and a
+    collision rejects the candidate.
     """
-    n = H.order
-    if K.degree != n:
+    G, n = K.group, K.degree
+    if not is_almost_simple(G):
+        raise InvalidInputError("the socle-anchored search needs an almost simple group")
+    if H.order != n:
         return []  # a regular subgroup has order equal to the degree
-    gens_idx = greedy_generators(H)
-    k = len(gens_idx)
-    orders = element_orders(H)[gens_idx].tolist()
-    pools = _candidate_pools_parametric(K, set(orders))
+    soc, table, inv = socle(G), G.table, G.inverse
+    in_soc = np.zeros(n, dtype=bool)
+    in_soc[list(soc.elements)] = True
+    found: dict[bytes, FiniteGroup] = {}
 
-    # iterate small pools in the outer product, batch over the largest one
-    slot_order = sorted(range(k), key=lambda i: len(pools[orders[i]]))
-    gens_idx = [gens_idx[i] for i in slot_order]
-    orders = [orders[i] for i in slot_order]
-
-    tree = _bfs_tree(H, gens_idx)
-    T = H.table
-    found: dict[bytes, np.ndarray] = {}
-
-    def accept(cands: list[Perm], b: np.ndarray) -> None:
-        binv = inverse_perm(b)
-        P = b[T[binv]]  # column h is the conjugated right translation by h
-        # conjugating H_right by b must reproduce the candidate images
-        if any(not np.array_equal(P[:, g], c) for g, c in zip(gens_idx, cands)):
+    def extend(rows: np.ndarray, have: np.ndarray, sigmas: list[Perm], side, s_gens) -> None:
+        if have.all():
+            R = FiniteGroup(rows.T, check=False)
+            if group_isomorphisms(H, R) is not None:
+                found[rows.tobytes()] = R
             return
-        # canonical form: element rows indexed by their image of the base point
-        M = np.ascontiguousarray(P.T[binv])
-        if not np.array_equal(M[:, 0], np.arange(n)):
-            raise InternalError("group is not regular on its domain")
-        full = M.tobytes()
-        if full not in found and all(row in K for row in M):
-            found[full] = M
+        c = int(np.argmin(have))
+        P = np.concatenate([  # the members of K that take 0 to c
+            table[K.auts_plain, c] if c in K.translations else table[:0],
+            inv[table[K.auts_inv, inv[c]]] if inv[c] in K.translations else table[:0],
+        ])
+        P_inv, keep = _invert_rows(P), np.ones(len(P), dtype=bool)
+        for s in s_gens:  # sigma s sigma^-1 must lie in S
+            Q = np.take_along_axis(P, s[P_inv], axis=1)
+            keep &= in_soc[Q[:, 0]] & (Q == side[Q[:, 0]]).all(axis=1)
+        for sigma in P[keep]:
+            grown, reached = rows.copy(), have.copy()
+            if _close_rows(grown, reached, sigmas + [sigma]):
+                extend(grown, reached, sigmas + [sigma], side, s_gens)
 
-    last_pool = pools[orders[-1]]
-    if not last_pool or any(not pools[o] for o in orders):
-        return []
-    c_last = np.stack(last_pool)
-    m_last = len(last_pool)
-
-    def scan_batch(prefix: list[Perm]) -> None:
-        """Fill the orbit map for every last-slot candidate at once.
-
-        Writes that revisit a point kill the row; rows that survive all n-1
-        tree edges have a bijective orbit map by counting.  Dead rows are
-        compacted away periodically to keep the vectors short.
-        """
-        B = np.zeros((m_last, n), dtype=np.int32)
-        used = np.zeros((m_last, n), dtype=bool)
-        used[:, 0] = True
-        alive = np.arange(m_last)
-        cand = c_last
-        dead = np.zeros(m_last, dtype=bool)
-        idx = np.arange(m_last)
-        for step, (parent, gi, child) in enumerate(tree):
-            prev = B[:, parent]
-            if gi < k - 1:
-                nxt = prefix[gi][prev]
-            else:
-                nxt = cand[idx, prev]
-            dead |= used[idx, nxt]
-            B[:, child] = nxt
-            used[idx, nxt] = True
-            if step % 24 == 23 and dead.any():
-                keep = ~dead
-                if keep.sum() * 2 < len(alive):
-                    alive = alive[keep]
-                    B = B[keep]
-                    used = used[keep]
-                    cand = cand[keep]
-                    dead = np.zeros(len(alive), dtype=bool)
-                    idx = np.arange(len(alive))
-                    if not len(alive):
-                        return
-        for local_j, j in enumerate(alive):
-            if not dead[local_j]:
-                accept(prefix + [last_pool[j]], B[local_j])
-
-    for combo in itertools.product(*(pools[o] for o in orders[:-1])):
-        scan_batch(list(combo))
-
-    return [FiniteGroup(found[key].T, check=False) for key in sorted(found)]
+    # row t of side is x -> x t (T_r) or x -> t x (T_l), the member taking 0 to t
+    for side in (np.ascontiguousarray(table.T), table):
+        s_gens = side[soc.generators()]
+        if all(g in K for g in s_gens):
+            rows = np.zeros((n, n), dtype=np.int32)
+            rows[in_soc] = side[in_soc]
+            extend(rows, in_soc.copy(), [], side, s_gens)
+    return [found[key] for key in sorted(found)]

@@ -4,8 +4,10 @@ almost-simplicity test on a copy of the socle and dict-based stabilizer
 chain that the array-native ones replaced, and the constructors only the
 tests use: the regular representations, D(2,G) as a chain and in
 parametric form, orbitals, the direct-sum test and the enumeration of a
-chain's elements."""
+chain's elements; and the product scan over uniform-cycle-type elements
+that enumerated regular subgroups before the socle-anchored search."""
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
@@ -21,6 +23,7 @@ from cencay.group import (
     _extend_partial_map,
     automorphism_group,
     conjugacy_classes,
+    element_orders,
     greedy_generators,
     group_from_generators,
     normal_closure,
@@ -654,3 +657,153 @@ def dict_reduce_generators(gens: Iterable[Sequence[int]], degree: int) -> list[P
         kept.append(p)
         group = DictChainGroup(kept, degree)
     return kept
+
+
+# -- the regular-subgroup enumeration -----------------------------------------------
+
+
+def _candidate_pools_parametric(K: D2Subgroup, needed: set[int]) -> dict[int, list[Perm]]:
+    """Uniform-cycle-type elements of a parametric D(2,G)-subgroup, per order.
+
+    For each (automorphism, kind) the rows over its translations t form the
+    columns of one matrix; column-wise powers are taken together, so the
+    uniform-type test is vectorized over t: the smallest cycle length is the
+    first power with a fixed point, and the cycles agree iff that power is
+    the identity.
+    """
+    n = K.degree
+    T = K.group.table
+    inv = K.group.inverse
+    ts = np.asarray(K.translations.elements, dtype=np.int32)[None, :]
+    ident_col = np.arange(n, dtype=np.int32)[:, None]
+    cols = np.arange(ts.shape[1], dtype=np.int32)[None, :]
+    pools: dict[int, list[Perm]] = {o: [] for o in needed}
+
+    def scan(M: np.ndarray) -> None:
+        # M[x, t] is the image of x under candidate t; length[t] is its
+        # uniform cycle length, 0 before its first fixed point, -1 if none
+        length = np.zeros(M.shape[1], dtype=np.int64)
+        for k in range(1, max(needed) + 1):
+            P = M if k == 1 else M[P, cols]
+            fixed = P == ident_col
+            first = (length == 0) & fixed.any(axis=0)
+            length[first] = np.where(fixed.all(axis=0)[first], k, -1)
+        for o in needed:
+            pools[o].extend(np.ascontiguousarray(M[:, t]) for t in np.flatnonzero(length == o))
+
+    for alpha in K.auts_plain:
+        scan(T[alpha[:, None], ts])
+    for alpha in K.auts_inv:
+        scan(inv[T[alpha[:, None], ts]])
+    return pools
+
+
+def _bfs_tree(H: FiniteGroup, gens: list[int]) -> list[tuple[int, int, int]]:
+    """Edges (parent, gen slot, child) of a BFS spanning tree of the Cayley graph."""
+    seen, edges, queue = {0}, [], [0]
+    for a in queue:  # the queue grows while it is walked
+        for gi, g in enumerate(gens):
+            b = int(H.table[a, g])
+            if b not in seen:
+                seen.add(b)
+                edges.append((a, gi, b))
+                queue.append(b)
+    if len(seen) < H.order:
+        raise InternalError("generating sequence does not generate")
+    return edges
+
+
+def regular_subgroups_by_scan(K: D2Subgroup, H: FiniteGroup) -> list[FiniteGroup]:
+    """The enumeration ``regular_subgroups`` replaced, kept as its oracle.
+
+    All regular subgroups of K isomorphic to H, each as its abstract group,
+    in order of their member rows' bytes: column i of the table is the
+    member that takes 0 to i, so a * b is the image of a under member b.
+
+    A regular subgroup V is recovered from the images (c_1..c_k) of a short
+    generating sequence of H: the base-point orbit map b(h) = 0^phi(h) is
+    filled along a BFS tree of H's Cayley graph, then the candidate is kept
+    iff b is a bijection, conjugating H_right by b reproduces the c_i, and
+    every conjugated translation lies in K.  Candidate images are restricted
+    to elements whose cycles all have the generator's order: nonidentity
+    elements of a regular group are fixed-point-free with uniform cycle type.
+    """
+    n = H.order
+    if K.degree != n:
+        return []  # a regular subgroup has order equal to the degree
+    gens_idx = greedy_generators(H)
+    k = len(gens_idx)
+    orders = element_orders(H)[gens_idx].tolist()
+    pools = _candidate_pools_parametric(K, set(orders))
+
+    # iterate small pools in the outer product, batch over the largest one
+    slot_order = sorted(range(k), key=lambda i: len(pools[orders[i]]))
+    gens_idx = [gens_idx[i] for i in slot_order]
+    orders = [orders[i] for i in slot_order]
+
+    tree = _bfs_tree(H, gens_idx)
+    T = H.table
+    found: dict[bytes, np.ndarray] = {}
+
+    def accept(cands: list[Perm], b: np.ndarray) -> None:
+        binv = inverse_perm(b)
+        P = b[T[binv]]  # column h is the conjugated right translation by h
+        # conjugating H_right by b must reproduce the candidate images
+        if any(not np.array_equal(P[:, g], c) for g, c in zip(gens_idx, cands)):
+            return
+        # canonical form: element rows indexed by their image of the base point
+        M = np.ascontiguousarray(P.T[binv])
+        if not np.array_equal(M[:, 0], np.arange(n)):
+            raise InternalError("group is not regular on its domain")
+        full = M.tobytes()
+        if full not in found and all(row in K for row in M):
+            found[full] = M
+
+    last_pool = pools[orders[-1]]
+    if not last_pool or any(not pools[o] for o in orders):
+        return []
+    c_last = np.stack(last_pool)
+    m_last = len(last_pool)
+
+    def scan_batch(prefix: list[Perm]) -> None:
+        """Fill the orbit map for every last-slot candidate at once.
+
+        Writes that revisit a point kill the row; rows that survive all n-1
+        tree edges have a bijective orbit map by counting.  Dead rows are
+        compacted away periodically to keep the vectors short.
+        """
+        B = np.zeros((m_last, n), dtype=np.int32)
+        used = np.zeros((m_last, n), dtype=bool)
+        used[:, 0] = True
+        alive = np.arange(m_last)
+        cand = c_last
+        dead = np.zeros(m_last, dtype=bool)
+        idx = np.arange(m_last)
+        for step, (parent, gi, child) in enumerate(tree):
+            prev = B[:, parent]
+            if gi < k - 1:
+                nxt = prefix[gi][prev]
+            else:
+                nxt = cand[idx, prev]
+            dead |= used[idx, nxt]
+            B[:, child] = nxt
+            used[idx, nxt] = True
+            if step % 24 == 23 and dead.any():
+                keep = ~dead
+                if keep.sum() * 2 < len(alive):
+                    alive = alive[keep]
+                    B = B[keep]
+                    used = used[keep]
+                    cand = cand[keep]
+                    dead = np.zeros(len(alive), dtype=bool)
+                    idx = np.arange(len(alive))
+                    if not len(alive):
+                        return
+        for local_j, j in enumerate(alive):
+            if not dead[local_j]:
+                accept(prefix + [last_pool[j]], B[local_j])
+
+    for combo in itertools.product(*(pools[o] for o in orders[:-1])):
+        scan_batch(list(combo))
+
+    return [FiniteGroup(found[key].T, check=False) for key in sorted(found)]

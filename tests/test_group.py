@@ -27,6 +27,7 @@ from cencay.group import (
 )
 from .fixture_groups import (
     alt5,
+    alt6,
     c2_x_alt5,
     closure_by_bfs,
     conjugacy_classes_by_orbits,
@@ -199,7 +200,7 @@ def test_inner_rows_are_the_first_distinct_conjugation_rows(make):
     first = np.sort(first)
     centre = np.flatnonzero((conj == np.arange(G.order)).all(axis=1))
     assert len(first) * len(centre) == G.order  # |Inn(G)| = |G| / |Z(G)|
-    reps = np.array(group_mod._isomorphisms_mod_inner(G, G, conj))
+    reps = np.array(group_mod._isomorphisms_mod_inner(G, G))
     expect = conj[first[:, None, None], reps].reshape(-1, G.order)
     # the same maps in the same order: the rows taken are exactly ``first``
     assert np.array_equal(np.array(automorphism_group(G)), expect)
@@ -544,6 +545,15 @@ def test_one_conjugation_table_per_group(monkeypatch):
     monkeypatch.undo()
     fresh = group_from_generators([(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)])
     assert classes == conjugacy_classes(fresh).classes
+
+
+def test_the_int32_conjugation_index_matches_the_intp_one():
+    import cencay.group as group_mod
+
+    A6 = FiniteGroup(alt6().table)
+    flat = A6.table[A6.inverse].astype(np.intp) * A6.order + np.arange(A6.order)[:, None]
+    conj = group_mod._conjugation_table(A6)
+    assert conj.dtype == np.int32 and np.array_equal(conj, np.take(A6.table, flat))
 
 
 def associative_by_triples(tab):

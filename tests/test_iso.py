@@ -560,22 +560,35 @@ def test_lockstep_checks_that_phi_maps_u_onto_u():
 
 def test_a_natural_pgl27_pair_reaches_the_c0_fallback(monkeypatch):
     # these colourings pass step 2, and every group-isomorphism candidate for
-    # C0 fails; the full regular-subgroup enumeration then finds no C0 either
-    # (24-31 s a direction on a 2-core host), so the answer is a negative
-    # at step 3.  The enumeration is stubbed out here, counted.
+    # C0 fails; the 44 regular subgroups of D_U' built on its socle (24-31 s
+    # a direction by the product scan they replaced, 1-2 s now on a 2-core
+    # host) give no C0 either, so the answer is a negative at step 3
     import cencay.iso as iso_mod
 
-    calls = []
-    monkeypatch.setattr(iso_mod, "regular_subgroups", lambda d_u2, U: calls.append(U) or [])
+    calls = count_calls(monkeypatch, iso_mod, "regular_subgroups")
     G = pgl27()
     a, b = (
         build_central_cayley(G, partition_from_class_merge(G, merge))
         for merge in ([[0], [1, 6], [2, 5], [3, 4, 8], [7]], [[0], [1, 6], [2, 3], [4, 5, 8], [7]])
     )
     for x, y in ((a, b), (b, a)):
-        calls.clear()
+        calls[0] = 0
         res = iso_test(x, y)
-        assert (res.verdict, res.decided_at_step, len(calls)) == ("non_isomorphic", 3, 1)
+        assert (res.verdict, res.decided_at_step, calls[0]) == ("non_isomorphic", 3, 1)
+
+
+def test_one_conjugation_table_per_group_in_a_normal_type_pair(monkeypatch):
+    # G and G' build theirs for their classes; D_U' takes Aut(U') from U''s
+    # table, and the search for U -> U' reads that same table
+    import cencay.group as group_mod
+
+    built, conjugation_table = [], group_mod._conjugation_table
+    monkeypatch.setattr(group_mod, "_conjugation_table", lambda K: built.append(K) or conjugation_table(K))
+    a = full_graph(FiniteGroup(sym5().table))  # fresh instances: nothing cached yet
+    b = relabelled_graph(a, 1)
+    assert len(built) == 2 and built[0] is a.group and built[1] is b.group
+    assert iso_test(a, b).isomorphic and analyze(b).sec.kind == "normal"
+    assert len(built) == len({id(K) for K in built}) == 4  # and U, U'
 
 
 # -- C0: the cheap candidates against the full enumeration ----------------------------

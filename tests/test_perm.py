@@ -10,6 +10,7 @@ from cencay.errors import InternalError, InvalidInputError
 from cencay.fixtures import BUILTIN_NAMES, builtin_group
 from cencay.group import (
     FiniteGroup,
+    automorphism_group,
     conjugacy_classes,
     group_from_generators,
     group_isomorphisms,
@@ -19,7 +20,6 @@ from cencay.iso import analyze
 from cencay.perm import (
     D2Subgroup,
     PermutationGroup,
-    _candidate_pools_parametric,
     block_action_with_kernel,
     compose,
     conj_into_block,
@@ -34,14 +34,19 @@ from cencay.perm import (
 from .fixture_groups import (
     DictChainGroup,
     DictLevel,
+    _candidate_pools_parametric,
     alt5,
+    alt6,
     chain_d2_generators,
     chain_elements,
     d2_chain,
     d2_group,
     full_d2_subgroup,
     orbitals,
+    psl27,
     regular_representations,
+    regular_subgroups_by_scan,
+    set_partitions,
     sym5,
 )
 
@@ -553,6 +558,98 @@ def test_regular_subgroups_d2_alt5():
 
 def test_regular_subgroups_degree_mismatch():
     assert regular_subgroups(full_d2_subgroup(sym5()), alt5()) == []
+
+
+def test_regular_subgroups_need_an_almost_simple_group():
+    S4 = group_from_generators([(1, 2, 3, 0), (1, 0, 2, 3)])
+    with pytest.raises(InvalidInputError, match="almost simple"):
+        regular_subgroups(full_d2_subgroup(S4), S4)
+
+
+# -- the socle-anchored search: its proof's inputs and the product scan ----------
+
+
+@pytest.mark.parametrize("name", [n for n in BUILTIN_NAMES if n != "trivial"])
+def test_every_socle_automorphism_fixes_a_nontrivial_element(name):
+    # Rowley (J. Algebra 174, 1995): no automorphism of a nonsolvable group
+    # is fixed-point-free, so no twisted diagonal of T_r x T_l is semiregular
+    T, _ = socle(builtin_group(name)).as_group()
+    auts = np.array(automorphism_group(T))
+    assert (auts[:, 1:] == np.arange(1, T.order)).any(axis=1).all()
+
+
+@pytest.mark.parametrize("make", [alt5, sym5, psl27])
+def test_only_the_identity_of_d2_centralizes_the_socle_translations(make):
+    # every member x -> (alpha(x) t)^eps of D(2,G), brute force: one column per t
+    G = make()
+    gens = [G.table[:, t] for t in socle(G).generators()]  # T_r
+    gens += [G.table[t, :] for t in socle(G).generators()]  # T_l
+    ts = np.arange(G.order)
+    central = []
+    for eps, auts in enumerate((automorphism_group(G),) * 2):
+        for alpha in auts:
+            M = G.table[alpha[:, None], ts]
+            M = G.inverse[M] if eps else M
+            commute = np.logical_and.reduce([(M[g] == g[M]).all(axis=0) for g in gens])
+            central += [M[:, t] for t in np.flatnonzero(commute)]
+    assert len(central) == 1 and np.array_equal(central[0], ts)
+
+
+def test_a_simple_group_has_only_its_two_regular_representations():
+    A6 = alt6()
+    reps = regular_representations(A6)
+    right, left = closed_rows(reps.right_gens, 360), closed_rows(reps.left_gens, 360)
+    subs = regular_subgroups(full_d2_subgroup(A6), A6)
+    assert [V.table.T.tobytes() for V in subs] == sorted([right.tobytes(), left.tobytes()])
+
+
+# one colouring per distinct normal-type D_U of PGL(2,7), out of all 4,140 of
+# its central colourings (``test_the_pgl27_d_u_list_is_complete`` rescans them)
+PGL27_D_U_MERGES = ([[0], [1], [2], [3], [4], [5], [6], [7], [8]], [[0], [1], [4], [6], [2, 3, 5, 7], [8]])
+
+
+def distinct_normal_analyses(name, merges=None):
+    """One analysis per distinct normal-type D_U of a builtin group, keyed
+    by U and D_U, over every central colouring or over the merges given."""
+    G = builtin_group(name)
+    if merges is None:
+        merges = [[[0]] + part for part in set_partitions(list(range(1, conjugacy_classes(G).k)))]
+    seen = {}
+    for merge in merges:
+        rec = analyze(build_central_cayley(G, partition_from_class_merge(G, merge)))
+        if rec.sec.kind == "normal":
+            d = rec.d_u
+            key = rec.sec.U.elements, d.auts_plain.tobytes(), d.auts_inv.tobytes(), d.translations.elements
+            seen.setdefault(key, rec)
+    return seen
+
+
+def assert_anchored_equals_the_scan(recs):
+    for rec in recs.values():
+        got = regular_subgroups(rec.d_u, rec.U)
+        expect = regular_subgroups_by_scan(rec.d_u, rec.U)
+        assert [V.table.tobytes() for V in got] == [V.table.tobytes() for V in expect]
+
+
+@pytest.mark.parametrize("name", ["alt5", "psl27", "sym5", "pgl27"])
+def test_anchored_regular_subgroups_equal_the_scan(name):
+    # the scan takes about 26 s on PGL(2,7)'s larger D_U, 2-core host
+    recs = distinct_normal_analyses(name, PGL27_D_U_MERGES if name == "pgl27" else None)
+    assert len(recs) == 2
+    assert_anchored_equals_the_scan(recs)
+
+
+@pytest.mark.slow
+def test_anchored_regular_subgroups_equal_the_scan_on_alt6():
+    recs = distinct_normal_analyses("alt6")
+    assert len(recs) == 4
+    assert_anchored_equals_the_scan(recs)
+
+
+@pytest.mark.slow
+def test_the_pgl27_d_u_list_is_complete():
+    listed = distinct_normal_analyses("pgl27", PGL27_D_U_MERGES)
+    assert distinct_normal_analyses("pgl27").keys() == listed.keys()
 
 
 def test_reduce_generators():
