@@ -37,6 +37,7 @@ from .group import (
     ClassPartition,
     FiniteGroup,
     Subgroup,
+    class_index,
     conjugacy_classes,
     is_almost_simple,
     is_central,
@@ -158,11 +159,7 @@ class CayleyScheme:
 def _classes_by_first_member(G: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
     """Conjugacy class representatives (smallest members, ascending) and each element's class."""
     classes = sorted(conjugacy_classes(G).classes)
-    reps = np.array([c[0] for c in classes], dtype=np.int64)
-    class_of = np.empty(G.order, dtype=np.int64)
-    for j, c in enumerate(classes):
-        class_of[list(c)] = j
-    return reps, class_of
+    return np.array([c[0] for c in classes], dtype=np.int64), class_index(classes, G.order)
 
 
 def _number_shared(

@@ -64,24 +64,28 @@ def _write_json(path: PathLike, payload: dict) -> None:
 def _int_array(value, what: str, bound: int, width: Optional[int] = None) -> np.ndarray:
     """``value``, lists of JSON integers in 0..bound-1, as one int64 array:
     the ``width`` x ``width`` matrix when a width is given, else the lists
-    end to end.  Anything else is invalid input.  The type check reads the
-    lists, since numpy would take a bool among ints for 0 or 1."""
+    end to end.  Anything else is invalid input.  One ``np.array`` pass
+    converts them; a bool among ints reads as 0 or 1 there, so only those
+    entries are type-checked.  Any other result lists the types."""
     if not isinstance(value, list) or not all(
         isinstance(r, list) and width in (None, len(r)) for r in value
     ):
         shape = "a list of lists" if width is None else f"{width} lists of {width}"
         raise InvalidInputError(f"{what} must be {shape}")
-    entries = itertools.chain.from_iterable
-    if set(map(type, entries(value))) - {int}:  # a bool's type is not int
-        raise InvalidInputError(f"{what} may hold JSON integers only")
+    rows = value if width is not None else [list(itertools.chain.from_iterable(value))]
     try:
-        arr = np.fromiter(entries(value), dtype=np.int64)
-        in_range = not arr.size or 0 <= arr.min() <= arr.max() < bound
-    except OverflowError:  # beyond int64
-        in_range = False
-    if not in_range:
+        arr = np.array(rows)
+    except ValueError:  # a list among the entries
+        arr = np.array([[None]])
+    if not arr.size:
+        return np.zeros((width, width) if width is not None else 0, dtype=np.int64)
+    ints = arr.dtype == np.int64 and arr.ndim == 2  # else beyond int64 if all are ints
+    if any(type(rows[i][j]) is not int for i, j in zip(*np.nonzero(arr <= 1))) if ints else (
+            set(map(type, itertools.chain.from_iterable(rows))) - {int}):
+        raise InvalidInputError(f"{what} may hold JSON integers only")
+    if not ints or arr.min() < 0 or arr.max() >= bound:
         raise InvalidInputError(f"{what} has an entry outside 0..{bound - 1}")
-    return arr if width is None else arr.reshape(width, width)
+    return arr if width is not None else arr[0]
 
 
 # -- groups -----------------------------------------------------------------
@@ -184,7 +188,7 @@ def verify_emitted_order(result: IsoResult, degree: int) -> str:
 
     A pipeline result carries its certificate (``IsoResult.certify``), which
     proves the order of the generators as emitted from both sides, at every
-    order.  Without one (an oracle result, or one loaded from a file or built
+    order, in O(k n) for the list its decision proved.  Without one (an oracle result, or one loaded from a file or built
     by hand) there is no upper bound, so up to ``CHAIN_RECOUNT_LIMIT`` a
     deterministic chain recounts the order from scratch.  Beyond it the chain
     is built with the claimed order as its stopping target: reaching it proves

@@ -8,6 +8,7 @@ tuple of its parent's table, closed inside it; no quotient group is built.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -26,9 +27,10 @@ class FiniteGroup:
     Instances are immutable after construction and safe to share.  Each
     instance memoizes what is derived from it once: the conjugacy classes,
     ``greedy_generators``, the socle, the subgroups over it, almost
-    simplicity and Aut(G), with the conjugation table that Aut(G) and the
-    isomorphisms onto G read.  The memos hold element tuples and arrays
-    only, never a ``Subgroup``, so they make no reference cycle.  Subgroups
+    simplicity, the class fingerprints and Aut(G), with the conjugation
+    table that Aut(G) and the isomorphisms onto G read.  The memos hold
+    element tuples and arrays only, never a ``Subgroup``, so they make no
+    reference cycle.  Subgroups
     are closed breadth first with one gather per layer (``closure``).
     """
 
@@ -59,6 +61,7 @@ class FiniteGroup:
         # likewise (elements, is_normal) per subgroup over the socle
         self._over_socle_cache: Optional[list[tuple[tuple[int, ...], bool]]] = None
         self._almost_simple_cache: Optional[bool] = None
+        self._fingerprints_cache: Optional[tuple[tuple, ...]] = None
 
     # -- validation ------------------------------------------------------
 
@@ -367,60 +370,67 @@ def closure(G: FiniteGroup, seed: Iterable[int]) -> tuple[int, ...]:
     return tuple(np.flatnonzero(member).tolist())
 
 
-def normal_closure(G: FiniteGroup, x: int) -> tuple[int, ...]:
-    """Smallest normal subgroup containing x (closure of its class)."""
-    n, tab, inv = G.order, G.table, G.inverse
-    cls = np.unique(tab[tab[inv, x], np.arange(n)])
-    return closure(G, (int(v) for v in cls))
+def class_index(classes: Sequence[Sequence[int]], n: int) -> np.ndarray:
+    """Class index per element of a group's own classes, unchecked."""
+    out = np.empty(n, dtype=np.intp)
+    out[np.fromiter(itertools.chain(*classes), np.intp, n)] = np.repeat(
+        np.arange(len(classes)), [len(c) for c in classes])
+    return out
+
+
+def class_closure(prod: np.ndarray, members: Sequence[int]) -> frozenset[int]:
+    """The ids of the classes in the normal closure of a class K, from
+    ``prod[i, x]``, the class of rep_i * x: K_i K is the set of classes of
+    rep_i K, so the closure is what class 0 reaches by such steps."""
+    step = np.zeros((len(prod),) * 2, dtype=bool)
+    step[np.arange(len(prod))[:, None], prod[:, members]] = True  # step[i, l]: K_l in K_i K
+    have, frontier = np.arange(len(prod)) == 0, [0]
+    while len(frontier):
+        frontier = np.flatnonzero(step[frontier].any(axis=0) & ~have)
+        have[frontier] = True
+    return frozenset(np.flatnonzero(have).tolist())
+
+
+def _socle_parts(G: FiniteGroup) -> tuple[tuple[int, ...], int]:
+    """The socle's elements and the number of minimal normal subgroups:
+    the minimal ones among the normal closures of single classes, which
+    all read one r x n gather.  One is the socle itself."""
+    classes = conjugacy_classes(G).classes
+    prod = class_index(classes, G.order)[G.table[[c[0] for c in classes]]]
+    closures = {class_closure(prod, cls) for cls in classes[1:]}
+    minimal = [c for c in closures if not any(d < c for d in closures)]
+    members = sorted(x for i in frozenset().union(*minimal) for x in classes[i])
+    return (tuple(members) if len(minimal) == 1 else closure(G, members)), len(minimal)
 
 
 def socle(G: FiniteGroup) -> Subgroup:
-    """Product of all minimal normal subgroups.
-
-    Every normal closure of a single element contains a minimal normal
-    subgroup, so the minimal elements among those closures are exactly the
-    minimal normal subgroups.  Closures are memoized per conjugacy class,
-    and the socle on the instance, like ``_aut_cache``.
-    """
+    """Product of all minimal normal subgroups (``_socle_parts``), memoized
+    on the instance."""
     if G.order == 1:
         raise InvalidInputError("socle undefined for the trivial group")
-    if G._socle_cache is not None:
-        return Subgroup(G, G._socle_cache)
-    part = conjugacy_classes(G)
-    closures = {}
-    for cls in part.classes[1:]:
-        closures[cls[0]] = frozenset(normal_closure(G, cls[0]))
-    distinct = set(closures.values())
-    minimal = [
-        c for c in distinct if not any(d < c for d in distinct)
-    ]
-    seed: set[int] = set()
-    for c in minimal:
-        seed.update(c)
-    G._socle_cache = closure(G, sorted(seed))
+    if G._socle_cache is None:
+        G._socle_cache = _socle_parts(G)[0]
     return Subgroup(G, G._socle_cache)
 
 
 def is_almost_simple(G: FiniteGroup) -> bool:
-    """True iff N = soc(G) is a nonabelian simple group (memoized on the
-    instance).
+    """True iff N = soc(G) is a nonabelian simple group (memoized).
 
-    Read on G's own table: N is nonabelian iff its block of the table is
-    not symmetric, and simple iff each nontrivial N-class generates N.  One
-    element per G-class inside N suffices, since conjugation by G carries
-    N-classes, and the subgroups they generate, to N-classes and theirs.
+    N must be G's one minimal normal subgroup, and its block of the table
+    not symmetric.  N = G is then simple, and N < G is iff each nontrivial
+    N-class generates N; one element per G-class inside N suffices, since
+    conjugation by G carries N-classes, and what they generate, to theirs.
     """
     if G.order == 1:
         return False
     if G._almost_simple_cache is None:
-        soc = socle(G)
-        N = np.asarray(soc.elements)
+        G._socle_cache, minimal = _socle_parts(G)
+        N, inside = np.asarray(G._socle_cache), set(G._socle_cache)
         block = G.table[np.ix_(N, N)]
-        G._almost_simple_cache = not np.array_equal(block, block.T) and all(
-            len(closure(G, G.table[G.table[G.inverse[N], cls[0]], N])) == len(N)
-            for cls in conjugacy_classes(G).classes[1:]
-            if cls[0] in soc
-        )
+        G._almost_simple_cache = minimal == 1 and not np.array_equal(block, block.T) and (
+            len(N) == G.order or all(
+                len(closure(G, G.table[G.table[G.inverse[N], cls[0]], N])) == len(N)
+                for cls in conjugacy_classes(G).classes[1:] if cls[0] in inside))
     return G._almost_simple_cache
 
 
@@ -488,27 +498,30 @@ def greedy_generators(G: FiniteGroup) -> list[int]:
     return list(G._generators_cache)
 
 
-def _class_fingerprints(G: FiniteGroup) -> list[tuple]:
-    """Isomorphism-invariant fingerprint per element.
+def _class_fingerprints(G: FiniteGroup) -> tuple[tuple, ...]:
+    """``_fingerprint_table``, memoized on the instance."""
+    if G._fingerprints_cache is None:
+        G._fingerprints_cache = _fingerprint_table(G)
+    return G._fingerprints_cache
 
-    Combines element order, class size, and power-map data; used to prune
-    candidate images in automorphism/isomorphism backtracking.
-    """
-    part = conjugacy_classes(G)
-    cls_of = part.class_of_array(G.order)
-    sizes = [len(c) for c in part.classes]
-    orders = element_orders(G)[[c[0] for c in part.classes]].tolist()
-    base = {i: (orders[i], sizes[i]) for i in range(part.k)}
-    fps = {}
-    for i, cls in enumerate(part.classes):
-        x = cls[0]
-        powers = []
-        y = x
-        for _ in range(orders[i] - 1):
-            powers.append(base[int(cls_of[y])])
-            y = G.mul(y, x)
-        fps[i] = (orders[i], sizes[i], tuple(powers))
-    return [fps[int(cls_of[x])] for x in range(G.order)]
+
+def _fingerprint_table(G: FiniteGroup) -> tuple[tuple, ...]:
+    """Isomorphism-invariant fingerprint per element x, used to prune the
+    backtracking: (order, class size, the (order, class size) of x^j for
+    0 < j < order), read at class representatives, whose powers advance
+    together, one gather a step."""
+    classes = conjugacy_classes(G).classes
+    cls_of = class_index(classes, G.order)
+    sizes = [len(c) for c in classes]
+    reps = np.array([c[0] for c in classes])
+    orders = element_orders(G)[reps].tolist()
+    steps = [reps]  # steps[j][i]: rep_i^(j+1)
+    for _ in range(max(orders) - 2):
+        steps.append(G.table[steps[-1], reps])
+    base = list(zip(orders, sizes))
+    fps = [b + (tuple(base[c] for c in row[: b[0] - 1]),)
+           for b, row in zip(base, cls_of[np.array(steps)].T.tolist())]
+    return tuple(fps[c] for c in cls_of.tolist())
 
 
 def _extend_partial_map(

@@ -6,9 +6,9 @@ group part C_id of its majorant, a wreath product over the U-cosets whose
 block group is either the full symmetric group or the translation-inversion
 group cut down to the restricted scheme.  Aut(Gamma) is cut out of C_id by
 the quotient-graph automorphisms on the L-cosets.  ``iso_test`` combines two
-analyses: one algebraic isomorphism matching colors and section
-equivalences (or a proof none exists), from one lockstep refinement of the
-two arc colorings; the seed coset C_0 and with it the majorant's
+analyses, the second read off one lockstep refinement of the two arc
+colorings, which also gives one algebraic isomorphism matching colors and
+section equivalences (or a proof none exists); the seed coset C_0 and with it the majorant's
 representative; the quotient-graph isomorphisms; and the final lift, which
 pulls the answer back through the source's action of C_id on its L-cosets.
 The answer is the coset Aut(Gamma) * f.
@@ -278,7 +278,8 @@ class Analysis:
         (``D2Subgroup.coset_kernel``).
 
         ``certify`` proves the order of any generators that keep the arc
-        colors and include these, at every order.  From above: each passes
+        colors and include these, at every order; a list it has proved
+        before (dtype, shape and bytes) costs O(k n).  From above: each passes
         ``aut_membership``, whose accepted maps form a group of order at most
         |C_id| / |action| * |D_0| (C_id's membership rebuilds each map from its
         parameters; D_0, the label-preserving part of the action, is the
@@ -309,18 +310,23 @@ class Analysis:
         M, upper = self.gamma.arc_colors, cid.order // len(reach) * len(d0_rows)
         lower = self._structural_order(n0_gens, top, kernel)
         structural = {g.tobytes() for g in n0_gens + top}
+        proved: set[tuple] = set()
 
         def certify(gens: Sequence[np.ndarray]) -> int:
             rows = [np.asarray(g) for g in gens]
+            key = tuple((g.dtype.str, g.shape, g.tobytes()) for g in rows)
+            if key in proved:
+                return lower
             for g in rows:
                 if g.shape != (n,) or not aut_membership(g):  # first: no stray index below
                     raise InternalError("an automorphism generator escapes the majorant")
-                if not np.array_equal(M[g[:, None], g[None, :]], M):
+                if not _keeps_colors(g, M, M):
                     raise InternalError("an automorphism generator fails the color check")
             if structural - {g.astype(np.int32).tobytes() for g in rows}:
                 raise InternalError("a structural generator of Aut is missing")
             if lower != upper:
                 raise InternalError("the structural order differs from the majorant's bound")
+            proved.add(key)
             return lower
 
         result = IsoResult(
@@ -343,6 +349,11 @@ def analyze(gamma: ColorCayleyGraph) -> Analysis:
     return Analysis(gamma, scheme, principal_section(scheme))
 
 
+def _keeps_colors(f: np.ndarray, MA: np.ndarray, MB: np.ndarray) -> bool:
+    """Whether f carries every arc color of MA onto MB: MB[f(g), f(h)] = MA[g, h]."""
+    return np.array_equal(MB[f[:, None], f[None, :]], MA)
+
+
 def _self_verify(result: IsoResult) -> None:
     """The unconditional check on an automorphism group: the certificate of
     ``Analysis.aut`` must accept the emitted generators and prove exactly the
@@ -362,16 +373,25 @@ def automorphisms(gamma: ColorCayleyGraph) -> IsoResult:
 @dataclass
 class SchemesWithPhi:
     """Both analyses and dst's closure row in src's color numbering, so that
-    the algebraic isomorphism phi is the identity on colors."""
+    the algebraic isomorphism phi is the identity on colors (``dst.row``)."""
 
     src: Analysis
     dst: Analysis
     row_b: np.ndarray
 
 
-def _schemes_with_phi(src: Analysis, dst: Analysis) -> Optional[SchemesWithPhi]:
-    ga, gb = src.gamma, dst.gamma
-    if ga.group.order != gb.group.order or ga.k != gb.k or src.sec.kind != dst.sec.kind:
+def _schemes_with_phi(src: Analysis, gamma_b: ColorCayleyGraph) -> Optional[SchemesWithPhi]:
+    """``schemes_with_phi`` on src's analysis.  dst's scheme and section are
+    read off the lockstep's dst row, its closure in src's numbering (a
+    side's keys depend on its own colors only), so a diverging pair never
+    analyses dst.  Over a table equal to src's, dst is analysed over src's
+    group and takes src's copy of U when the sections pick the same U."""
+    if not is_almost_simple(gamma_b.group):
+        raise InvalidInputError("base group is not almost simple")
+    ga, gb = src.gamma, gamma_b
+    if gb.group is not ga.group and gb.group == ga.group:
+        gb = replace(gb, group=ga.group)
+    if ga.group.order != gb.group.order or ga.k != gb.k:
         return None
     res = closure_rows([(ga.group, [ga.class_of]), (gb.group, [gb.class_of])])
     if res is None:
@@ -379,14 +399,18 @@ def _schemes_with_phi(src: Analysis, dst: Analysis) -> Optional[SchemesWithPhi]:
     (row_a, row_b), _ = res
     if not np.array_equal(row_a, src.row):
         raise InternalError("the lockstep renumbered the source closure")
-    for cls_a, cls_b in ((src.sec.u_class_of, dst.sec.u_class_of),
-                         (src.sec.l_class_of, dst.sec.l_class_of)):
-        if not np.array_equal(np.unique(row_a[cls_a == 0]), np.unique(row_b[cls_b == 0])):
-            return None
-    row_b = CayleyScheme(gb.group, row_b).row
-    if color_keys(ga.group, row_a) != color_keys(gb.group, row_b):
+    scheme = CayleyScheme(gb.group, row_b)
+    dst = Analysis(gb, scheme, principal_section(scheme))
+    if src.sec.kind != dst.sec.kind or any(
+            not np.array_equal(np.unique(row_a[cls_a == 0]), np.unique(dst.row[cls_b == 0]))
+            for cls_a, cls_b in ((src.sec.u_class_of, dst.sec.u_class_of),
+                                 (src.sec.l_class_of, dst.sec.l_class_of))):
+        return None
+    if color_keys(ga.group, row_a) != color_keys(gb.group, dst.row):
         raise InternalError("the color map fails the intersection numbers")
-    return SchemesWithPhi(src, dst, row_b)
+    if src.sec.kind == "normal" and dst.sec.U == src.sec.U:  # same parent and elements
+        vars(dst)["U"] = src.U  # the cached_property's slot
+    return SchemesWithPhi(src, dst, dst.row)
 
 
 def schemes_with_phi(
@@ -404,7 +428,7 @@ def schemes_with_phi(
     Returns None when no algebraic isomorphism matches the graph colors and
     the section equivalences (in particular when the section types differ).
     """
-    return _schemes_with_phi(analyze(gamma_a), analyze(gamma_b))
+    return _schemes_with_phi(analyze(gamma_a), gamma_b)
 
 
 # -- step 3: C_0 and the majorant ----------------------------------------------------
@@ -429,12 +453,8 @@ def _c0_candidates(U_a: FiniteGroup, U_b: FiniteGroup, d_u2) -> Iterator[Perm]:
         for alpha in auts:
             yield alpha[beta0][U_a.inverse]
     for V in regular_subgroups(d_u2, U_a):
-        res = group_isomorphisms(U_a, V)
-        if res is None:
-            raise InternalError("regular subgroup is not isomorphic to U")
-        beta0, auts = res
-        for alpha in auts:
-            yield alpha[beta0]
+        for alpha in automorphism_group(V):  # memoized on V by the search that kept it
+            yield alpha[V.iso_from]
 
 
 def c0_search(src: Analysis, dst: Analysis, psi_map: np.ndarray) -> tuple[IsoCoset, object]:
@@ -547,22 +567,20 @@ def lift_and_intersect(
 
 
 def iso_test(gamma_a: ColorCayleyGraph, gamma_b: ColorCayleyGraph) -> IsoResult:
-    """Steps 1-5 on the analyses of both graphs; Aut is the source's.
-
-    The positive answer is verified against every arc color.
-    """
-    src, dst = analyze(gamma_a), analyze(gamma_b)
-    swp = _schemes_with_phi(src, dst)
+    """Steps 1-5; Aut is the source's.  dst is analysed from the lockstep
+    (``_schemes_with_phi``): two ``closure_rows`` calls in all.  The
+    positive answer is verified against every arc color."""
+    src = analyze(gamma_a)
+    swp = _schemes_with_phi(src, gamma_b)
     if swp is None:
         return src.negative(2)
     maj = majorant(swp)
     if maj.empty:
         return src.negative(3)
-    result = lift_and_intersect(maj, quotient_isos(src.quotient, dst.quotient), src, dst)
-    if result.isomorphic:
-        f, MA, MB = result.representative, gamma_a.arc_colors, gamma_b.arc_colors
-        if not np.array_equal(MB[f[:, None], f[None, :]], MA):
-            raise InternalError("representative fails the color check")
+    result = lift_and_intersect(maj, quotient_isos(src.quotient, swp.dst.quotient), src, swp.dst)
+    if result.isomorphic and not _keeps_colors(result.representative, gamma_a.arc_colors,
+                                               gamma_b.arc_colors):
+        raise InternalError("representative fails the color check")
     return result
 
 

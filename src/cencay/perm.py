@@ -745,12 +745,17 @@ def _close_rows(rows: np.ndarray, have: np.ndarray, gens: Sequence[Perm]) -> boo
     return True
 
 
-def regular_subgroups(K: D2Subgroup, H: FiniteGroup) -> list[FiniteGroup]:
+class RegularSubgroup(FiniteGroup):
+    """A group kept by ``regular_subgroups``, with the isomorphism from H."""
+    iso_from: np.ndarray
+
+
+def regular_subgroups(K: D2Subgroup, H: FiniteGroup) -> list[RegularSubgroup]:
     """The regular subgroups of K isomorphic to H that contain S = T_r or
     S = T_l, the right or left translations by T = soc(G) of the almost
     simple G = K.group, each as its abstract group, in order of their
     member rows' bytes: column i of the table is the member that takes 0 to
-    i, so a * b is the image of a under member b.
+    i, so a * b is the image of a under member b, with ``iso_from`` and Aut(R).
 
     For H almost simple with a socle of T's order, as U in the C0 search,
     that is every such subgroup R.  soc(R) lies in T_r x T_l, over which
@@ -775,12 +780,14 @@ def regular_subgroups(K: D2Subgroup, H: FiniteGroup) -> list[FiniteGroup]:
     soc, table, inv = socle(G), G.table, G.inverse
     in_soc = np.zeros(n, dtype=bool)
     in_soc[list(soc.elements)] = True
-    found: dict[bytes, FiniteGroup] = {}
+    found: dict[bytes, RegularSubgroup] = {}
 
     def extend(rows: np.ndarray, have: np.ndarray, sigmas: list[Perm], side, s_gens) -> None:
         if have.all():
-            R = FiniteGroup(rows.T, check=False)
-            if group_isomorphisms(H, R) is not None:
+            R = RegularSubgroup(rows.T, check=False)
+            res = group_isomorphisms(H, R)
+            if res is not None:
+                R.iso_from = res[0]
                 found[rows.tobytes()] = R
             return
         c = int(np.argmin(have))

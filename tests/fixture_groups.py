@@ -1,5 +1,6 @@
 """Shared test groups, built once per session, n x n views of the
 closure rows that the pipeline keeps, the per-element group primitives,
+the socle and almost simplicity by element closures, the
 almost-simplicity test on a copy of the socle and dict-based stabilizer
 chain that the array-native ones replaced, and the constructors only the
 tests use: the regular representations, D(2,G) as a chain and in
@@ -25,8 +26,8 @@ from cencay.group import (
     conjugacy_classes,
     element_orders,
     greedy_generators,
+    closure,
     group_from_generators,
-    normal_closure,
     socle,
 )
 from cencay.errors import CapExceededError, InternalError, InvalidInputError
@@ -294,6 +295,37 @@ def greedy_generators_by_bfs(G: FiniteGroup) -> list[int]:
         gens.append(best_x)
         current = closure_by_bfs(G, gens)
     return gens
+
+
+def normal_closure(G: FiniteGroup, x: int) -> tuple[int, ...]:
+    """Smallest normal subgroup containing x (closure of its class)."""
+    n, tab, inv = G.order, G.table, G.inverse
+    cls = np.unique(tab[tab[inv, x], np.arange(n)])
+    return closure(G, (int(v) for v in cls))
+
+
+def socle_by_closures(G: FiniteGroup) -> tuple[int, ...]:
+    """The socle's elements from the element closure of every class: the
+    minimal ones among those closures are the minimal normal subgroups, and
+    the socle is the closure of their union.  The oracle for ``socle``."""
+    closures = {frozenset(normal_closure(G, cls[0])) for cls in conjugacy_classes(G).classes[1:]}
+    minimal = [c for c in closures if not any(d < c for d in closures)]
+    return closure(G, sorted(frozenset().union(*minimal)))
+
+
+def is_almost_simple_by_closures(G: FiniteGroup) -> bool:
+    """N = soc(G) is nonabelian, its block of the table not symmetric, and
+    the N-conjugates of one element of each G-class inside N generate N,
+    all by element closures: the oracle for ``is_almost_simple``."""
+    if G.order == 1:
+        return False
+    N = np.asarray(socle_by_closures(G))
+    block, inside = G.table[np.ix_(N, N)], set(N.tolist())
+    return not np.array_equal(block, block.T) and all(
+        len(closure(G, G.table[G.table[G.inverse[N], cls[0]], N])) == len(N)
+        for cls in conjugacy_classes(G).classes[1:]
+        if cls[0] in inside
+    )
 
 
 def is_simple_group(H: FiniteGroup) -> bool:

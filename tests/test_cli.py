@@ -313,6 +313,36 @@ def test_float_or_bool_tables_are_not_truncated(table):
     assert group_from_dict({"order": 2, "table": [[0, 1], [1, 0]]}).order == 2
 
 
+LOADER_MESSAGES = [
+    # (where, value, message); bools hide among the integers as 0 and 1
+    (("group", "table", 0, 1), True, "the table may hold JSON integers only"),
+    (("group", "table", 0, 0), False, "the table may hold JSON integers only"),
+    (("group", "table", 2, 5), 1.0, "the table may hold JSON integers only"),
+    (("group", "table", 2, 5), 2**70, "the table has an entry outside 0..59"),
+    (("group", "table", 2, 5), [5], "the table may hold JSON integers only"),
+    (("group", "table", 2, 5), "5", "the table may hold JSON integers only"),
+    (("colors", 1, 0), True, "the colors may hold JSON integers only"),
+    (("colors", 0, 0), False, "the colors may hold JSON integers only"),
+    (("colors", 1, 0), 1.0, "the colors may hold JSON integers only"),
+    (("colors", 1, 0), 2**70, "the colors has an entry outside 0..59"),
+    (("colors", 1, 0), [5], "the colors may hold JSON integers only"),
+    (("colors", 1, 0), "5", "the colors may hold JSON integers only"),
+]
+
+
+@pytest.mark.parametrize("where, value, message", LOADER_MESSAGES,
+                         ids=[f"{w[0]}-{v!r}" for w, v, _ in LOADER_MESSAGES])
+def test_the_loader_names_each_bad_entry(where, value, message):
+    from cencay.cayley import build_central_cayley, partition_from_class_merge
+
+    G = builtin_group("alt5")
+    data = graph_to_dict(build_central_cayley(G, partition_from_class_merge(G, [[0], [1, 2], [3, 4]])))
+    _set(where, value)(data)
+    with pytest.raises(InvalidInputError) as err:
+        graph_from_dict(data)
+    assert str(err.value) == message
+
+
 def test_cli_byte_stable(sym5_transp_file, capsys):
     main(["section", str(sym5_transp_file)])
     first = capsys.readouterr().out

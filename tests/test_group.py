@@ -34,8 +34,12 @@ from .fixture_groups import (
     cyclic,
     element_order_by_powers,
     greedy_generators_by_bfs,
+    is_almost_simple_by_closures,
     is_almost_simple_by_copy,
     isomorphisms_all,
+    normal_closure,
+    psl27,
+    socle_by_closures,
     sym5,
 )
 
@@ -296,8 +300,6 @@ def test_normal_subgroups_contain_socle_when_almost_simple():
     G = sym5()
     soc = set(socle(G).elements)
     for x in range(1, G.order):
-        from cencay.group import normal_closure
-
         nc = set(normal_closure(G, x))
         assert soc <= nc
 
@@ -390,26 +392,94 @@ def test_is_normal_by_generators_matches_definition():
 def test_socle_and_almost_simplicity_are_memoised(monkeypatch):
     import cencay.group as group_mod
 
-    calls = {"normal_closure": 0}
-    original = group_mod.normal_closure
+    calls = {"class_closure": 0}
+    original = group_mod.class_closure
 
     def counted(*args):
-        calls["normal_closure"] += 1
+        calls["class_closure"] += 1
         return original(*args)
 
-    monkeypatch.setattr(group_mod, "normal_closure", counted)
+    monkeypatch.setattr(group_mod, "class_closure", counted)
     for gens, simple in (
         ([(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)], True),  # S5
         ([(1, 0, 2, 3, 4, 5, 6), (0, 1, 3, 4, 5, 6, 2), (0, 1, 3, 4, 2, 5, 6)], False),  # C2 x A5
     ):
         G = group_from_generators(gens)  # a fresh instance: nothing cached yet
         first_soc, first = socle(G), is_almost_simple(G)
-        assert calls["normal_closure"] > 0
-        calls["normal_closure"] = 0
+        assert calls["class_closure"] > 0
+        calls["class_closure"] = 0
         assert socle(G).elements == first_soc.elements
         assert is_almost_simple(G) == first == simple
         assert subgroups_over_socle(G, require_normal=True)
-        assert calls["normal_closure"] == 0
+        assert calls["class_closure"] == 0
+
+
+SOCLE_CASES = dict(ALMOST_SIMPLE_CASES)
+SOCLE_CASES.update({
+    "c2_x_c2": lambda: group_from_generators([(1, 0, 2, 3), (0, 1, 3, 2)]),
+    "sym3_x_sym3": lambda: group_from_generators(  # two minimal normal subgroups, C3 and C3
+        [(1, 0, 2, 3, 4, 5), (1, 2, 0, 3, 4, 5), (0, 1, 2, 4, 3, 5), (0, 1, 2, 4, 5, 3)]),
+})
+
+
+def assert_socle_matches_the_closures_oracle(G):
+    fresh = FiniteGroup(G.table, check=False)  # nothing memoized yet
+    if G.order == 1:
+        assert not is_almost_simple(fresh)
+        return
+    assert is_almost_simple(fresh) == is_almost_simple_by_closures(G)
+    assert socle(fresh).elements == socle_by_closures(G)
+    again = FiniteGroup(G.table, check=False)  # the socle first, then almost simplicity
+    assert socle(again).elements == socle_by_closures(G)
+    assert is_almost_simple(again) == is_almost_simple(fresh)
+
+
+@pytest.mark.parametrize("build", SOCLE_CASES.values(), ids=list(SOCLE_CASES))
+def test_class_level_socle_matches_the_element_closures(build):
+    assert_socle_matches_the_closures_oracle(build())
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_perm_group())
+def test_class_level_socle_matches_the_element_closures_on_random_groups(data):
+    gens, deg = data
+    assert_socle_matches_the_closures_oracle(group_from_generators(gens, degree=deg))
+
+
+def test_a_simple_group_takes_no_element_closure(monkeypatch):
+    import cencay.group as group_mod
+
+    calls = [0]
+    original = group_mod.closure
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(group_mod, "closure", counted)
+    for make in (alt5, psl27):
+        G = FiniteGroup(make().table, check=False)
+        conjugacy_classes(G)
+        assert is_almost_simple(G) and socle(G).order == G.order
+    assert calls == [0]
+
+
+def test_fingerprints_are_computed_once_per_group_and_search(monkeypatch):
+    # the memo serves Aut(H) and every search from H: one computation per group
+    import cencay.group as group_mod
+
+    computed, table = [], group_mod._fingerprint_table
+    monkeypatch.setattr(group_mod, "_fingerprint_table", lambda K: computed.append(K) or table(K))
+    gens = [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)]
+    H = group_from_generators(gens)  # S5, nothing cached yet
+    assert len(automorphism_group(H)) == 120
+    targets = [group_from_generators(gens[::-1]), group_from_generators([(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)])]
+    for R in targets + targets:
+        assert group_isomorphisms(H, R) is not None
+    assert [id(K) for K in computed] == [id(H)] + [id(R) for R in targets]
+    monkeypatch.undo()
+    fresh = group_from_generators(gens)
+    assert H._fingerprints_cache == table(fresh) and type(H._fingerprints_cache) is tuple
 
 
 def test_subgroups_over_socle_are_memoised(monkeypatch):

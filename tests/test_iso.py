@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cencay.cayley import build_central_cayley, partition_from_class_merge
+from cencay.cayley import ColorCayleyGraph, build_central_cayley, partition_from_class_merge
 from cencay.errors import InternalError, InvalidInputError
 from cencay.files import (
     CHAIN_RECOUNT_LIMIT,
@@ -478,24 +478,30 @@ def test_each_graph_is_analysed_once(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(iso_mod, name, counted(name, getattr(iso_mod, name)))
+    # the swap pair diverges in the lockstep, so dst is never analysed; a
+    # pair that does not diverge reads dst's section off the lockstep's row
     a, b = swap_pair()
-    res = iso_mod.iso_test(a, b)
-    assert res.verdict == "non_isomorphic"
-    assert len(calls["cayley_wl"]) == 2
-    assert calls["cayley_wl"][0] is a and calls["cayley_wl"][1] is b
-    assert calls["principal_section"] == 2
+    s5 = transposition_graph()
+    for x, y, sections in ((a, b, 1), (s5, relabelled_graph(s5, 3), 2)):
+        for name in calls:
+            calls[name] = [] if name == "cayley_wl" else 0
+        res = iso_mod.iso_test(x, y)
+        assert res.verdict == ("non_isomorphic" if x is a else "isomorphic")
+        assert len(calls["cayley_wl"]) == 1 and calls["cayley_wl"][0] is x
+        assert calls["principal_section"] == sections
     for gam in (transposition_graph(), coset_graph()):
         for name in calls:
             calls[name] = [] if name == "cayley_wl" else 0
         automorphisms(gam)
         assert len(calls["cayley_wl"]) == 1 and calls["cayley_wl"][0] is gam
         assert (calls["principal_section"], calls["c0_search"], calls["iso_test"]) == (1, 0, 0)
-    assert res.aut_order == automorphisms(a).aut_order == 28_800
+    assert iso_mod.iso_test(a, b).aut_order == automorphisms(a).aut_order == 28_800
 
 
 def test_each_graph_is_closed_once(monkeypatch):
     # the analysis closes the arc colours alone, and a pair adds one lockstep
-    # of the two arc colourings: one closure per automorphisms, three per iso_test
+    # of the two arc colourings, which closes dst: one closure per
+    # automorphisms, two per iso_test
     import cencay.cayley
     import cencay.iso as iso_mod
 
@@ -513,7 +519,7 @@ def test_each_graph_is_closed_once(monkeypatch):
     s5 = transposition_graph()
     for x, y, verdict in ((a, b, "non_isomorphic"), (s5, relabelled_graph(s5, 3), "isomorphic"),
                           (coset_graph(), coset_graph(), "isomorphic")):
-        assert closures(iso_test, x, y) == (3, verdict)
+        assert closures(iso_test, x, y) == (2, verdict)
 
 
 def test_d_u_is_its_own_kernel_when_l_equals_u(monkeypatch):
@@ -539,23 +545,22 @@ def test_d_u_is_its_own_kernel_when_l_equals_u(monkeypatch):
         assert calls == [want]
 
 
-def test_lockstep_checks_that_phi_maps_u_onto_u():
+def test_lockstep_checks_that_phi_maps_u_onto_u(monkeypatch):
     # the transposition graph has U = S5 and L = A5; a hand-built normal
-    # section with L = U = A5 on one side has the same L but another U, and
+    # section with L = U = A5 on dst's side has the same L but another U, and
     # the colours on S5 are not those on A5, so no phi matches the sections
+    import cencay.iso as iso_mod
     from cencay.cayley import PrincipalSection, coset_class_array
-    from cencay.iso import _schemes_with_phi
 
     gam = transposition_graph()
     src = analyze(gam)
     soc = socle(gam.group)
     cosets = soc.right_cosets()
     cls = coset_class_array(gam.group, cosets)
-    dst = dataclasses.replace(
-        analyze(gam), sec=PrincipalSection("normal", soc, soc, cosets, cosets, cls, cls)
-    )
-    assert _schemes_with_phi(src, analyze(gam)) is not None
-    assert _schemes_with_phi(src, dst) is None
+    assert iso_mod._schemes_with_phi(src, gam) is not None
+    monkeypatch.setattr(iso_mod, "principal_section",
+                        lambda scheme: PrincipalSection("normal", soc, soc, cosets, cosets, cls, cls))
+    assert iso_mod._schemes_with_phi(src, gam) is None
 
 
 def test_a_natural_pgl27_pair_reaches_the_c0_fallback(monkeypatch):
@@ -563,18 +568,85 @@ def test_a_natural_pgl27_pair_reaches_the_c0_fallback(monkeypatch):
     # C0 fails; the 44 regular subgroups of D_U' built on its socle (24-31 s
     # a direction by the product scan they replaced, 1-2 s now on a 2-core
     # host) give no C0 either, so the answer is a negative at step 3
+    # each regular subgroup is searched for an isomorphism from U once: 100
+    # searches a direction (one per closed candidate, 44 of them kept) and
+    # the cheap U -> U', with no second search for the kept ones
     import cencay.iso as iso_mod
+    import cencay.perm as perm_mod
 
     calls = count_calls(monkeypatch, iso_mod, "regular_subgroups")
+    searches = [count_calls(monkeypatch, m, "group_isomorphisms") for m in (iso_mod, perm_mod)]
     G = pgl27()
     a, b = (
         build_central_cayley(G, partition_from_class_merge(G, merge))
         for merge in ([[0], [1, 6], [2, 5], [3, 4, 8], [7]], [[0], [1, 6], [2, 3], [4, 5, 8], [7]])
     )
     for x, y in ((a, b), (b, a)):
-        calls[0] = 0
+        calls[0] = searches[0][0] = searches[1][0] = 0
         res = iso_test(x, y)
         assert (res.verdict, res.decided_at_step, calls[0]) == ("non_isomorphic", 3, 1)
+        assert searches[0][0] == 1 and searches[0][0] + searches[1][0] <= 101
+
+
+def result_fields(res):
+    return (res.verdict, res.decided_at_step, res.aut_order,
+            None if res.representative is None else res.representative.tobytes(),
+            [g.tobytes() for g in res.aut_generators])
+
+
+def test_iso_test_over_two_instances_of_one_table(monkeypatch):
+    # two loaded files give equal tables in separate instances: dst is then
+    # analysed over src's group and takes src's copy of U, and the answer
+    # is the one-instance answer field for field; a relabelled table is
+    # another group, analysed on its own
+    import cencay.group as group_mod
+
+    s5 = transposition_graph()
+    d2 = full_d2_subgroup(s5.group)
+    pairs = [(s5, s5.relabelled(d2.row(d2.auts_plain[3], 17, True))), swap_pair(),
+             (coset_graph(), coset_graph()), (a5_coset_graph(), a5_coset_graph()),
+             (full_graph(psl27()), full_graph(psl27()))]
+    searches = count_calls(monkeypatch, group_mod, "_isomorphisms_mod_inner")
+    for x, y in pairs:
+        assert y.group is x.group
+        one = iso_test(x, y)
+        apart = ColorCayleyGraph(FiniteGroup(y.group.table), y.partition)
+        assert apart.group is not x.group
+        searches[0] = 0
+        two = iso_test(x, apart)
+        assert result_fields(two) == result_fields(one)
+        swp = schemes_with_phi(x, apart)
+        if swp is not None:
+            assert swp.dst.gamma.group is swp.src.gamma.group
+            if swp.src.sec.kind == "normal":
+                assert swp.dst.U is swp.src.U
+                assert searches[0] == 2  # Aut(U) and U -> U': Aut(U') is Aut(U)
+    x = full_graph(sym5())
+    y = relabelled_graph(x, 1)
+    swp = schemes_with_phi(x, y)
+    assert swp.dst.gamma.group is y.group and swp.dst.U is not swp.src.U
+    searches[0] = 0
+    assert iso_test(x, y).isomorphic and searches[0] == 3  # Aut(U), Aut(U') and U -> U'
+
+
+def test_the_report_reuses_the_decisions_proof(monkeypatch, tmp_path):
+    # the report re-checks the generators of the decision that made them in
+    # O(k n); an equal-valued copy passes the same way, and a list with two
+    # entries of a generator swapped gets the full check and fails it
+    import cencay.iso as iso_mod
+
+    gam = transposition_graph()
+    for res in (iso_test(gam, relabelled_graph(gam, 1)), iso_test(*swap_pair())):
+        colour_checks = count_calls(monkeypatch, iso_mod, "_keeps_colors")
+        payload = emit_report(res, tmp_path / "r.json", n=120)
+        copy = dataclasses.replace(res, aut_generators=[g.copy() for g in res.aut_generators])
+        assert emit_report(copy, tmp_path / "c.json", n=120) == payload
+        assert colour_checks == [0] and payload["order_verification"] == "certificate"
+        altered = [g.copy() for g in res.aut_generators]
+        altered[0][[1, 2]] = altered[0][[2, 1]]
+        with pytest.raises(InternalError):
+            emit_report(dataclasses.replace(res, aut_generators=altered), tmp_path / "a.json", n=120)
+        monkeypatch.undo()
 
 
 def test_one_conjugation_table_per_group_in_a_normal_type_pair(monkeypatch):

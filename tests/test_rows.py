@@ -303,11 +303,17 @@ def test_seeding_u_and_l_gives_back_the_closure_row(name):
             continue
         src, dst = recs[src], recs[dst]
         seeded = seeded_rows(src, dst) if src.sec.kind == dst.sec.kind else None
-        swp = _schemes_with_phi(src, dst)
+        swp = _schemes_with_phi(src, dst.gamma)
         assert (swp is None) == (seeded is None)
         if swp is not None:
             (row_a, row_b), _ = seeded
             assert np.array_equal(swp.src.row, row_a) and np.array_equal(swp.row_b, row_b)
+            # dst read off the lockstep's row is dst's own analysis
+            got, own = swp.dst.sec, dst.sec
+            assert (got.kind, got.U.elements, got.L.elements) == (own.kind, own.U.elements,
+                                                                  own.L.elements)
+            assert swp.dst.scheme.rank == dst.scheme.rank
+            assert np.array_equal(swp.dst.u_row, dst.u_row)
             positives += 1
         pairs += 1
     assert (len(recs), pairs, positives) == {
