@@ -86,10 +86,9 @@ class ColorCayleyGraph:
 
 
 def cayley_matrix(G: FiniteGroup, row: np.ndarray) -> np.ndarray:
-    """The n x n color matrix of an identity row: entry (g, h) is row[h * g^-1]."""
-    n = G.order
-    gather = G.table[np.arange(n)[None, :], G.inverse[:, None]]
-    return np.ascontiguousarray(np.asarray(row)[gather])
+    """The n x n color matrix of an identity row: entry (g, h) is row[h * g^-1],
+    that is row[inverse][g * h^-1], from one gather of the table's columns."""
+    return np.asarray(row)[G.inverse].take(G.table.take(G.inverse, axis=1))
 
 
 def build_central_cayley(G: FiniteGroup, partition: ClassPartition) -> ColorCayleyGraph:

@@ -6,12 +6,21 @@ integers (no bools, no floats) in lists of the right shape, checks a table
 as one numpy array, and re-validates every invariant (table laws,
 centrality, almost simplicity).  Writing gives the compact sorted-key text
 of ``json.dumps``, from the C encoder, one table row at a time.
+
+A loaded group is shared while it lives: after the checks above,
+``group_from_dict`` returns a group it loaded earlier with an equal table
+and names (found by a digest, confirmed in full, held weakly) instead of
+validating another.  The reuse is exact, since a ``FiniteGroup`` and all it
+memoizes derive from its table and names; the two files of a pair validate
+once, and decisions that do not overlap in time share nothing.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
+import weakref
 from pathlib import Path
 from typing import Iterator, Optional, Union
 
@@ -98,6 +107,10 @@ def group_to_dict(G: FiniteGroup) -> dict:
     return out
 
 
+# the groups loaded and still referenced elsewhere, by a digest of table and names
+_LIVE_GROUPS: "weakref.WeakValueDictionary[bytes, FiniteGroup]" = weakref.WeakValueDictionary()
+
+
 def group_from_dict(data: dict) -> FiniteGroup:
     if not isinstance(data, dict) or "table" not in data:
         raise InvalidInputError("group file needs a 'table' field")
@@ -109,7 +122,12 @@ def group_from_dict(data: dict) -> FiniteGroup:
     names = data.get("names")
     if not (names is None or isinstance(names, list) and all(isinstance(x, str) for x in names)):
         raise InvalidInputError("names must be a list of strings")
-    return FiniteGroup(table, names=names, check=True)
+    table = table.astype(np.int32)
+    key = hashlib.sha256(table.tobytes() + json.dumps(names).encode()).digest()
+    G = _LIVE_GROUPS.get(key)
+    if G is None or G.names != names or not np.array_equal(G.table, table):
+        G = _LIVE_GROUPS[key] = FiniteGroup(table, names=names, check=True)
+    return G
 
 
 def save_group(G: FiniteGroup, path: PathLike) -> None:

@@ -24,8 +24,10 @@ class FiniteGroup:
     """A group of order n given by its n x n multiplication table.
 
     ``table[a][b]`` is the index of a*b, index 0 is the identity.
-    Instances are immutable after construction and safe to share.  Each
-    instance memoizes what is derived from it once: the conjugacy classes,
+    Instances are immutable after construction and safe to share; the file
+    loader hands out one live instance per table (``files.group_from_dict``).
+    Each instance memoizes what is derived from it once: the conjugacy
+    classes (which also decide centrality, ``is_central``),
     ``greedy_generators``, the socle, the subgroups over it, almost
     simplicity, the class fingerprints and Aut(G), with the conjugation
     table that Aut(G) and the isomorphisms onto G read.  The memos hold
@@ -340,16 +342,13 @@ def element_orders(G: FiniteGroup) -> np.ndarray:
 
 def is_central(G: FiniteGroup, row: np.ndarray) -> bool:
     """Whether an identity row (one value per element) is constant on
-    conjugacy classes.
-
-    Invariance under conjugation by each generator of G is invariance under
-    conjugation by all of G, so only ``greedy_generators(G)`` are tried.
+    conjugacy classes: whether it equals itself read at each element's class
+    representative.  O(n) once the classes are memoized, as
+    ``is_almost_simple`` leaves them; no generators are built.
     """
-    x = np.arange(G.order)
-    return all(
-        np.array_equal(row[G.table[G.table[G.inverse[g], x], g]], row)
-        for g in greedy_generators(G)
-    )
+    classes = conjugacy_classes(G).classes
+    rep = np.array([c[0] for c in classes])[class_index(classes, G.order)]
+    return bool(np.array_equal(row[rep], row))
 
 
 def closure(G: FiniteGroup, seed: Iterable[int]) -> tuple[int, ...]:

@@ -351,7 +351,7 @@ def analyze(gamma: ColorCayleyGraph) -> Analysis:
 
 def _keeps_colors(f: np.ndarray, MA: np.ndarray, MB: np.ndarray) -> bool:
     """Whether f carries every arc color of MA onto MB: MB[f(g), f(h)] = MA[g, h]."""
-    return np.array_equal(MB[f[:, None], f[None, :]], MA)
+    return np.array_equal(MB.take(f, 0).take(f, 1), MA)
 
 
 def _self_verify(result: IsoResult) -> None:

@@ -586,30 +586,33 @@ class D2Subgroup:
 
     def _closure_generators(self) -> list[int]:
         """The plain rows outside the closure of the rows kept before them,
-        in order: the rows ``reduce_generators`` keeps, with no chain.  The
-        closure grows a frontier at a time, mapped through the kept rows by
-        one gather of generator images and looked up by code; a new row acts
-        on all members first.  A product off the list raises InternalError.
+        in order: the rows ``reduce_generators`` keeps, with no chain.  Each
+        kept row g gets its action map on the row list once (row i -> the
+        row of g after i, looked up by the code of its generator images), and
+        the closure grows on a bool array by one gather of those maps per
+        layer, as ``group.closure`` does; a new row acts on all members
+        first.  A product off the list raises InternalError.
         """
         rows, keys = self.auts_plain, self._plain_keys
         images = rows[:, self._base]
-        members = self._find(keys, self._base)[None]
-        if members[0] < 0:
+        identity = self._find(keys, self._base)
+        if identity < 0:
             raise InternalError("the plain part lacks the identity")
         inside = np.zeros(len(rows), dtype=bool)
-        inside[members] = True
+        inside[identity] = True
         kept: list[int] = []
+        acts: list[np.ndarray] = []
         while not inside.all():
             kept.append(int(np.argmin(inside)))
-            frontier, step = members, rows[kept[-1:]]
+            acts.append(self._find(keys, rows[kept[-1]][images]))
+            if np.any(acts[-1] < 0):
+                raise InternalError("the plain part is not closed under composition")
+            frontier, step = np.flatnonzero(inside), acts[-1][:, None]
             while len(frontier):
-                found = self._find(keys, step[:, images[frontier]]).ravel()
-                if np.any(found < 0):
-                    raise InternalError("the plain part is not closed under composition")
-                frontier = np.unique(found[~inside[found]])
-                inside[frontier] = True
-                members = np.concatenate([members, frontier])
-                step = rows[kept]
+                before = inside.copy()
+                inside[step[frontier]] = True
+                frontier = np.flatnonzero(inside > before)
+                step = np.stack(acts, axis=1)
         return kept
 
     @cached_property

@@ -346,6 +346,17 @@ def is_almost_simple_by_copy(G: FiniteGroup) -> bool:
     return not N.is_abelian and is_simple_group(N)
 
 
+def is_central_by_generators(G: FiniteGroup, row: np.ndarray) -> bool:
+    """Whether an identity row is invariant under conjugation by each of
+    ``greedy_generators(G)``, and so by all of G: the oracle for
+    ``is_central``, which reads the row at class representatives."""
+    x = np.arange(G.order)
+    return all(
+        np.array_equal(row[G.table[G.table[G.inverse[g], x], g]], row)
+        for g in greedy_generators(G)
+    )
+
+
 def row_matrix(G: FiniteGroup, row: np.ndarray) -> CoherentConfiguration:
     """The n x n color matrix of an identity row, checked for (C1) and (C2)."""
     X = CoherentConfiguration(cayley_matrix(G, row))

@@ -1,17 +1,24 @@
 """The file layer's writer: the same bytes as the compact sorted-key
-``json.dumps`` text, without holding that text whole."""
+``json.dumps`` text, without holding that text whole; and its loader, which
+hands out one live group per table."""
 
+import gc
 import json
 import tracemalloc
+import types
+import weakref
 
 import numpy as np
 import pytest
 
-from cencay.files import _write_json, emit_report, graph_to_dict, group_to_dict
+import cencay.files as files_mod
+from cencay.errors import InvalidInputError
+from cencay.files import (_write_json, emit_report, graph_to_dict, group_from_dict,
+                          group_to_dict, load_graph, save_graph)
 from cencay.group import FiniteGroup
 from cencay.iso import IsoResult, automorphisms, iso_test
 from .fixture_groups import alt5, pgl27, psl27, sym5
-from .test_iso import full_graph, swap_pair
+from .test_iso import full_graph, relabelled_copy, swap_pair
 
 
 def reference_text(payload) -> str:
@@ -75,3 +82,96 @@ def test_writing_holds_no_more_than_json_dump(tmp_path):
     write_peak = traced_peak(lambda: _write_json(tmp_path / "write.json", payload))
     assert write_peak <= dump_peak
     assert (tmp_path / "write.json").read_bytes() == (tmp_path / "dump.json").read_bytes()
+
+
+# -- the loader's live groups ------------------------------------------------------
+
+
+def test_two_files_over_one_table_load_one_validated_group(tmp_path, monkeypatch):
+    validated = []
+    validate = FiniteGroup._validate
+
+    def counted(G):
+        validated.append(G.order)
+        validate(G)
+
+    monkeypatch.setattr(FiniteGroup, "_validate", counted)
+    a, b = swap_pair()  # two colourings of one S5 table
+    for gam, name in ((a, "a.json"), (b, "b.json")):
+        save_graph(gam, tmp_path / name)
+    ga, gb = load_graph(tmp_path / "a.json"), load_graph(tmp_path / "b.json")
+    assert ga.group is gb.group and ga.group is not a.group
+    assert len(validated) == 1 and np.array_equal(ga.group.table, a.group.table)
+    assert ga.group.names == a.group.names
+    assert iso_test(ga, gb).aut_order == iso_test(a, b).aut_order
+
+
+def test_other_names_or_another_table_give_another_group():
+    data = group_to_dict(sym5())
+    G = group_from_dict(data)
+    assert group_from_dict(json.loads(json.dumps(data))) is G
+    renamed = dict(data, names=["e"] + data["names"][1:])
+    H = group_from_dict(renamed)
+    assert H is not G and H.names[0] == "e" and np.array_equal(H.table, G.table)
+    bare = group_from_dict({"table": data["table"]})
+    assert bare is not G and bare is not H and bare.names is None
+    # one entry changed: validated afresh, and no longer a group
+    table = [list(r) for r in data["table"]]
+    table[1][1], table[1][2] = table[1][2], table[1][1]
+    with pytest.raises(InvalidInputError):
+        group_from_dict(dict(data, table=table))
+    relabelled, _ = relabelled_copy(G, 0)
+    other = group_from_dict(group_to_dict(relabelled))
+    assert other is not G and np.array_equal(other.table, relabelled.table)
+
+
+def test_a_digest_hit_counts_only_on_an_equal_table(monkeypatch):
+    # with every key colliding, the full comparison alone tells groups apart
+    class Constant:
+        def __init__(self, data):
+            pass
+
+        def digest(self):
+            return b"same"
+
+    monkeypatch.setattr(files_mod, "_LIVE_GROUPS", weakref.WeakValueDictionary())
+    monkeypatch.setattr(files_mod, "hashlib", types.SimpleNamespace(sha256=Constant))
+    G = group_from_dict(group_to_dict(alt5()))
+    H = group_from_dict(group_to_dict(relabelled_copy(alt5(), 1)[0]))
+    assert H is not G and not np.array_equal(H.table, G.table)
+    # H holds the one slot now, so A5's table is built afresh, not matched to H
+    again = group_from_dict(group_to_dict(alt5()))
+    assert again is not G and again is not H and np.array_equal(again.table, G.table)
+
+
+def test_a_bool_entry_fails_while_an_equal_integer_table_is_live():
+    data = group_to_dict(alt5())
+    G = group_from_dict(data)
+    table = [list(r) for r in data["table"]]
+    table[0][1] = True  # == 1, the entry the integer table holds there
+    assert table == data["table"]
+    with pytest.raises(InvalidInputError, match="JSON integers"):
+        group_from_dict(dict(data, table=table))
+    assert group_from_dict(data) is G
+
+
+def test_a_decision_leaves_no_live_group(tmp_path):
+    # no reference cycle keeps a loaded group alive after a decision: with
+    # the cycle collector off, dropping the graphs and the result frees it
+    a, b = swap_pair()
+    for gam, name in ((a, "a.json"), (b, "b.json")):
+        save_graph(gam, tmp_path / name)
+    gc.collect()
+    gc.disable()
+    try:
+        ga, gb = load_graph(tmp_path / "a.json"), load_graph(tmp_path / "b.json")
+        res = iso_test(ga, gb)
+        emit_report(res, tmp_path / "report.json", n=ga.group.order)
+        group = weakref.ref(ga.group)
+        assert group() in files_mod._LIVE_GROUPS.values()
+        del ga, gb, res
+        assert group() is None
+        assert not any(np.array_equal(G.table, a.group.table)
+                       for G in files_mod._LIVE_GROUPS.values())
+    finally:
+        gc.enable()

@@ -36,9 +36,12 @@ from .fixture_groups import (
     greedy_generators_by_bfs,
     is_almost_simple_by_closures,
     is_almost_simple_by_copy,
+    is_central_by_generators,
     isomorphisms_all,
     normal_closure,
+    pgl27,
     psl27,
+    set_partitions,
     socle_by_closures,
     sym5,
 )
@@ -699,3 +702,29 @@ def test_subgroups_over_socle_match_the_subset_closures():
         assert all(H.is_normal == normal_by_definition(H) for H in got), name
     s4 = [(H.order, H.is_normal) for H in subgroups_over_socle(cases["s4"], require_normal=False)]
     assert s4 == [(4, True), (8, False), (8, False), (8, False), (12, True), (24, True)]
+
+
+def test_is_central_agrees_with_conjugation_by_generators():
+    from cencay.cayley import partition_from_class_merge
+
+    rng = np.random.default_rng(24)
+    for G in (alt5(), psl27(), sym5(), pgl27()):
+        cc = conjugacy_classes(G)
+        if G.order <= 168:  # every central colouring
+            for merge in set_partitions(list(range(1, cc.k))):
+                row = partition_from_class_merge(G, [[0]] + merge).class_of_array(G.order)
+                assert is_central(G, row) and is_central_by_generators(G, row)
+        for _ in range(8):
+            # the class row with one element moved to a colour of its own,
+            # a random row, and the class row itself
+            moved = cc.class_of_array(G.order).copy()
+            moved[int(rng.integers(1, G.order))] = cc.k
+            noisy = np.concatenate([[0], rng.integers(1, 4, G.order - 1)])
+            for row in (moved, noisy, cc.class_of_array(G.order)):
+                assert is_central(G, row) == is_central_by_generators(G, row)
+        # every subgroup over the socle, normal or not, fresh
+        for H in subgroups_over_socle(G, require_normal=False):
+            member = np.zeros(G.order, dtype=bool)
+            member[list(H.elements)] = True
+            fresh = Subgroup(G, H.elements)
+            assert fresh.is_normal == is_central_by_generators(G, member) == H.is_normal

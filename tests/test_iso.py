@@ -267,17 +267,18 @@ def test_symmetric_type_builds_no_standalone_u(monkeypatch):
 
 
 def test_whole_group_u_keeps_aut_off_the_input_group():
-    # U = G is a copy that shares G's class and generator memos; Aut(U)
-    # lives on the copy, so it goes with the analysis, not with the input
+    # U = G is a copy that shares G's class memo; Aut(U) lives on the copy,
+    # so it goes with the analysis, not with the input.  Centrality reads
+    # the classes, so G builds no generators; U builds its own for D_U
     G = FiniteGroup(sym5().table)  # a fresh instance: nothing cached yet
     gam = full_graph(G)
     rec = analyze(gam)
     assert rec.sec.kind == "normal" and rec.sec.U.order == G.order
-    assert G._classes_cache is not None and G._generators_cache is not None
+    assert G._classes_cache is not None and G._generators_cache is None
     assert rec.U is not G and rec.U._classes_cache is G._classes_cache
-    assert rec.U._generators_cache is G._generators_cache
+    assert rec.d_u.group is rec.U and rec.U._generators_cache is not None
     assert automorphisms(gam).aut_order == automorphisms(full_graph(sym5())).aut_order
-    assert G._aut_cache is None
+    assert G._aut_cache is None and G._generators_cache is None
 
 
 def test_iso_swap_pair_step2():
@@ -984,13 +985,50 @@ def test_closed_form_kernel_and_d_u_match_their_chains():
 
 
 def test_d_u_and_kernel_generators_are_the_chain_reductions():
-    for _, gam in kernel_cases()[:6]:  # the full colouring of every builtin group
+    for _, gam in kernel_cases():
         rec = analyze(gam)
         assert rec.sec.kind == "normal"
         for K in (rec.d_u, rec.d_u.coset_kernel(rec.sec.l_class_of[rec.blocks[0]])):
             assert [g.tobytes() for g in K.generators] == [
                 g.tobytes() for g in chain_d2_generators(K)
             ]
+
+
+def test_one_axis_gathers_match_the_broadcast_gathers():
+    # cayley_matrix and _keeps_colors gather one axis at a time; the
+    # broadcast 2-D index is the definition
+    from cencay.cayley import cayley_matrix
+    from cencay.fixtures import BUILTIN_NAMES, builtin_group
+    from cencay.iso import _keeps_colors
+
+    rng = np.random.default_rng(24)
+    for name in BUILTIN_NAMES:
+        G = builtin_group(name)
+        n = G.order
+        row = conjugacy_classes(G).class_of_array(n)
+        MA = cayley_matrix(G, row)
+        assert MA.flags.c_contiguous
+        assert np.array_equal(MA, row[G.table[np.arange(n)[None, :], G.inverse[:, None]]])
+        noisy = rng.integers(0, 5, n)
+        assert np.array_equal(cayley_matrix(G, noisy),
+                              noisy[G.table[np.arange(n)[None, :], G.inverse[:, None]]])
+        translation = np.ascontiguousarray(G.table[:, int(rng.integers(n))])
+        broken = translation.copy()
+        if n > 2:  # two points of different colours swapped: the colours break
+            i, j = 0, int(np.flatnonzero(row != row[0])[0])
+            broken[[i, j]] = broken[[j, i]]
+        perms = [translation, broken] + [rng.permutation(n).astype(np.int32) for _ in range(3)]
+        seen = set()
+        for f in perms:
+            moved = np.empty_like(MA)
+            moved[f[:, None], f[None, :]] = MA  # f carries MA onto moved
+            for MB in (MA, moved):
+                keeps = _keeps_colors(f, MA, MB)
+                assert keeps == np.array_equal(MB[f[:, None], f[None, :]], MA)
+                seen.add(keeps)
+        assert _keeps_colors(translation, MA, MA)
+        assert n <= 2 or not _keeps_colors(broken, MA, MA)
+        assert seen == {True, False} or n == 1
 
 
 def test_normal_aut_builds_chains_only_for_the_recount_and_the_quotient(monkeypatch):
