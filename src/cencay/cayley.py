@@ -259,15 +259,6 @@ def closure_rows(
     return None
 
 
-def coset_class_array(G: FiniteGroup, cosets: Sequence[Sequence[int]]) -> np.ndarray:
-    out = np.full(G.order, -1, dtype=np.int32)
-    for i, coset in enumerate(cosets):
-        out[list(coset)] = i
-    if np.any(out < 0):
-        raise InternalError("cosets do not cover the group")
-    return out
-
-
 def cayley_wl(gamma: ColorCayleyGraph) -> CayleyScheme:
     """Coherent closure of the graph, as a central Cayley scheme (see closure_rows)."""
     res = closure_rows([(gamma.group, [gamma.class_of])])
@@ -345,20 +336,19 @@ def compute_H1(scheme: CayleyScheme) -> list[Subgroup]:
 
 @dataclass
 class PrincipalSection:
-    """The section U/L with its coset partitions and the type tag."""
+    """The section U/L, the type tag, and each coset partition as its label
+    array (``Subgroup.coset_labels``: by smallest member, the subgroup 0)."""
 
     kind: str  # "symmetric" | "normal"
     L: Subgroup
     U: Subgroup
-    l_cosets: list[tuple[int, ...]]
-    u_cosets: list[tuple[int, ...]]
     l_class_of: np.ndarray
     u_class_of: np.ndarray
 
     @property
     def m(self) -> int:
         """Number of L-cosets (vertices of the quotient graph)."""
-        return len(self.l_cosets)
+        return int(self.l_class_of.max()) + 1
 
     def __post_init__(self):
         G = self.L.parent
@@ -406,10 +396,8 @@ def principal_section(scheme: CayleyScheme) -> PrincipalSection:
                 raise InternalError("smallest translation subgroup is not unique")
         L, U = soc, smallest
         kind = "normal"
-    l_cosets = L.right_cosets()
-    u_cosets = U.right_cosets()
-    l_class_of, u_class_of = coset_class_array(G, l_cosets), coset_class_array(G, u_cosets)
+    l_class_of, u_class_of = L.coset_labels(), U.coset_labels()
     for inside in (u_class_of == 0, l_class_of == 0):
         if np.isin(scheme.row[~inside], scheme.row[inside]).any():
             raise InternalError("U or L is not a union of colors of the closure")
-    return PrincipalSection(kind, L, U, l_cosets, u_cosets, l_class_of, u_class_of)
+    return PrincipalSection(kind, L, U, l_class_of, u_class_of)

@@ -152,7 +152,8 @@ class ClassPartition:
 
 @dataclass
 class Subgroup:
-    """A subgroup as a sorted element set within a parent group."""
+    """A subgroup as a sorted element set within a parent group; its right
+    coset partition is held as one label array (``coset_labels``)."""
 
     parent: FiniteGroup
     elements: tuple[int, ...]
@@ -227,18 +228,12 @@ class Subgroup:
         H, elems = self.as_group()
         return [elems[i] for i in greedy_generators(H)]
 
-    def right_cosets(self) -> list[tuple[int, ...]]:
-        """Right cosets Hg, ordered by smallest member; identity coset first."""
-        G = self.parent
-        seen = np.zeros(G.order, dtype=bool)
-        helems = np.asarray(self.elements, dtype=np.int32)
-        cosets = []
-        for g in range(G.order):
-            if not seen[g]:
-                members = np.sort(G.table[helems, g])
-                seen[members] = True
-                cosets.append(tuple(int(m) for m in members))
-        return cosets
+    def coset_labels(self) -> np.ndarray:
+        """Each element's right coset Hg, numbered by smallest member
+        (identity coset 0): the smallest member of Hg is the column minimum
+        of the rows at H."""
+        firsts = self.parent.table[list(self.elements)].min(axis=0)
+        return np.unique(firsts, return_inverse=True)[1].astype(np.int32)
 
 
 # -- construction ----------------------------------------------------------
@@ -447,7 +442,7 @@ def subgroups_over_socle(G: FiniteGroup, require_normal: bool) -> list[Subgroup]
     """
     if G._over_socle_cache is None:
         soc = socle(G)
-        reps = [c[0] for c in soc.right_cosets()[1:]]
+        reps = np.unique(soc.coset_labels(), return_index=True)[1][1:].tolist()
         found = {soc.elements}
         frontier = [soc.elements]
         while frontier:

@@ -216,11 +216,11 @@ class Analysis:
         return d_u_subgroup(self.u_row, self.U)
 
     @cached_property
-    def blocks(self) -> list[list[int]]:
-        """The U-cosets, identified positionwise along right translations by
-        their smallest members."""
-        G, sec = self.gamma.group, self.sec
-        return [[int(G.table[u, c[0]]) for u in sec.U.elements] for c in sec.u_cosets]
+    def blocks(self) -> np.ndarray:
+        """The U-cosets as the rows of an int32 array, identified positionwise
+        along right translations by their smallest members."""
+        firsts = np.unique(self.sec.u_class_of, return_index=True)[1]
+        return self.gamma.group.table[np.ix_(self.sec.U.elements, firsts)].T
 
     @cached_property
     def cid(self) -> WreathProduct:
@@ -535,7 +535,7 @@ def majorant(swp: SchemesWithPhi) -> Majorant:
         return Majorant(None, None, empty=True)
     rep = np.empty(src.gamma.group.order, dtype=np.int32)
     for blk_a, blk_b in zip(src.blocks, dst.blocks):
-        rep[blk_a] = np.asarray(blk_b, dtype=np.int32)[c0.representative]
+        rep[blk_a] = blk_b[c0.representative]
     return Majorant(src.cid, rep)
 
 
@@ -587,7 +587,7 @@ def iso_test(gamma_a: ColorCayleyGraph, gamma_b: ColorCayleyGraph) -> IsoResult:
 # -- the independent oracle -----------------------------------------------------------------
 
 
-def _vertex_classes(MA: np.ndarray, MB: Optional[np.ndarray], k: int):
+def _vertex_classes(MA: np.ndarray, MB: Optional[np.ndarray]):
     """Shared invariant coloring of vertices by iterated neighborhood profiles."""
     mats = [MA] if MB is None else [MA, MB]
     n = MA.shape[0]
@@ -634,7 +634,7 @@ class _OracleSearch:
 
     def initial(self) -> Optional[np.ndarray]:
         MA, MB = self.MA, self.MB
-        cls = _vertex_classes(MA, None if MA is MB else MB, int(MA.max()) + 1)
+        cls = _vertex_classes(MA, None if MA is MB else MB)
         if cls is None:
             return None
         ca = cls[0]

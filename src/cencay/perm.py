@@ -486,9 +486,10 @@ class WreathProduct:
         return all(c in self.inner for c in self._pos_of[img])
 
 
-def wreath_group_on_blocks(inner, blocks: list[list[int]], degree: int) -> WreathProduct:
-    """The wreath product inner wr Sym(m) on m blocks (see ``WreathProduct``)."""
-    b = len(blocks[0]) if blocks else 0
+def wreath_group_on_blocks(inner, blocks: np.ndarray, degree: int) -> WreathProduct:
+    """The wreath product inner wr Sym(m) on m blocks, the rows of ``blocks``
+    (an array or equal-size lists; see ``WreathProduct``)."""
+    b = len(blocks[0]) if len(blocks) else 0
     if not b or any(len(blk) != b for blk in blocks):
         raise InvalidInputError("blocks must be nonempty and of equal size")
     arr = np.asarray(blocks, dtype=np.int32)

@@ -1,12 +1,13 @@
 """Shared test groups, built once per session, n x n views of the
 closure rows that the pipeline keeps, the per-element group primitives,
-the socle and almost simplicity by element closures, the
-almost-simplicity test on a copy of the socle and dict-based stabilizer
-chain that the array-native ones replaced, and the constructors only the
-tests use: the regular representations, D(2,G) as a chain and in
-parametric form, orbitals, the direct-sum test and the enumeration of a
-chain's elements; and the product scan over uniform-cycle-type elements
-that enumerated regular subgroups before the socle-anchored search."""
+the socle and almost simplicity by element closures, the right cosets as
+tuples and their label array, the almost-simplicity test on a copy of the
+socle and dict-based stabilizer chain that the array-native ones
+replaced, and the constructors only the tests use: the regular
+representations, D(2,G) as a chain and in parametric form, orbitals, the
+direct-sum test and the enumeration of a chain's elements; and the
+product scan over uniform-cycle-type elements that enumerated regular
+subgroups before the socle-anchored search."""
 
 import itertools
 from dataclasses import dataclass
@@ -355,6 +356,32 @@ def is_central_by_generators(G: FiniteGroup, row: np.ndarray) -> bool:
         np.array_equal(row[G.table[G.table[G.inverse[g], x], g]], row)
         for g in greedy_generators(G)
     )
+
+
+def right_cosets(H) -> list[tuple[int, ...]]:
+    """Right cosets Hg of a ``Subgroup``, walked element by element and
+    ordered by smallest member, identity coset first."""
+    G = H.parent
+    seen = np.zeros(G.order, dtype=bool)
+    helems = np.asarray(H.elements, dtype=np.int32)
+    cosets = []
+    for g in range(G.order):
+        if not seen[g]:
+            members = np.sort(G.table[helems, g])
+            seen[members] = True
+            cosets.append(tuple(int(m) for m in members))
+    return cosets
+
+
+def coset_class_array(G: FiniteGroup, cosets: Sequence[Sequence[int]]) -> np.ndarray:
+    """The label array of a list of cosets; with ``right_cosets`` the
+    oracle for ``Subgroup.coset_labels``."""
+    out = np.full(G.order, -1, dtype=np.int32)
+    for i, coset in enumerate(cosets):
+        out[list(coset)] = i
+    if np.any(out < 0):
+        raise InternalError("cosets do not cover the group")
+    return out
 
 
 def row_matrix(G: FiniteGroup, row: np.ndarray) -> CoherentConfiguration:

@@ -30,6 +30,7 @@ from .fixture_groups import (
     alt6,
     c2_x_alt5,
     closure_by_bfs,
+    coset_class_array,
     conjugacy_classes_by_orbits,
     cyclic,
     element_order_by_powers,
@@ -41,6 +42,7 @@ from .fixture_groups import (
     normal_closure,
     pgl27,
     psl27,
+    right_cosets,
     set_partitions,
     socle_by_closures,
     sym5,
@@ -319,12 +321,35 @@ def test_greedy_generators_generate():
         assert len(gens) <= 3
 
 
-def test_subgroup_right_cosets():
+def test_subgroup_coset_labels():
     G = sym5()
     soc = socle(G)
-    cosets = soc.right_cosets()
-    assert len(cosets) == 2
-    assert cosets[0] == soc.elements
+    labels = soc.coset_labels()
+    assert labels.dtype == np.int32 and labels.shape == (G.order,)
+    assert int(labels.max()) == 1
+    assert tuple(np.flatnonzero(labels == 0)) == soc.elements
+
+
+def test_coset_labels_match_the_tuple_cosets():
+    # oracle: the cosets walked element by element, then labelled in order
+    rng = np.random.default_rng(26)
+    cases = {name: builtin_group(name) for name in BUILTIN_NAMES}
+    cases["c2_x_alt5"] = c2_x_alt5()
+    cases["cyclic12"] = cyclic(12)
+    checked = non_normal = 0
+    for name, G in cases.items():
+        subgroups = [] if G.order == 1 else [
+            H.elements for H in subgroups_over_socle(G, require_normal=False)]
+        subgroups += [closure(G, [int(x)]) for x in rng.choice(G.order, size=6)]
+        subgroups += [(0,), tuple(range(G.order))]
+        for elems in subgroups:
+            H = Subgroup(G, elems)
+            labels = H.coset_labels()
+            assert labels.dtype == np.int32, (name, elems)
+            assert np.array_equal(labels, coset_class_array(G, right_cosets(H))), (name, elems)
+            checked += 1
+            non_normal += not H.is_normal
+    assert non_normal >= 20 and checked >= 60
 
 
 @st.composite
@@ -691,7 +716,7 @@ def test_subgroups_over_socle_match_the_subset_closures():
     cases["c2_x_alt5"] = c2_x_alt5()
     for name, G in cases.items():
         soc = socle(G)
-        reps = [c[0] for c in soc.right_cosets()[1:]]
+        reps = [c[0] for c in right_cosets(soc)[1:]]
         want = {
             closure(G, soc.elements + S)
             for k in range(len(reps) + 1)

@@ -43,6 +43,7 @@ from .fixture_groups import (
     psl27,
     regular_representations,
     restricted_matrix,
+    right_cosets,
     set_partitions,
     sym5,
     sym6,
@@ -551,16 +552,15 @@ def test_lockstep_checks_that_phi_maps_u_onto_u(monkeypatch):
     # section with L = U = A5 on dst's side has the same L but another U, and
     # the colours on S5 are not those on A5, so no phi matches the sections
     import cencay.iso as iso_mod
-    from cencay.cayley import PrincipalSection, coset_class_array
+    from cencay.cayley import PrincipalSection
 
     gam = transposition_graph()
     src = analyze(gam)
     soc = socle(gam.group)
-    cosets = soc.right_cosets()
-    cls = coset_class_array(gam.group, cosets)
+    cls = soc.coset_labels()
     assert iso_mod._schemes_with_phi(src, gam) is not None
     monkeypatch.setattr(iso_mod, "principal_section",
-                        lambda scheme: PrincipalSection("normal", soc, soc, cosets, cosets, cls, cls))
+                        lambda scheme: PrincipalSection("normal", soc, soc, cls, cls))
     assert iso_mod._schemes_with_phi(src, gam) is None
 
 
@@ -994,6 +994,20 @@ def test_d_u_and_kernel_generators_are_the_chain_reductions():
             ]
 
 
+def test_section_labels_give_the_tuple_coset_m_and_blocks():
+    # oracle: m and the blocks as read off the tuple cosets, each U-coset's
+    # smallest member translated by U positionwise
+    cases = [gam for _, gam in kernel_cases()] + [coset_graph(), transposition_graph()]
+    kinds = set()
+    for gam in cases:
+        rec, G = analyze(gam), gam.group
+        kinds.add(rec.sec.kind)
+        assert rec.sec.m == len(right_cosets(rec.sec.L))
+        want = [[int(G.table[u, c[0]]) for u in rec.sec.U.elements] for c in right_cosets(rec.sec.U)]
+        assert rec.blocks.dtype == np.int32 and rec.blocks.tolist() == want
+    assert kinds == {"normal", "symmetric"}
+
+
 def test_one_axis_gathers_match_the_broadcast_gathers():
     # cayley_matrix and _keeps_colors gather one axis at a time; the
     # broadcast 2-D index is the definition
@@ -1198,7 +1212,7 @@ def _tampered(kind, rec):
     elif kind == "shorter_cycle":
         blk = rec.blocks[0][:-1]
         kernel[0] = np.arange(len(kernel[0]), dtype=np.int32)
-        kernel[0][blk] = blk[1:] + blk[:1]
+        kernel[0][blk] = np.roll(blk, -1)
     elif kind == "two_blocks":  # the swaps of blocks 0 and 1 at once
         kernel[1] = kernel[1][kernel[3]]
     return kernel, top

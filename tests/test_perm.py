@@ -39,6 +39,7 @@ from .fixture_groups import (
     alt6,
     chain_d2_generators,
     chain_elements,
+    coset_class_array,
     d2_chain,
     d2_group,
     full_d2_subgroup,
@@ -46,6 +47,7 @@ from .fixture_groups import (
     psl27,
     regular_representations,
     regular_subgroups_by_scan,
+    right_cosets,
     set_partitions,
     sym5,
 )
@@ -166,7 +168,7 @@ def test_orbitals_diagonal_union():
 
 def test_block_action_d2_s5_on_cosets():
     S5 = sym5()
-    cosets = socle(S5).right_cosets()
+    cosets = right_cosets(socle(S5))
     D = d2_group(S5)
     ba = block_action_with_kernel(D, cosets)
     assert ba.action.order == 2
@@ -176,7 +178,7 @@ def test_block_action_d2_s5_on_cosets():
 
 def test_block_action_right_translations_swap_cosets():
     S5 = sym5()
-    cosets = socle(S5).right_cosets()
+    cosets = right_cosets(socle(S5))
     right = PermutationGroup(regular_representations(S5).right_gens, 120)
     ba = block_action_with_kernel(right, cosets)
     assert ba.action.order == 2
@@ -197,7 +199,7 @@ def test_block_action_rejects_non_blocks():
 
 def test_block_action_preimage():
     S5 = sym5()
-    cosets = socle(S5).right_cosets()
+    cosets = right_cosets(socle(S5))
     D = d2_group(S5)
     ba = block_action_with_kernel(D, cosets)
     swap = ba.preimage([1, 0])
@@ -431,11 +433,8 @@ def test_coset_kernel_where_alpha_inverts_the_quotient():
     # so the kernel's inverted part is the outer half of Aut(A4), not the inner
     A4 = group_from_generators([(1, 2, 0, 3), (1, 0, 3, 2)])
     D = full_d2_subgroup(A4)
-    cosets = socle(A4).right_cosets()
-    coset_of = np.empty(12, dtype=np.int32)
-    for i, c in enumerate(cosets):
-        coset_of[list(c)] = i
-    K = D.coset_kernel(coset_of)
+    cosets = right_cosets(socle(A4))
+    K = D.coset_kernel(coset_class_array(A4, cosets))
     oracle = block_action_with_kernel(d2_chain(D), cosets).kernel
     assert (len(K.auts_plain), len(K.auts_inv), K.order) == (12, 12, 96)
     assert K.order == oracle.order

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from cencay.cayley import (
     CayleyScheme,
-    coset_class_array,
     ColorCayleyGraph,
     build_central_cayley,
     cayley_matrix,
@@ -34,9 +33,11 @@ from cencay.group import ClassPartition, FiniteGroup, conjugacy_classes, socle, 
 from cencay.iso import QuotientGraph, _schemes_with_phi, analyze, schemes_with_phi
 
 from .fixture_groups import (
+    coset_class_array,
     is_boxplus_trivial,
     pair_matrices,
     point_classes,
+    right_cosets,
     scheme_matrix,
     set_partitions,
 )
@@ -65,7 +66,7 @@ def oracle_H0(scheme):
     G = scheme.group
     out = []
     for H in subgroups_over_socle(G, require_normal=False):
-        cosets = H.right_cosets()
+        cosets = right_cosets(H)
         X = wl_closure([scheme_matrix(scheme).colors] + coset_indicators(G, cosets), G.order)
         if is_boxplus_trivial(X, cosets):
             out.append(H)
@@ -162,7 +163,7 @@ def check_h1_and_quotients(gamma):
     sec = principal_section(cayley_wl(gamma))
     parts = [(sec.l_class_of, sec.m)]
     for H in subgroups_over_socle(G, require_normal=True):
-        cosets = H.right_cosets()
+        cosets = right_cosets(H)
         parts.append((coset_class_array(G, cosets), len(cosets)))
     for cls, m in parts:
         assert QuotientGraph.build(gamma, cls, m) == oracle_quotient(gamma, cls, m)
