@@ -45,10 +45,8 @@ class FiniteGroup:
         self.names = list(names) if names is not None else None
         if self.names is not None and len(self.names) != self.order:
             raise InvalidInputError("names length does not match group order")
-        inv = np.full(self.order, -1, dtype=np.int32)
-        rows, cols = np.nonzero(tab == 0)
-        inv[rows] = cols
-        self.inverse = inv
+        # each row's one 0 is its least entry: validated below when checked
+        self.inverse = tab.argmin(axis=1).astype(np.int32)
         if check:
             self._validate()
         self.table.setflags(write=False)
@@ -202,31 +200,28 @@ class Subgroup:
         """Reindex the subgroup as a standalone group.
 
         Returns the group and the list mapping new indices to parent indices.
-        The whole group is a copy with the parent's table, and keeps the
-        parent's class and generator memos (immutable tuples).
+        The whole group copies the parent's table with no relabel gather, and
+        keeps the parent's class and generator memos (immutable tuples).
         """
-        elems = list(self.elements)
-        relabel = np.full(self.parent.order, -1, dtype=np.int32)
+        elems, P = list(self.elements), self.parent
+        if self.order == P.order:  # the relabel is the identity
+            H = FiniteGroup(P.table, names=P.names, check=False)
+            H._classes_cache, H._generators_cache = P._classes_cache, P._generators_cache
+            return H, elems
+        relabel = np.full(P.order, -1, dtype=np.int32)
         relabel[elems] = np.arange(len(elems))
-        sub_tab = relabel[self.parent.table[np.ix_(elems, elems)]]
+        sub_tab = relabel[P.table[np.ix_(elems, elems)]]
         if np.any(sub_tab < 0):
             raise InvalidInputError("element set is not closed under multiplication")
-        names = None
-        if self.parent.names is not None:
-            names = [self.parent.names[e] for e in elems]
-        H = FiniteGroup(sub_tab, names=names, check=False)
-        if self.order == self.parent.order:
-            H._classes_cache = self.parent._classes_cache
-            H._generators_cache = self.parent._generators_cache
-        return H, elems
+        names = None if P.names is None else [P.names[e] for e in elems]
+        return FiniteGroup(sub_tab, names=names, check=False), elems
 
     def generators(self) -> list[int]:
-        """Greedy short generating sequence of the subgroup (parent indices);
-        the whole group's is the parent's own, memoized there."""
+        """Greedy short generating sequence of the subgroup (parent indices),
+        searched on the parent's table; the whole group's is memoized there."""
         if self.order == self.parent.order:
             return greedy_generators(self.parent)
-        H, elems = self.as_group()
-        return [elems[i] for i in greedy_generators(H)]
+        return _greedy_search(self.parent, self.elements)
 
     def coset_labels(self) -> np.ndarray:
         """Each element's right coset Hg, numbered by smallest member
@@ -473,23 +468,31 @@ def greedy_generators(G: FiniteGroup) -> list[int]:
     index).  Memoized on the instance; each call hands out a new list.
     """
     if G._generators_cache is None:
-        gens = [int(np.argmax(element_orders(G)))] if G.order > 1 else []
-        current = closure(G, gens)
-        while len(current) < G.order:
-            mem = set(current)
-            best_x, best_len = -1, len(current)
-            for x in range(1, G.order):
-                if x in mem:
-                    continue
-                ln = len(closure(G, gens + [x]))
-                if ln > best_len:
-                    best_x, best_len = x, ln
-                    if ln == G.order:
-                        break
-            gens.append(best_x)
-            current = closure(G, gens)
-        G._generators_cache = tuple(gens)
+        G._generators_cache = tuple(_greedy_search(G, range(G.order)))
     return list(G._generators_cache)
+
+
+def _greedy_search(G: FiniteGroup, elements: Sequence[int]) -> list[int]:
+    """``greedy_generators`` of the subgroup with these sorted elements, in
+    G: closures there are the subgroup's, in the order of its own numbering.
+    Each pick keeps the closure that won it."""
+    orders = element_orders(G)[list(elements)]
+    gens = [elements[int(np.argmax(orders))]] if len(elements) > 1 else []
+    current = closure(G, gens)
+    while len(current) < len(elements):
+        mem = set(current)
+        best_x, best = -1, current
+        for x in elements:
+            if x in mem:
+                continue
+            grown = closure(G, gens + [x])
+            if len(grown) > len(best):
+                best_x, best = x, grown
+                if len(grown) == len(elements):
+                    break
+        gens.append(best_x)
+        current = best
+    return gens
 
 
 def _class_fingerprints(G: FiniteGroup) -> tuple[tuple, ...]:
@@ -582,7 +585,7 @@ def automorphism_group(G: FiniteGroup) -> list[np.ndarray]:
     search finds T, and one conjugation row per coset of the centre
     multiplies it out in one gather: rows h and h' of the conjugation table
     agree iff h'h^-1 is central, so the least member of each centre coset
-    gives one row per inner automorphism, ascending.
+    gives one row per inner automorphism, ascending.  The memo is read-only.
     """
     if G.order > AUT_CAP:
         raise CapExceededError(f"automorphism search capped at order {AUT_CAP}")
@@ -592,7 +595,9 @@ def automorphism_group(G: FiniteGroup) -> list[np.ndarray]:
         centre = np.flatnonzero((conj == idx).all(axis=1))
         first = np.flatnonzero(G.table[centre].min(axis=0) == idx)
         reps = np.array(_isomorphisms_mod_inner(G, G))
-        G._aut_cache = list(conj[first[:, None, None], reps].reshape(-1, G.order))
+        auts = conj[first[:, None, None], reps].reshape(-1, G.order)
+        auts.setflags(write=False)
+        G._aut_cache = list(auts)
     return list(G._aut_cache)
 
 
@@ -607,7 +612,8 @@ def _isomorphisms_mod_inner(
     automorphism moves the first generator's image to the smallest member of
     its class, and conjugation by that member's centralizer then moves the
     second generator's image to the smallest member of its orbit, so only
-    those images are tried.
+    those images are tried.  An automorphism of H is fixed by its images of
+    ``greedy_generators(H)``, so the inner ones are keyed by those alone.
     """
     if G.order != H.order:
         return []
@@ -625,9 +631,10 @@ def _isomorphisms_mod_inner(
         pools.append([x for x in range(H.order) if fp_h[x] == fp])
     class_min = conj.min(axis=0)
     pools[0] = [x for x in pools[0] if class_min[x] == x]
-    inner = {row.tobytes() for row in conj}
+    hgens = [] if first_only else greedy_generators(H)  # first_only compares no cosets
+    inner = {row.tobytes() for row in conj[:, hgens]} if hgens else set()
     out: list[np.ndarray] = []
-    out_inv: list[np.ndarray] = []
+    out_inv: list[np.ndarray] = []  # t^-1 at H's generators, per map t kept
     stack: list[list[int]] = [[]]  # depth first, pools in order
     while stack:
         images = stack.pop()
@@ -637,7 +644,7 @@ def _isomorphisms_mod_inner(
             # m and t lie in one Inn-coset iff m * t^-1 is inner
             if m is not None and not any(m[t_inv].tobytes() in inner for t_inv in out_inv):
                 out.append(m)
-                out_inv.append(np.argsort(m))
+                out_inv.append(np.argsort(m)[hgens])
                 if first_only:
                     break
             continue

@@ -50,6 +50,7 @@ from .perm import (
     Perm,
     WreathProduct,
     action_closure,
+    closure_generators,
     compose,
     conj_into_block,
     identity_perm,
@@ -283,7 +284,9 @@ class Analysis:
         ``aut_membership``, whose accepted maps form a group of order at most
         |C_id| / |action| * |D_0| (C_id's membership rebuilds each map from its
         parameters; D_0, the label-preserving part of the action, is the
-        intersection of two groups).  From below: ``_structural_order``.
+        intersection of two groups), for all k in one pass, the colors one at
+        a time.  From below: ``_structural_order``.  ``top`` is what
+        ``closure_generators`` keeps of D_0 listed in full: no chain is built.
         """
         n, m, cls = self.gamma.group.order, self.sec.m, self.sec.l_class_of
         cid, blocks, reach = self.cid, self.blocks, self.action
@@ -295,17 +298,21 @@ class Analysis:
 
         # the part of the action that fixes the quotient graph
         b_self = {b.tobytes() for b in quotient_isos(self.quotient, self.quotient)}
-        d0_rows = [np.frombuffer(k, dtype=np.int32) for k in sorted(reach) if k in b_self]
-        if not d0_rows:
-            raise InternalError("quotient stabilizer lost the identity")
-        top = [reach[r.tobytes()] for r in reduce_generators(d0_rows, m)]
-        d0_set = {r.tobytes() for r in d0_rows}
+        d0_set = b_self & reach.keys()
+        d0_rows = np.frombuffer(b"".join(sorted(d0_set)), dtype=np.int32).reshape(-1, m)
+        top = [reach[d0_rows[i].tobytes()] for i in closure_generators(d0_rows, range(m), m)]
+
+        def members(F: np.ndarray) -> np.ndarray:  # aut_membership of each row of F, k x n
+            ok = cid.contains_rows(F)  # first: C_id membership rejects every non-permutation
+            img = cls[F[ok].astype(np.intp)]
+            taus = np.full((len(img), m), -1, dtype=np.int32)  # induced_block_map, per row
+            taus[:, cls] = img
+            in_d0 = np.array([t.tobytes() in d0_set for t in taus], dtype=bool)
+            ok[ok] = (taus[:, cls] == img).all(axis=1) & in_d0
+            return ok
 
         def aut_membership(f: Sequence[int]) -> bool:
-            if f not in cid:  # first: C_id membership rejects every non-permutation
-                return False
-            tau = induced_block_map(np.asarray(f, dtype=np.int32), cls, cls, m)
-            return tau is not None and tau.tobytes() in d0_set
+            return bool(members(np.asarray(f)[None])[0])
 
         M, upper = self.gamma.arc_colors, cid.order // len(reach) * len(d0_rows)
         lower = self._structural_order(n0_gens, top, kernel)
@@ -317,11 +324,11 @@ class Analysis:
             key = tuple((g.dtype.str, g.shape, g.tobytes()) for g in rows)
             if key in proved:
                 return lower
-            for g in rows:
-                if g.shape != (n,) or not aut_membership(g):  # first: no stray index below
-                    raise InternalError("an automorphism generator escapes the majorant")
-                if not _keeps_colors(g, M, M):
-                    raise InternalError("an automorphism generator fails the color check")
+            # membership first, all rows in one pass: no stray index below
+            if any(g.shape != (n,) for g in rows) or not members(np.reshape(rows, (-1, n))).all():
+                raise InternalError("an automorphism generator escapes the majorant")
+            if not all(_keeps_colors(g, M, M) for g in rows):  # one n x n temporary at a time
+                raise InternalError("an automorphism generator fails the color check")
             if structural - {g.astype(np.int32).tobytes() for g in rows}:
                 raise InternalError("a structural generator of Aut is missing")
             if lower != upper:
@@ -482,13 +489,12 @@ def c0_search(src: Analysis, dst: Analysis, psi_map: np.ndarray) -> tuple[IsoCos
         return IsoCoset(None, empty=True), d_u
     if src.sec.kind == "symmetric":
         return IsoCoset(np.arange(b, dtype=np.int32)), d_u
-    d_u_gens = d_u.generators
+    d_u_gens = np.array(d_u.generators)
     u_row_b, want = dst.u_row, psi_map[src.u_row]
     for f0 in _c0_candidates(src.U, dst.U, d_u2):
         if not np.array_equal(u_row_b[f0], want):
             continue
-        f0_inv = inverse_perm(f0)
-        if all(f0[d[f0_inv]] in d_u2 for d in d_u_gens):
+        if d_u2.contains_rows(f0[d_u_gens[:, inverse_perm(f0)]]).all():
             return IsoCoset(f0), d_u
     return IsoCoset(None, empty=True), d_u
 

@@ -9,17 +9,21 @@ with a row per orbit point.  Completion sifts Schreier generators in batches
 of about 2**13 entries (never fewer than 32 rows), in the order of the
 textbook one-at-a-time loop, so the chain is the one that loop builds.
 ``reduce_generators`` sifts its candidates one at a time through one chain
-and extends it for each generator it keeps.
+and extends it for each generator it keeps; only the brute-force oracle
+calls it.
 
 Three groups are kept structural instead: the symmetric group of a whole
 domain, the wreath product B wr Sym(m) on a system of m blocks, and the
 subgroups of D(2,G) given by their parameters (automorphism, translation,
 inversion).
-Each answers its order and membership from its definition, so neither the
-huge groups of symmetric-type Cayley schemes (orders like (168!)^2) nor the
-block group of the normal type ever builds a chain: its automorphisms are
-rows keyed by their images of a generating set, and its generators come
-from a breadth-first closure over them.  The action of a group on a block
+Each answers its order, and the membership of k permutations in one pass
+(``contains_rows``), from its definition, so neither the huge groups of
+symmetric-type Cayley schemes (orders like (168!)^2) nor the block group
+of the normal type ever builds a chain.  A group listed as rows keyed by
+their images of a generating set (the block group's automorphisms, the
+certificate's D_0) takes the generators ``reduce_generators`` would keep
+from a breadth-first closure over them (``closure_generators``).  The
+action of a group on a block
 system, with one preimage per induced map, is ``action_closure``; its
 kernel, through a stabilizer chain, is ``block_action_with_kernel``, which
 only the tests' oracles call.  ``regular_subgroups``, the fallback of the
@@ -80,29 +84,34 @@ def is_identity(p: Perm) -> bool:
     return bool((p == _identity(len(p))).all())
 
 
-def is_permutation(p: np.ndarray) -> bool:
-    """Whether the integer array p lists every point of 0..len(p)-1 once."""
-    n = len(p)
-    if n and (p.min() < 0 or p.max() >= n):
-        return False
-    hit = np.zeros(n, dtype=bool)
-    hit[p] = True
-    return bool(hit.all())
-
-
 def _member_candidate(p, degree: int) -> Optional[Perm]:
-    """p as an int32 permutation of 0..degree-1, or None if it is none.
+    """p as an int32 permutation of 0..degree-1, or None (``_member_rows``)."""
+    rows, ok = _member_rows(np.asarray(p)[None], degree)
+    return rows[0] if ok[0] else None
 
-    Membership tests call this first, so an image outside the domain can
-    neither wrap around as a negative index nor raise from numpy.  A wrong
-    shape raises InvalidInputError.
-    """
-    a = np.asarray(p)
-    if a.ndim != 1 or len(a) != degree:
-        raise InvalidInputError(f"permutation of shape {a.shape} on degree {degree}")
-    if a.dtype.kind not in "iu" or not is_permutation(a):
-        return None
-    return a.astype(np.int32, copy=False)
+
+def _member_rows(rows, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of a k x degree array as int32, each non-permutation of
+    0..degree-1 replaced by the identity, and which ones are permutations.
+    Membership tests call this first, so no image outside the domain wraps
+    around or raises from numpy; a wrong shape raises InvalidInputError."""
+    a = np.asarray(rows)
+    if a.ndim != 2 or a.shape[1] != degree:
+        raise InvalidInputError(f"permutation rows of shape {a.shape} on degree {degree}")
+    ident = _identity(degree)
+    if a.dtype.kind not in "iu":
+        return np.broadcast_to(ident, a.shape), np.zeros(len(a), dtype=bool)
+    ok = (np.sort(a, axis=1) == ident).all(axis=1)  # sorted, a permutation reads 0..degree-1
+    out = a.astype(np.int32, copy=False)
+    return (out, ok) if ok.all() else (np.where(ok[:, None], out, ident), ok)
+
+
+class _RowMembership:
+    """Membership of one permutation, by ``contains_rows`` (k rows -> bool[k])."""
+
+    def __contains__(self, p) -> bool:
+        r = _member_candidate(p, self.degree)
+        return r is not None and bool(self.contains_rows(r[None])[0])
 
 
 # -- stabilizer chain ---------------------------------------------------------
@@ -171,7 +180,7 @@ def _is_identity_rows(rows: np.ndarray) -> np.ndarray:
     return (rows == _identity(rows.shape[1])).all(axis=1)
 
 
-class PermutationGroup:
+class PermutationGroup(_RowMembership):
     """Permutation group with a deterministic stabilizer chain.
 
     Each level keeps its orbit in breadth-first discovery order and its
@@ -379,12 +388,10 @@ class PermutationGroup:
         self._ensure_chain()
         return self._order
 
-    def __contains__(self, p) -> bool:
-        r = _member_candidate(p, self.degree)
-        if r is None:
-            return False
+    def contains_rows(self, rows) -> np.ndarray:
+        r, ok = _member_rows(rows, self.degree)
         self._ensure_chain()
-        return is_identity(self._strip(r)[0])
+        return ok & _is_identity_rows(self._strip_rows(r)[0])  # a row that stops moves a base
 
     def __repr__(self) -> str:
         return f"PermutationGroup(degree={self.degree}, gens={len(self.generators)})"
@@ -411,7 +418,7 @@ def reduce_generators(gens: Iterable[Sequence[int]], degree: int) -> list[Perm]:
 # -- structural groups ----------------------------------------------------------
 
 
-class SymmetricGroup:
+class SymmetricGroup(_RowMembership):
     """Sym(degree) on the whole domain 0..degree-1, answered from its
     definition: every permutation of the domain is a member, and the order
     is degree!.  The generators are the cycle i -> i+1 (mod degree) and the
@@ -428,8 +435,8 @@ class SymmetricGroup:
             tr[:2] = 1, 0
             self.generators = [cyc, tr] if self.degree > 2 else [tr]
 
-    def __contains__(self, p) -> bool:
-        return _member_candidate(p, self.degree) is not None
+    def contains_rows(self, rows) -> np.ndarray:
+        return _member_rows(rows, self.degree)[1]
 
 
 def symmetric_group_on(degree: int) -> SymmetricGroup:
@@ -445,7 +452,7 @@ def conj_into_block(d: Perm, blk: Sequence[int], degree: int) -> Perm:
     return out
 
 
-class WreathProduct:
+class WreathProduct(_RowMembership):
     """inner wr Sym(m) on a system of m blocks, answered blockwise from its
     definition.
 
@@ -475,15 +482,13 @@ class WreathProduct:
             lift[blocks] = blocks[t]
             self.generators.append(lift)
 
-    def __contains__(self, p) -> bool:
-        f = _member_candidate(p, self.degree)
-        if f is None:
-            return False
-        img = f[self.blocks]
+    def contains_rows(self, rows) -> np.ndarray:
+        f, ok = _member_rows(rows, self.degree)
+        img = f[:, self.blocks]  # k x m x b
         landed = self._block_of[img]
-        if np.any(landed != landed[:, :1]):
-            return False
-        return all(c in self.inner for c in self._pos_of[img])
+        ok &= (landed == landed[:, :, :1]).all(axis=(1, 2))
+        comps = self._pos_of[img].reshape(-1, self.blocks.shape[1])  # one pass of inner
+        return ok & self.inner.contains_rows(comps).reshape(len(f), -1).all(axis=1)
 
 
 def wreath_group_on_blocks(inner, blocks: np.ndarray, degree: int) -> WreathProduct:
@@ -493,17 +498,75 @@ def wreath_group_on_blocks(inner, blocks: np.ndarray, degree: int) -> WreathProd
     if not b or any(len(blk) != b for blk in blocks):
         raise InvalidInputError("blocks must be nonempty and of equal size")
     arr = np.asarray(blocks, dtype=np.int32)
-    if arr.size != degree or not is_permutation(arr.ravel()):
+    if arr.size != degree or _member_candidate(arr.ravel(), degree) is None:
         raise InvalidInputError("blocks must partition the domain")
     if inner.degree != b:
         raise InvalidInputError("inner must act on block positions")
     return WreathProduct(inner, arr, degree)
 
 
+# -- groups listed as rows ----------------------------------------------------------
+
+
+class _RowCodes:
+    """Rows of permutations of 0..radix-1, each fixed by its images of
+    ``base``, keyed by the sorted mixed-radix int64 codes of those images."""
+
+    def __init__(self, rows: np.ndarray, base: Sequence[int], radix: int):
+        if radix ** len(base) >= 2**63:
+            raise CapExceededError("images do not fit an int64 code")
+        self.base = np.asarray(base, dtype=np.intp)
+        self._weights = radix ** np.arange(len(base), dtype=np.int64)
+        codes = rows[:, self.base].astype(np.int64) @ self._weights
+        self._at = np.argsort(codes)
+        self.codes = codes[self._at]
+
+    def find(self, images: np.ndarray) -> np.ndarray:
+        """The row with each images of base (last axis), or -1; the rows are nonempty."""
+        codes = images.astype(np.int64) @ self._weights
+        k = np.searchsorted(self.codes, codes).clip(max=len(self._at) - 1)
+        return np.where(self.codes[k] == codes, self._at[k], -1)
+
+
+def closure_generators(rows: np.ndarray, base: Sequence[int], radix: int) -> list[int]:
+    """The rows outside the closure of the rows kept before them, in order:
+    the rows ``reduce_generators`` keeps, with no chain.
+
+    ``rows`` lists a group of permutations of 0..radix-1, each fixed by its
+    images of ``base`` (``_RowCodes``).  Each kept row g gets its action map
+    on the list once (row i -> the row of g after i, found by code), and the
+    closure grows on a bool array by one gather of those maps per layer, as
+    ``group.closure`` does; a new row acts on all members first.  A list
+    without the identity, or a product off it, raises InternalError.
+    """
+    base = np.asarray(base, dtype=np.intp)
+    images = rows[:, base]
+    inside = (images == base).all(axis=1)  # the identity: no other row fixes the base
+    if not inside.any():
+        raise InternalError("the row list lacks the identity")
+    if inside.all():
+        return []
+    keys = _RowCodes(rows, base, radix)
+    kept: list[int] = []
+    acts: list[np.ndarray] = []
+    while not inside.all():
+        kept.append(int(np.argmin(inside)))
+        acts.append(keys.find(rows[kept[-1]][images]))
+        if np.any(acts[-1] < 0):
+            raise InternalError("the row list is not closed under composition")
+        frontier, step, steps = np.flatnonzero(inside), acts[-1][:, None], np.stack(acts, axis=1)
+        while len(frontier):
+            before = inside.copy()
+            inside[step[frontier]] = True
+            frontier = np.flatnonzero(inside > before)
+            step = steps
+    return kept
+
+
 # -- subgroups of D(2,G) ----------------------------------------------------------
 
 
-class D2Subgroup:
+class D2Subgroup(_RowMembership):
     """A subgroup of D(2,G) given parametrically.
 
     Elements are x -> alpha(x) * t or x -> (alpha(x) * t)^-1 with t ranging
@@ -513,8 +576,9 @@ class D2Subgroup:
     so the order is |T| * (|auts_plain| + |auts_inv|).  An automorphism is
     fixed by its images of ``greedy_generators(G)``, so each part keys its
     rows by a mixed-radix int64 code of those images, kept sorted.
-    Membership reads t off the image of the identity, looks alpha = r *
-    rho_t^-1 up by its code and compares the full row: O(n), no chain.
+    Membership of k rows at once (``contains_rows``) tries the plain part
+    at r and the inverted part at r^-1: t is the image of 1, and alpha =
+    r * rho_t^-1 is looked up by its code and compared in full: O(k n).
 
     The kernel of the action on the cosets of a normal subgroup N has the
     same form (``coset_kernel``): x -> (alpha(x) t)^eps fixes every N-coset
@@ -533,9 +597,6 @@ class D2Subgroup:
             raise InvalidInputError("parametric form needs unique parameters (nonabelian G)")
         self.group, self.degree = G, G.order
         self._base = np.asarray(greedy_generators(G), dtype=np.intp)
-        if G.order ** len(self._base) >= 2**63:
-            raise CapExceededError("generator images do not fit an int64 code")
-        self._radix = G.order ** np.arange(len(self._base), dtype=np.int64)
         self.auts_plain, self._plain_keys = self._keyed(auts_plain)
         self.auts_inv, self._inv_keys = self._keyed(auts_inv)
         if not len(self.auts_plain):
@@ -543,24 +604,18 @@ class D2Subgroup:
         if len(self.auts_inv) and len(self.auts_inv) != len(self.auts_plain):
             raise InternalError("inverted part is not a coset of the plain part")
         self.translations = Subgroup(G, range(G.order) if translations is None else translations)
+        self._in_t = np.isin(np.arange(G.order), self.translations.elements)
         self.order = self.translations.order * (len(self.auts_plain) + len(self.auts_inv))
 
-    def _keyed(self, auts) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-        """The rows as one int32 matrix, and their sorted codes with each one's row."""
+    def _keyed(self, auts) -> tuple[np.ndarray, _RowCodes]:
+        """The rows as one int32 matrix, keyed by their generator images."""
         rows = np.array(auts, dtype=np.int32) if len(auts) else np.empty((0, self.degree), np.int32)
         if rows.ndim != 2 or rows.shape[1] != self.degree:
             raise InvalidInputError(f"automorphisms of shape {rows.shape} on degree {self.degree}")
-        codes = rows[:, self._base].astype(np.int64) @ self._radix
-        at = np.argsort(codes)
-        if np.any(np.diff(codes[at]) == 0):
+        keys = _RowCodes(rows, self._base, self.degree)
+        if np.any(np.diff(keys.codes) == 0):
             raise InvalidInputError("two automorphisms agree on the generators of G")
-        return rows, (codes[at], at)
-
-    def _find(self, keys: tuple[np.ndarray, np.ndarray], images: np.ndarray) -> np.ndarray:
-        """The row with each generator images (last axis), or -1; the part is nonempty."""
-        codes, (sorted_codes, at) = images.astype(np.int64) @ self._radix, keys
-        k = np.searchsorted(sorted_codes, codes).clip(max=len(at) - 1)
-        return np.where(sorted_codes[k] == codes, at[k], -1)
+        return rows, keys
 
     def row(self, alpha: Perm, t: int, inverted: bool) -> Perm:
         r = self.group.table[alpha, t]
@@ -568,62 +623,29 @@ class D2Subgroup:
             r = self.group.inverse[r]
         return np.ascontiguousarray(r)
 
-    def __contains__(self, p) -> bool:
-        r = _member_candidate(p, self.degree)
-        if r is None:
-            return False
+    def contains_rows(self, rows) -> np.ndarray:
+        r, ok = _member_rows(rows, self.degree)
         table, inv = self.group.table, self.group.inverse
-        # the plain part at r, the inverted part at r^-1: t = image of 1 and
-        # alpha = r * rho_t^-1, found by its code and compared in full
-        parts = ((r, self.auts_plain, self._plain_keys), (inv[r], self.auts_inv, self._inv_keys))
-        for img, rows, keys in parts:
-            t = int(img[0])
-            if len(rows) and t in self.translations:
-                alpha = table[img, inv[t]]
-                k = int(self._find(keys, alpha[self._base]))
-                if k >= 0 and np.array_equal(rows[k], alpha):
-                    return True
-        return False
-
-    def _closure_generators(self) -> list[int]:
-        """The plain rows outside the closure of the rows kept before them,
-        in order: the rows ``reduce_generators`` keeps, with no chain.  Each
-        kept row g gets its action map on the row list once (row i -> the
-        row of g after i, looked up by the code of its generator images), and
-        the closure grows on a bool array by one gather of those maps per
-        layer, as ``group.closure`` does; a new row acts on all members
-        first.  A product off the list raises InternalError.
-        """
-        rows, keys = self.auts_plain, self._plain_keys
-        images = rows[:, self._base]
-        identity = self._find(keys, self._base)
-        if identity < 0:
-            raise InternalError("the plain part lacks the identity")
-        inside = np.zeros(len(rows), dtype=bool)
-        inside[identity] = True
-        kept: list[int] = []
-        acts: list[np.ndarray] = []
-        while not inside.all():
-            kept.append(int(np.argmin(inside)))
-            acts.append(self._find(keys, rows[kept[-1]][images]))
-            if np.any(acts[-1] < 0):
-                raise InternalError("the plain part is not closed under composition")
-            frontier, step = np.flatnonzero(inside), acts[-1][:, None]
-            while len(frontier):
-                before = inside.copy()
-                inside[step[frontier]] = True
-                frontier = np.flatnonzero(inside > before)
-                step = np.stack(acts, axis=1)
-        return kept
+        found = np.zeros(len(r), dtype=bool)
+        for img, auts, keys in ((r, self.auts_plain, self._plain_keys),
+                                (inv[r], self.auts_inv, self._inv_keys)):
+            if len(auts):
+                t = img[:, 0]
+                alpha = table[img, inv[t][:, None]]
+                k = keys.find(alpha[:, self._base])
+                hit = (k >= 0) & self._in_t[t]
+                hit[hit] = (auts[k[hit]] == alpha[hit]).all(axis=1)
+                found |= hit
+        return ok & found
 
     @cached_property
     def generators(self) -> list[Perm]:
         """Right translations by generators of T, the plain automorphisms
-        that ``_closure_generators`` keeps, and one element of the inverted
+        that ``closure_generators`` keeps, and one element of the inverted
         part if there is one."""
         G = self.group
         gens = [np.ascontiguousarray(G.table[:, g]) for g in self.translations.generators()]
-        gens += list(self.auts_plain[self._closure_generators()])
+        gens += list(self.auts_plain[closure_generators(self.auts_plain, self._base, self.degree)])
         if len(self.auts_inv):
             gens.append(np.ascontiguousarray(G.inverse[self.auts_inv[0]]))
         return gens
@@ -634,8 +656,8 @@ class D2Subgroup:
         cls, inv = np.asarray(coset_of), self.group.inverse
         plain = self.auts_plain[(cls[self.auts_plain] == cls).all(axis=1)]
         invs = self.auts_inv[(cls[self.auts_inv] == cls[inv]).all(axis=1)]
-        kept = [t for t in self.translations.elements if cls[t] == cls[0]]
-        return D2Subgroup(self.group, plain, invs, kept)
+        elems = np.asarray(self.translations.elements)
+        return D2Subgroup(self.group, plain, invs, elems[cls[elems] == cls[0]].tolist())
 
     def __repr__(self) -> str:
         return f"D2Subgroup(order={self.order}, degree={self.degree})"
@@ -811,7 +833,7 @@ def regular_subgroups(K: D2Subgroup, H: FiniteGroup) -> list[RegularSubgroup]:
     # row t of side is x -> x t (T_r) or x -> t x (T_l), the member taking 0 to t
     for side in (np.ascontiguousarray(table.T), table):
         s_gens = side[soc.generators()]
-        if all(g in K for g in s_gens):
+        if K.contains_rows(s_gens).all():
             rows = np.zeros((n, n), dtype=np.int32)
             rows[in_soc] = side[in_soc]
             extend(rows, in_soc.copy(), [], side, s_gens)

@@ -5,9 +5,12 @@ tuples and their label array, the almost-simplicity test on a copy of the
 socle and dict-based stabilizer chain that the array-native ones
 replaced, and the constructors only the tests use: the regular
 representations, D(2,G) as a chain and in parametric form, orbitals, the
-direct-sum test and the enumeration of a chain's elements; and the
+direct-sum test and the enumeration of a chain's elements; the
 product scan over uniform-cycle-type elements that enumerated regular
-subgroups before the socle-anchored search."""
+subgroups before the socle-anchored search; and the one-permutation
+membership of the structural groups and the subgroup generators searched
+on a standalone copy, which the batched ``contains_rows`` and the search on
+the parent's table replaced."""
 
 import itertools
 from dataclasses import dataclass
@@ -36,6 +39,8 @@ from cencay.perm import (
     D2Subgroup,
     Perm,
     PermutationGroup,
+    SymmetricGroup,
+    WreathProduct,
     _invert_rows,
     _member_candidate,
     as_perm,
@@ -200,6 +205,40 @@ def chain_d2_generators(K) -> list[Perm]:
     if len(K.auts_inv):
         gens.append(np.ascontiguousarray(G.inverse[K.auts_inv[0]]))
     return gens
+
+
+def contains_one(group, p) -> bool:
+    """Membership of one permutation in a ``SymmetricGroup``,
+    ``WreathProduct`` or ``D2Subgroup``, one block component and one part
+    at a time, with alpha found by a scan of the part's rows instead of its
+    code: the oracle for ``contains_rows``."""
+    f = _member_candidate(p, group.degree)
+    if f is None:
+        return False
+    if isinstance(group, SymmetricGroup):
+        return True
+    if isinstance(group, WreathProduct):
+        img = f[group.blocks]
+        landed = group._block_of[img]
+        if np.any(landed != landed[:, :1]):
+            return False
+        return all(contains_one(group.inner, c) for c in group._pos_of[img])
+    table, inv = group.group.table, group.group.inverse
+    for img, rows in ((f, group.auts_plain), (inv[f], group.auts_inv)):
+        t = int(img[0])
+        if len(rows) and t in group.translations:
+            if (rows == table[img, inv[t]]).all(axis=1).any():
+                return True
+    return False
+
+
+def generators_by_copy(H) -> list[int]:
+    """The greedy generators of a ``Subgroup``'s standalone copy
+    (``as_group``), by the element-closure oracle, read back as parent
+    indices: the oracle for ``Subgroup.generators``, which searches on the
+    parent's table."""
+    A, elems = H.as_group()
+    return [elems[i] for i in greedy_generators_by_bfs(A)]
 
 
 def isomorphisms_all(G: FiniteGroup, H: FiniteGroup) -> list[np.ndarray]:

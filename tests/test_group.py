@@ -13,6 +13,8 @@ from cencay.fixtures import BUILTIN_NAMES, builtin_group
 from cencay.group import (
     FiniteGroup,
     Subgroup,
+    _conjugation,
+    _isomorphisms_mod_inner,
     automorphism_group,
     closure,
     conjugacy_classes,
@@ -34,6 +36,7 @@ from .fixture_groups import (
     conjugacy_classes_by_orbits,
     cyclic,
     element_order_by_powers,
+    generators_by_copy,
     greedy_generators_by_bfs,
     is_almost_simple_by_closures,
     is_almost_simple_by_copy,
@@ -621,6 +624,59 @@ def test_as_group_relabels_a_proper_subgroup():
     assert A._classes_cache is None and A._generators_cache is None
     with pytest.raises(InvalidInputError, match="not closed"):
         Subgroup(G, (0, 1)).as_group()
+
+
+def test_subgroup_generators_on_the_parent_equal_the_copy_route():
+    # the greedy search over H's elements inside G picks what the search on
+    # H's standalone copy picks: closures agree and the relabel is monotone
+    rng = np.random.default_rng(27)
+    groups = [builtin_group(nm) for nm in BUILTIN_NAMES if nm != "trivial"]
+    checked = 0
+    for G in groups + [c2_x_alt5(), cyclic(12)]:
+        subs = subgroups_over_socle(G, False) if is_almost_simple(G) else []
+        subs.append(Subgroup(G, (0,)))
+        for x, y in rng.integers(1, G.order, size=(4, 2)).tolist():
+            subs += [Subgroup(G, closure(G, [x])), Subgroup(G, closure(G, [x, y]))]
+        for H in subs:
+            if H.order < G.order:  # the whole group's are the parent's memo
+                assert H.generators() == generators_by_copy(H)
+                checked += 1
+    assert checked > 40
+
+
+def test_inner_automorphisms_keyed_by_generator_images_match_the_rows():
+    # an automorphism is fixed by its images of the greedy generators, so
+    # the images key the inner automorphisms as the whole rows do
+    # (the search's test), and the search keeps one map per Inn-coset by
+    # rows; on D8 x S3 it completes 12 maps and the test rejects 8 of them
+    d8_x_s3 = group_from_generators([(1, 2, 3, 0, 4, 5, 6), (3, 2, 1, 0, 4, 5, 6),
+                                     (0, 1, 2, 3, 5, 6, 4), (0, 1, 2, 3, 5, 4, 6)])
+    assert len(automorphism_group(d8_x_s3)) == len(isomorphisms_all(d8_x_s3, d8_x_s3))
+    outer_seen = False
+    for G in [builtin_group(name) for name in BUILTIN_NAMES if name != "trivial"] + [d8_x_s3]:
+        conj, gens = _conjugation(G), greedy_generators(G)
+        by_rows = {row.tobytes() for row in conj}
+        by_images = {row.tobytes() for row in conj[:, gens]}
+        assert len(by_rows) == len(by_images)
+        for alpha in automorphism_group(G):
+            inner = alpha.tobytes() in by_rows
+            assert inner == (alpha[gens].tobytes() in by_images)
+            outer_seen |= not inner
+        reps = _isomorphisms_mod_inner(G, G)
+        assert len(reps) * len(by_rows) == len(automorphism_group(G))
+        for i, t in enumerate(reps):
+            assert not any(m[np.argsort(t)].tobytes() in by_rows for m in reps[i + 1:])
+    assert outer_seen
+
+
+def test_the_aut_memo_is_read_only():
+    G = group_from_generators([(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)])  # A5, nothing cached yet
+    auts = automorphism_group(G)
+    before = np.array(auts)
+    assert len(auts) == 120
+    with pytest.raises(ValueError):
+        auts[1][1] = auts[1][2]
+    assert np.array_equal(np.array(automorphism_group(G)), before)
 
 
 def test_one_conjugation_table_per_group(monkeypatch):

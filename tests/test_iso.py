@@ -29,11 +29,12 @@ from cencay.iso import (
     quotient_isos,
     schemes_with_phi,
 )
-from cencay.perm import PermutationGroup
+from cencay.perm import PermutationGroup, SymmetricGroup, closure_generators, reduce_generators
 from .fixture_groups import (
     alt5,
     alt6,
     chain_d2_generators,
+    contains_one,
     cyclic,
     d2_chain,
     d2_group,
@@ -1045,21 +1046,85 @@ def test_one_axis_gathers_match_the_broadcast_gathers():
         assert seen == {True, False} or n == 1
 
 
-def test_normal_aut_builds_chains_only_for_the_recount_and_the_quotient(monkeypatch):
-    # D_U and its coset kernel take their generators from the closure, and
-    # the order certificate reads the generators' shape instead of a
-    # recount, so the only groups built are the degree-m quotient
-    # reduction; on S5 with U = L = A5 none has degree |U| = 60, and none
-    # has degree n = 120
+def test_normal_aut_builds_no_chain(monkeypatch):
+    # D_U and its coset kernel take their generators from the closure, D_0
+    # its generators from the closure of its listed rows, and the order
+    # certificate reads the generators' shape instead of a recount, so no
+    # chain is built at all: not of degree |U| = 60 on S5 with U = L = A5,
+    # not of degree n = 120, and not of the quotient's degree m = 2
     degrees = counted_degrees(monkeypatch)
     for gam, u_order in ((a5_coset_graph(), 60), (transposition_graph(), 120)):
         rec = analyze(gam)
         assert (rec.sec.kind, rec.sec.U.order, rec.sec.m) == ("normal", u_order, 2)
         degrees.clear()
         res = rec.aut
-        assert set(degrees) == {2}
+        assert degrees == []
         assert res.certify(res.aut_generators) == res.aut_order
     assert res.aut_order == 28_800  # the transposition graph's order, certified
+
+
+def membership_probes(K, rng) -> np.ndarray:
+    """K's generators, words in them, their copies with two images swapped
+    and seeded random permutations, one per row."""
+    n, gens = K.degree, list(K.generators)
+    rows = gens + [rng.permutation(n).astype(np.int32) for _ in range(3)]
+    for _ in range(4):
+        f = np.arange(n, dtype=np.int32)
+        for _ in range(5):
+            f = gens[int(rng.integers(len(gens)))][f]
+        g = f.copy()
+        g[[1, 2]] = g[[2, 1]]
+        rows += [f, g]
+    return np.array(rows)
+
+
+def non_permutation_rows(n) -> np.ndarray:
+    """A repeated entry, an entry out of range and a negative entry."""
+    rows = np.tile(np.arange(n), (3, 1))
+    rows[0, 1], rows[1, 2], rows[2, 0] = rows[0, 0], n, -1
+    return rows
+
+
+def test_batched_membership_equals_the_one_permutation_oracle():
+    rng = np.random.default_rng(27)
+    cases = [gam for _, gam in kernel_cases()] + [coset_graph(), transposition_graph()]
+    kinds, seen = set(), set()
+    for gam in cases:
+        rec = analyze(gam)
+        groups = [rec.cid, rec.d_u]
+        if rec.sec.kind == "normal":
+            groups.append(rec.d_u.coset_kernel(rec.sec.l_class_of[rec.blocks[0]]))
+        for K in groups:
+            kinds.add(type(K).__name__)
+            rows = membership_probes(K, rng)
+            want = [contains_one(K, r) for r in rows]
+            assert K.contains_rows(rows).tolist() == want == [r in K for r in rows]
+            assert all(want[: len(K.generators)])
+            seen.update(want)
+            bad = non_permutation_rows(K.degree)
+            assert not K.contains_rows(bad).any() and not any(contains_one(K, r) for r in bad)
+            assert not K.contains_rows(rows.astype(float)).any()
+            assert not contains_one(K, rows[0].astype(float))
+            for wrong in (rows[0], rows[:, :-1], rows[None]):
+                with pytest.raises(InvalidInputError):
+                    K.contains_rows(wrong)
+    assert kinds == {"WreathProduct", "D2Subgroup", "SymmetricGroup"}
+    assert seen == {True, False}
+    assert SymmetricGroup(5).contains_rows(np.empty((0, 5), dtype=np.int32)).shape == (0,)
+
+
+def test_chain_free_d0_generators_are_the_chain_reductions():
+    cases = [gam for _, gam in kernel_cases()] + [coset_graph(), transposition_graph()]
+    for gam in cases:
+        rec = analyze(gam)
+        m, reach = rec.sec.m, rec.action
+        b_self = {b.tobytes() for b in quotient_isos(rec.quotient, rec.quotient)}
+        d0 = [np.frombuffer(k, dtype=np.int32) for k in sorted(reach) if k in b_self]
+        kept = [d0[i] for i in closure_generators(np.array(d0), range(m), m)]
+        assert [r.tobytes() for r in kept] == [r.tobytes() for r in reduce_generators(d0, m)]
+        top = [reach[r.tobytes()] for r in kept]
+        gens = rec.aut.aut_generators
+        assert [g.tobytes() for g in gens[len(gens) - len(top):]] == [g.tobytes() for g in top]
 
 
 def counted_degrees(monkeypatch) -> list[int]:

@@ -21,6 +21,7 @@ from cencay.perm import (
     D2Subgroup,
     PermutationGroup,
     block_action_with_kernel,
+    closure_generators,
     compose,
     conj_into_block,
     identity_perm,
@@ -517,6 +518,34 @@ def test_generators_out_of_the_int32_range_are_rejected():
     for bad in ([2**32, 1], np.array([2**32 + 1, 0], dtype=np.int64)):
         with pytest.raises(InvalidInputError):
             PermutationGroup([bad], 2)
+
+
+def test_closure_generators_keep_the_rows_the_chain_keeps():
+    # groups listed in full, shuffled so the identity is not first: the
+    # closure keeps exactly the rows reduce_generators keeps, on up to 12
+    # points (the quotient cap), whose int64 codes still fit
+    rng = np.random.default_rng(27)
+    cases = [
+        [(1, 2, 3, 0), (1, 0, 2, 3)],  # S4
+        [(1, 2, 3, 4, 0), (4, 3, 2, 1, 0)],  # D5
+        [(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)],  # A5
+        [(1, 0, 2, 3, 4, 5), (3, 4, 5, 0, 1, 2), (2, 0, 1, 5, 3, 4)],  # S2 wr S3
+        [tuple(range(1, 12)) + (0,), tuple(range(11, -1, -1))],  # D12 on 12 points
+        [(0, 1, 2)],  # the trivial group
+    ]
+    for gens in cases:
+        n = len(gens[0])
+        rows = closed_rows([np.array(g, dtype=np.int32) for g in gens], n)
+        for order in (np.arange(len(rows)), rng.permutation(len(rows))):
+            listed = rows[order]
+            kept = closure_generators(listed, range(n), n)
+            assert [listed[i].tobytes() for i in kept] == [
+                g.tobytes() for g in reduce_generators(listed, n)]
+        if len(rows) > 2:
+            with pytest.raises(InternalError, match="not closed"):
+                closure_generators(rows[:-1], range(n), n)
+            with pytest.raises(InternalError, match="identity"):
+                closure_generators(rows[1:], range(n), n)
 
 
 def closed_rows(gens, n):
